@@ -42,7 +42,12 @@ from .equilibrium import (
     make_report,
 )
 from .numerics import BracketedFunction, NumericsError, find_root, lambert_w0
-from .oracle import GridSpec, find_symmetric_equilibria, grid_best_response
+from .oracle import (
+    GridSpec,
+    deviation_sweep,
+    find_symmetric_equilibria,
+    grid_best_response,
+)
 from .sim import (
     DynamicsResult,
     SimConfig,
@@ -102,6 +107,7 @@ __all__ = [
     "classify_variable_horizon",
     "crossing_time",
     "crossing_time_raw",
+    "deviation_sweep",
     "find_root",
     "find_symmetric_equilibria",
     "grid_best_response",

@@ -31,9 +31,7 @@ from .equilibrium import EquilibriumError, EquilibriumSet, classify, make_report
 from .numerics import NumericsError
 from .oracle import (
     GridSpec,
-    _alpha_cap,
-    _beta_grid,
-    _bulk_utilities,
+    deviation_sweep,
     find_symmetric_equilibria,
     grid_best_response,
 )
@@ -45,6 +43,8 @@ from .utility import (
     best_response_exponential,
     best_response_linear,
     best_response_side_info,
+    strategy_cap,
+    symmetric_cap,
     utility,
     utility_surface,
 )
@@ -278,29 +278,26 @@ def _check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
                            s: Scenario, g: GridSpec) -> Optional[str]:
     """None when the set is sound and complete, else a reason string."""
     tol_sound = max(g.resolve_tol(p), 1e-6 * p.tau)
-    for a in _soundness_points(eq):
-        cap_a = _beta_grid(a, p, s, g.n_beta)[-1] if a >= 0 else 0.0
-        if a < 0.0 or a > cap_a * (1.0 + 1e-9) + 1e-12:
+    pts = _soundness_points(eq)
+    inside = [0.0 <= a <= strategy_cap(a, p, s) * (1.0 + 1e-9) + 1e-12
+              for a in pts]
+    sweep = zip(*deviation_sweep([a for a, ok in zip(pts, inside) if ok],
+                                 belief, p, s, g))
+    for a, ok in zip(pts, inside):
+        if not ok:
             return f"classified point {a:.6g} lies outside its strategy space"
-        betas = _beta_grid(a, p, s, g.n_beta)
-        us = _bulk_utilities(a, betas, belief, p, s)
-        u_self = utility(a, min(a, betas[-1]), belief, p, s)
-        if u_self < float(np.max(us)) - tol_sound:
+        u_best, u_own = next(sweep)
+        if u_own < u_best - tol_sound:
             return (f"classified point {a:.6g} is not a grid best response "
-                    f"(gap {float(np.max(us)) - u_self:.3g})")
-    cap_a = _alpha_cap(p, s)
-    step = cap_a / (g.n_alpha - 1)
+                    f"(gap {u_best - u_own:.3g})")
+    cap_a = symmetric_cap(p, s)
+    tol_edge = 1.5 * (cap_a / (g.n_alpha - 1)) + 1e-9 * max(cap_a, 1.0)
     found = find_symmetric_equilibria(belief, p, s, g)
-    for a in found:
-        if eq.contains(float(a), tol=1.5 * step + 1e-9 * max(cap_a, 1.0)):
-            continue
-        # near an interval edge the grid tolerance admits near-fixed
-        # points; only a strict re-test makes it a completeness failure
-        a = float(a)
-        betas = _beta_grid(a, p, s, g.n_beta)
-        us = _bulk_utilities(a, betas, belief, p, s)
-        u_self = utility(a, min(a, betas[-1]), belief, p, s)
-        if u_self >= float(np.max(us)) - 0.01 * tol_sound:
+    missing = [float(a) for a in found if not eq.contains(float(a), tol=tol_edge)]
+    # near an interval edge the grid tolerance admits near-fixed points;
+    # only a strict re-test makes it a completeness failure
+    for a, u_best, u_own in zip(missing, *deviation_sweep(missing, belief, p, s, g)):
+        if u_own >= u_best - 0.01 * tol_sound:
             return f"oracle equilibrium {a:.6g} missing from the set"
     return None
 
@@ -402,7 +399,7 @@ def _draw_model(s: Scenario, rng: np.random.Generator):
 def _corrupt_set(eq: EquilibriumSet, p: ModelParams, s: Scenario) -> EquilibriumSet:
     # negative control: shift everything up by a tenth of the cap, which
     # pushes at least one classified point off the equilibrium set
-    shift = 0.1 * max(_alpha_cap(p, s), 1e-6)
+    shift = 0.1 * max(symmetric_cap(p, s), 1e-6)
     return dataclasses.replace(
         eq,
         points=tuple(v + shift for v in eq.points),

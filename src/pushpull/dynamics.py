@@ -292,13 +292,18 @@ def _cross_plain_raw(beta, q, alpha, p, push):
         return ta + (beta - alpha) / (lam + lpu)
     # saturating push plus pull: Lambert form, robust for beta past n
     zeta = lam * n / lpu
+    if not math.isfinite(zeta):
+        # pull too slow to register against the pool (subnormal rates):
+        # the lpu -> 0 limit is the push-only crossing
+        return _t_ps_inverse(beta, lam, push, n)
+    log_zeta = math.log(lam * n) - math.log(lpu)
     c = -zeta * (1.0 - beta / n) - math.log(1.0 - alpha / n)
-    w = lambert_w0_log(math.log(zeta) - c)
+    w = lambert_w0_log(log_zeta - c)
     if w <= 0.0:
         return c / lam
     # c + w = ln(zeta) - ln(w) exactly, and the latter form stays accurate
     # when zeta blows up (tiny pull rate) and c, w cancel to leading order
-    return (math.log(zeta) - math.log(w)) / lam
+    return (log_zeta - math.log(w)) / lam
 
 
 def _cross_product_raw(beta, q, alpha, p, push):

@@ -91,30 +91,51 @@ def lambert_w0_log(log_x: float) -> float:
 
 
 def lambert_w0_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized W0 for the bulk oracle paths. Same scheme as lambert_w0."""
+    """Vectorized W0 for the bulk oracle paths. Same scheme as lambert_w0.
+
+    Raises NumericsError where lambert_w0 would: on NaN, below the branch
+    point, and when an element fails to converge (+inf never does, so it
+    is rejected up front rather than after the iteration cap).
+    """
     x = np.asarray(x, dtype=float)
+    if np.any(np.isnan(x) | np.isposinf(x)):
+        raise NumericsError("lambert_w0_arr: argument is NaN or +inf")
     if np.any(x < _INV_E - 1e-15):
         raise NumericsError("lambert_w0_arr: argument below branch point")
     xc = np.maximum(x, _INV_E)
-    p = np.sqrt(np.maximum(2.0 * (math.e * xc + 1.0), 0.0))
-    w = np.where(xc >= 0.0, np.log1p(np.maximum(xc, 0.0)),
-                 -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3)
+    w = np.log1p(np.maximum(xc, 0.0))
+    neg = xc < 0.0
+    if neg.any():
+        p = np.sqrt(np.maximum(2.0 * (math.e * xc[neg] + 1.0), 0.0))
+        w[neg] = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
+    scale = np.maximum(1.0, np.abs(xc))
     for _ in range(_MAX_ITER):
         ew = np.exp(w)
         f = w * ew - xc
-        if np.all(np.abs(f) <= 1e-13 * np.maximum(1.0, np.abs(xc))):
+        if np.all(np.abs(f) <= 1e-13 * scale):
             break
+        # Halley step; skipped exactly at the branch point, where w + 1 = 0
         wp1 = w + 1.0
         safe = np.abs(wp1) > 1e-300
-        denom = np.where(safe, ew * wp1 - (w + 2.0) * f / np.where(safe, 2.0 * wp1, 1.0), 1.0)
-        w = np.where(safe, w - f / denom, w)
-        w = np.maximum(w, -1.0)
+        wp1[~safe] = 1.0
+        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        w -= np.where(safe, step, 0.0)
+        np.maximum(w, -1.0, out=w)
+    else:
+        if not np.all(np.abs(w * np.exp(w) - xc) <= 1e-12 * scale):
+            raise NumericsError("lambert_w0_arr: no convergence")
     return w
 
 
 def lambert_w0_log_arr(log_x: np.ndarray) -> np.ndarray:
-    """Vectorized W0(e^log_x); array counterpart of lambert_w0_log."""
+    """Vectorized W0(e^log_x); array counterpart of lambert_w0_log.
+
+    Like lambert_w0_log, raises NumericsError on NaN or +inf and when the
+    large-argument Newton iteration does not converge.
+    """
     log_x = np.asarray(log_x, dtype=float)
+    if np.any(np.isnan(log_x) | np.isposinf(log_x)):
+        raise NumericsError("lambert_w0_log_arr: argument is NaN or +inf")
     out = np.empty_like(log_x)
     small = log_x <= 600.0
     if np.any(small):
@@ -127,6 +148,8 @@ def lambert_w0_log_arr(log_x: np.ndarray) -> np.ndarray:
             w -= step
             if np.all(np.abs(step) <= 1e-15 * w):
                 break
+        else:
+            raise NumericsError("lambert_w0_log_arr: no convergence")
         out[~small] = w
     return out
 

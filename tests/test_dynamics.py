@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -230,6 +230,8 @@ def test_viewcount_monotone_and_quality_ordered(draw, push):
 
 @settings(max_examples=60, deadline=None)
 @given(param_draws, st.sampled_from([LIN, EXP]))
+# subnormal pull rate: lam*n/lpu overflows, the crossing is the push-only limit
+@example((0.02, 0.5, 1.1e-308, 10.0, 0.5), EXP)
 def test_crossing_monotone_in_threshold(draw, push):
     lg, frac, lpu, tau, afrac = draw
     p = ModelParams(lg, frac * lg, lpu, tau, n_pool=1000.0)

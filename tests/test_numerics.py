@@ -79,6 +79,19 @@ def test_array_variants_match_scalar():
         assert w == pytest.approx(lambert_w0_log(float(lx)), rel=1e-12)
 
 
+@pytest.mark.parametrize("array_fn, scalar_fn", [
+    (lambert_w0_arr, lambert_w0),
+    (lambert_w0_log_arr, lambert_w0_log),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_array_variants_raise_where_scalar_ones_do(array_fn, scalar_fn, bad):
+    # one bad element must raise, not ride along as a silent NaN
+    with pytest.raises(NumericsError):
+        scalar_fn(bad)
+    with pytest.raises(NumericsError):
+        array_fn(np.array([0.5, bad, 2.0]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(min_value=BRANCH, max_value=1e15,
                  allow_nan=False, allow_infinity=False))

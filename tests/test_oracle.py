@@ -18,10 +18,12 @@ from pushpull import (
     symmetric_cap,
     utility,
 )
-from pushpull.oracle import _beta_grid, _bulk_utilities
+from pushpull.oracle import _beta_grid, _beta_rows, _bulk_utilities
 
 INF = math.inf
 ALL_SCENARIOS = list(Scenario)
+CLOSED_FORM = [s for s in Scenario
+               if s is not Scenario.TREND_VIEWCOUNT_EXPONENTIAL]
 EXP_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0)
 VH_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0)
 
@@ -35,19 +37,61 @@ def params_for(s):
     return ModelParams(0.2, 0.1, 1.0, 10.0)
 
 
+def _rows_with_alphas(alphas, p, s, n_beta):
+    betas, starts = _beta_rows(alphas, p, s, n_beta)
+    return np.repeat(alphas, np.diff(starts, append=betas.size)), betas
+
+
+def _assert_bulk_matches_scalar(alphas, betas, bulk, b, p, s):
+    assert bulk.shape == betas.shape
+    for alpha, beta, u in zip(alphas, betas, bulk):
+        # vectorized Lambert/exp paths differ from the scalar ones by a few
+        # ulps that compound; observed worst case is ~7e-13 relative
+        assert u == pytest.approx(utility(float(alpha), float(beta), b, p, s),
+                                  rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("s", ALL_SCENARIOS)
 def test_bulk_evaluation_matches_scalar_utility(s):
     p = params_for(s)
     b = Belief(0.6, 0.4)
-    alpha = 0.4 * strategy_cap(INF, p, s)
-    betas = _beta_grid(alpha, p, s, 137)
-    bulk = _bulk_utilities(alpha, betas, b, p, s)
-    assert bulk.shape == betas.shape
-    for beta, u in zip(betas, bulk):
-        # vectorized Lambert/exp paths differ from the scalar ones by a few
-        # ulps that compound; observed worst case is ~7e-13 relative
-        assert u == pytest.approx(utility(alpha, float(beta), b, p, s),
-                                  rel=1e-12, abs=1e-12)
+    cap = strategy_cap(INF, p, s)
+    # several population thresholds in one call, alpha given per element
+    alphas, betas = _rows_with_alphas(np.array([0.0, 0.4 * cap, cap]), p, s, 45)
+    bulk = _bulk_utilities(alphas, betas, b, p, s)
+    _assert_bulk_matches_scalar(alphas, betas, bulk, b, p, s)
+    # a scalar alpha is the 0-d case of the same evaluation
+    mid = alphas == 0.4 * cap
+    assert np.array_equal(betas[mid], _beta_grid(0.4 * cap, p, s, 45))
+    assert _bulk_utilities(0.4 * cap, betas[mid], b, p, s) == pytest.approx(
+        bulk[mid], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("lpu", [1e-9, 1e-12, 1.1e-308])
+def test_bulk_matches_scalar_at_vanishing_pull(lpu):
+    # lam*n/lpu is huge, or overflows at the subnormal rate: the array
+    # crossing needs the scalar's cancellation-safe form and push-only limit
+    p = ModelParams(0.1, 0.05, lpu, 8.0, n_pool=1000.0)
+    s = Scenario.EXPONENTIAL_FIXED_HORIZON
+    b = Belief(0.6, 0.4)
+    alphas, betas = _rows_with_alphas(np.array([0.0, 100.0, 250.0]), p, s, 101)
+    _assert_bulk_matches_scalar(alphas, betas,
+                                _bulk_utilities(alphas, betas, b, p, s), b, p, s)
+
+
+@pytest.mark.parametrize("s", CLOSED_FORM)
+@pytest.mark.parametrize("belief", [Belief(0.4, 0.6), Belief(0.75, 0.25)])
+def test_batched_sweep_matches_per_alpha_reference(s, belief):
+    # reference: one grid best response per alpha, as the sweep did before
+    # it was batched; alpha is a fixed point when its own threshold ties
+    p = params_for(s)
+    g = GridSpec()
+    ref = [a for a in np.linspace(0.0, symmetric_cap(p, s), g.n_alpha)
+           if np.any(grid_best_response(a, belief, p, s, g)
+                     == min(a, strategy_cap(a, p, s)))]
+    found = find_symmetric_equilibria(belief, p, s, g)
+    assert len(ref) > 0
+    assert np.array_equal(found, ref)
 
 
 @pytest.mark.parametrize("s", ALL_SCENARIOS)
