@@ -62,6 +62,7 @@ from .utility import (
     best_response_exponential,
     best_response_linear,
     best_response_side_info,
+    closed_form_best_response,
     side_info_lambda_pu_s,
     side_info_peaks,
     strategy_cap,
@@ -105,6 +106,7 @@ __all__ = [
     "classify_linear",
     "classify_side_info",
     "classify_variable_horizon",
+    "closed_form_best_response",
     "crossing_time",
     "crossing_time_raw",
     "deviation_sweep",

@@ -27,7 +27,13 @@ from .dynamics import (
     Quality,
     sample_trajectory,
 )
-from .equilibrium import EquilibriumError, EquilibriumSet, classify, make_report
+from .equilibrium import (
+    EquilibriumError,
+    EquilibriumSet,
+    classify,
+    make_report,
+    pull_ratio,
+)
 from .numerics import NumericsError
 from .oracle import (
     GridSpec,
@@ -39,11 +45,9 @@ from .sim import SimConfig, best_response_dynamics, simulate_views
 from .utility import (
     Scenario,
     UtilityError,
-    _sub_params,
-    best_response_exponential,
-    best_response_linear,
-    best_response_side_info,
+    closed_form_best_response,
     strategy_cap,
+    sub_params,
     symmetric_cap,
     utility,
     utility_surface,
@@ -226,24 +230,12 @@ def cmd_surface(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _closed_form_br(alpha: float, belief: Belief, p: ModelParams, s: Scenario):
-    if s is Scenario.LINEAR_FIXED_HORIZON:
-        return best_response_linear(alpha, belief, p)
-    if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        return best_response_linear(alpha, belief, _sub_params(p))
-    if s is Scenario.EXPONENTIAL_FIXED_HORIZON:
-        return best_response_exponential(alpha, belief, p)
-    if s is Scenario.SIDE_INFORMATION:
-        return best_response_side_info(alpha, belief, p)
-    return None
-
-
 def cmd_best_response(cfg: dict) -> int:
     s = _scenario_from(cfg)
     p = _params_from(cfg)
     belief = _belief_from(cfg)
     alpha = _alpha_from(cfg)
-    br = _closed_form_br(alpha, belief, p, s)
+    br = closed_form_best_response(alpha, belief, p, s)
     if br is not None:
         payload = br.as_dict()
         method = "closed-form"
@@ -361,7 +353,7 @@ def _draw_model(s: Scenario, rng: np.random.Generator):
         if s in (Scenario.LINEAR_FIXED_HORIZON, Scenario.TREND_VIEWCOUNT_LINEAR):
             lpu = rng.uniform(0.0, 3.0)
             p = ModelParams(lam_g, lam_b, lpu, tau)
-            eff = _sub_params(p) if s is Scenario.TREND_VIEWCOUNT_LINEAR else p
+            eff = sub_params(p) if s is Scenario.TREND_VIEWCOUNT_LINEAR else p
             r1 = (eff.lambda_ps_g + eff.lambda_pu) / (eff.lambda_ps_b + eff.lambda_pu)
             margins = (abs(rho - eff.lambda_ps_g / eff.lambda_ps_b),
                        abs(rho - r1))
@@ -382,15 +374,11 @@ def _draw_model(s: Scenario, rng: np.random.Generator):
         lpu = lam_g * n * rng.uniform(1.0, 1.6)
         if s is Scenario.EXPONENTIAL_FIXED_HORIZON:
             p = ModelParams(lam_g, lam_b, lpu, tau, n_pool=n)
-            cap = n * (1.0 - math.exp(-lam_b * tau))
         else:
             gth = lpu + rng.uniform(0.05, 0.95) * lam_b * n
             p = ModelParams(lam_g, lam_b, lpu, tau, n_pool=n, gamma_th=gth)
-            t1b = math.log(lam_b * n / (gth - lpu)) / lam_b
-            cap = n * (1.0 - math.exp(-lam_b * min(t1b, tau)))
-        ratio = lambda a: ((lpu + lam_g * (n - a)) / (lpu + lam_b * (n - a)))
-        margins = (abs(rho - lam_g / lam_b), abs(rho - ratio(0.0)),
-                   abs(rho - ratio(cap)))
+        margins = (abs(rho - lam_g / lam_b), abs(rho - pull_ratio(0.0, n, p)),
+                   abs(rho - pull_ratio(symmetric_cap(p, s), n, p)))
         if min(margins) > 0.05:
             return belief, p
     raise NumericsError("could not draw an admissible verification family")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import BracketedFunction, find_root, lambert_w0_log
+from .numerics import BracketedFunction, find_root, lambert_w0_log_arr
 
 INF = math.inf
 
@@ -146,6 +146,13 @@ def _t_ps_inverse(x: float, lam: float, push: PushKind, n: float) -> float:
     if x >= n:
         return INF
     return -math.log(1.0 - x / n) / lam
+
+
+def _t_ps_inverse_arr(x, lam: float, n: float):
+    """_t_ps_inverse for saturating push, elementwise over levels x >= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -np.log1p(-np.minimum(x, n) / n) / lam
+    return np.where(x >= n, INF, t)
 
 
 # -- activation time t_alpha ------------------------------------------------
@@ -280,30 +287,39 @@ def metric_value(t: float, q: Quality, alpha: float, p: ModelParams,
 
 # -- crossing times ----------------------------------------------------------
 
-def _cross_plain_raw(beta, q, alpha, p, push):
-    """Uncapped t_beta for the plain viewcount, closed form."""
+def _cross_plain_raw(beta, alpha, q, p, push):
+    """Uncapped t_beta for the plain viewcount, closed form, elementwise.
+
+    beta and alpha are float arrays of one shape, one population
+    threshold per element.
+    """
     lam = p.lambda_ps(q)
     lpu = p.lambda_pu
-    n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
-    ta = _t_alpha_plain(alpha, lam, push, n)
-    if beta <= alpha or ta == INF or lpu == 0.0:
-        return _t_ps_inverse(beta, lam, push, n)
     if push is PushKind.LINEAR:
-        return ta + (beta - alpha) / (lam + lpu)
+        pure = beta / lam
+        if lpu == 0.0:
+            return pure
+        # alpha = inf makes the discarded boosted value inf - inf
+        with np.errstate(invalid="ignore"):
+            boosted = alpha / lam + (beta - alpha) / (lam + lpu)
+        return np.where(beta <= alpha, pure, boosted)
     # saturating push plus pull: Lambert form, robust for beta past n
-    zeta = lam * n / lpu
-    if not math.isfinite(zeta):
-        # pull too slow to register against the pool (subnormal rates):
-        # the lpu -> 0 limit is the push-only crossing
-        return _t_ps_inverse(beta, lam, push, n)
+    n = p.require_pool()
+    t = _t_ps_inverse_arr(beta, lam, n)
+    zeta = lam * n / lpu if lpu > 0.0 else INF
+    boosted = (beta > alpha) & (alpha < n)
+    if not math.isfinite(zeta) or not boosted.any():
+        # no pull, or pull too slow to register against the pool
+        # (subnormal rates): the lpu -> 0 limit is the push-only crossing
+        return t
+    c = -zeta * (1.0 - beta[boosted] / n) - np.log1p(-alpha[boosted] / n)
     log_zeta = math.log(lam * n) - math.log(lpu)
-    c = -zeta * (1.0 - beta / n) - math.log(1.0 - alpha / n)
-    w = lambert_w0_log(log_zeta - c)
-    if w <= 0.0:
-        return c / lam
+    w = lambert_w0_log_arr(log_zeta - c)
     # c + w = ln(zeta) - ln(w) exactly, and the latter form stays accurate
     # when zeta blows up (tiny pull rate) and c, w cancel to leading order
-    return (log_zeta - math.log(w)) / lam
+    with np.errstate(divide="ignore"):
+        t[boosted] = np.where(w <= 0.0, c / lam, (log_zeta - np.log(w)) / lam)
+    return t
 
 
 def _cross_product_raw(beta, q, alpha, p, push):
@@ -404,13 +420,22 @@ def crossing_time(beta: float, q: Quality, alpha: float, p: ModelParams,
     return INF
 
 
-def crossing_time_raw(beta: float, q: Quality, alpha: float, p: ModelParams,
-                      push: PushKind, metric: MetricKind) -> float:
-    """Crossing time without the lifetime cap (utility algebra needs it)."""
-    if beta < 0.0:
+def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
+                      push: PushKind, metric: MetricKind):
+    """Crossing time without the lifetime cap (utility algebra needs it).
+
+    For the plain viewcount beta and alpha may be arrays that broadcast
+    together, one population threshold per element: the result is a
+    float for two scalars and an array otherwise. The other metrics
+    take scalars only.
+    """
+    if np.any(np.less(beta, 0.0)):
         raise DynamicsError("beta must be nonnegative")
     if metric is MetricKind.PLAIN_VIEWCOUNT:
-        return _cross_plain_raw(beta, q, alpha, p, push)
+        beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),
+                                          np.asarray(alpha, dtype=float))
+        t = _cross_plain_raw(beta, alpha, q, p, push)
+        return float(t) if np.ndim(t) == 0 else t
     if metric is MetricKind.TREND:
         lam = p.lambda_ps(q)
         n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0

@@ -26,6 +26,7 @@ from .utility import (
     best_response_side_info,
     side_info_lambda_pu_s,
     side_info_peaks,
+    sub_params,
 )
 
 INF = math.inf
@@ -164,9 +165,12 @@ def _require_exp_hypotheses(p: ModelParams) -> float:
     return n
 
 
-def _pull_ratio(a: float, n: float, p: ModelParams) -> float:
-    # R(a) = (lam_pu + lam_G (n-a)) / (lam_pu + lam_B (n-a)), the
-    # crossing-speed ratio right above a population playing a
+def pull_ratio(a: float, n: float, p: ModelParams) -> float:
+    """R(a) = (lam_pu + lam_G (n-a)) / (lam_pu + lam_B (n-a)).
+
+    The crossing-speed ratio right above a population playing a; the
+    saturating-push classifications compare the belief ratio with it.
+    """
     return ((p.lambda_pu + p.lambda_ps_g * (n - a))
             / (p.lambda_pu + p.lambda_ps_b * (n - a)))
 
@@ -201,11 +205,11 @@ def classify_exponential(belief: Belief, p: ModelParams) -> EquilibriumSet:
         return EquilibriumSet(
             EquilibriumKind.FINITE_POINTS, points=(0.0, cap),
             point_labels=("0", "beta_tau_b"), case="iii-b", aux=aux)
-    if rho >= _pull_ratio(0.0, n, p):
+    if rho >= pull_ratio(0.0, n, p):
         return EquilibriumSet(
             EquilibriumKind.INTERVAL, intervals=((0.0, cap),),
             interval_labels=(("0", "beta_tau_b"),), case="ii-a", aux=aux)
-    if rho >= _pull_ratio(cap, n, p):
+    if rho >= pull_ratio(cap, n, p):
         alpha_bar = n - p.lambda_pu * (pig - pib) / (
             pib * p.lambda_ps_g - pig * p.lambda_ps_b)
         alpha_bar = min(max(alpha_bar, 0.0), cap)
@@ -256,7 +260,7 @@ def classify_variable_horizon(belief: Belief, p: ModelParams) -> EquilibriumSet:
             EquilibriumKind.INTERVAL, intervals=((0.0, cap),),
             interval_labels=(("0", "beta_tau1_b"),), case="interval-full",
             aux=aux)
-    if rho >= _pull_ratio(0.0, n, p):
+    if rho >= pull_ratio(0.0, n, p):
         d = (pib * t1b_eff - pig * t1g) / (pig / lam_g - pib / lam_b)
         alpha_0 = max(0.0, n * (1.0 - math.exp(d)))
         alpha_0 = min(alpha_0, cap)
@@ -264,7 +268,7 @@ def classify_variable_horizon(belief: Belief, p: ModelParams) -> EquilibriumSet:
             EquilibriumKind.INTERVAL, intervals=((alpha_0, cap),),
             interval_labels=(("alpha_0", "beta_tau1_b"),),
             case="interval-window", aux=aux + (("alpha_0", alpha_0),))
-    if rho >= _pull_ratio(cap, n, p):
+    if rho >= pull_ratio(cap, n, p):
         d = (pib * t1b_eff - pig * t1g) / (pig / lam_g - pib / lam_b)
         alpha_0 = max(0.0, n * (1.0 - math.exp(d)))
         alpha_bar = n - p.lambda_pu * (pig - pib) / (
@@ -368,9 +372,7 @@ def classify(scenario: Scenario, belief: Belief, p: ModelParams):
     if scenario is Scenario.LINEAR_FIXED_HORIZON:
         return classify_linear(belief, p), None
     if scenario is Scenario.TREND_VIEWCOUNT_LINEAR:
-        sub = ModelParams(p.lambda_ps_g ** 2, p.lambda_ps_b ** 2,
-                          p.lambda_pu ** 2, p.tau)
-        return classify_linear(belief, sub), None
+        return classify_linear(belief, sub_params(p)), None
     if scenario is Scenario.EXPONENTIAL_FIXED_HORIZON:
         return classify_exponential(belief, p), None
     if scenario is Scenario.VARIABLE_HORIZON:
@@ -386,7 +388,10 @@ def make_report(scenario: Scenario, belief: Belief, p: ModelParams,
                 eq: EquilibriumSet,
                 diags: Optional[SideInfoDiagnostics] = None,
                 oracle_checked: bool = False) -> dict:
-    """Equilibrium report in the documented JSON shape."""
+    """Equilibrium report in the documented JSON shape.
+
+    The set's as_dict plus the inputs, the diagnostics and the oracle flag.
+    """
     params = {
         "lambda_ps_g": p.lambda_ps_g,
         "lambda_ps_b": p.lambda_ps_b,
@@ -397,19 +402,12 @@ def make_report(scenario: Scenario, belief: Belief, p: ModelParams,
         params["n_pool"] = p.n_pool
     if p.gamma_th is not None:
         params["gamma_th"] = p.gamma_th
-    report = {
+    report = eq.as_dict()
+    report.update({
         "scenario": scenario.value,
         "params": params,
         "belief": {"pi_g": belief.pi_g, "pi_b": belief.pi_b},
-        "kind": eq.kind.value,
-        "points": [_json_num(v) for v in eq.points],
-        "intervals": [[_json_num(lo), _json_num(hi)]
-                      for lo, hi in eq.intervals],
-        "case": eq.case,
-        "aux": {k: _json_num(v) for k, v in eq.aux},
         "diagnostics": diags.as_dict() if diags is not None else None,
         "oracle_checked": bool(oracle_checked),
-    }
-    report["point_labels"] = list(eq.point_labels)
-    report["interval_labels"] = [list(x) for x in eq.interval_labels]
+    })
     return report

@@ -14,9 +14,10 @@ and flattened with row offsets. U(alpha_i, beta) is then evaluated over
 the flat array with alpha given per element; each row's maximum comes
 from a segmented reduction and its own-threshold utility by index.
 
-The bulk evaluators vectorize the same formulas the scalar utility
-uses, with alpha broadcast against beta (a scalar alpha is the 0-d
-case); tests pin them against each other pointwise.
+The utilities come from utility.utility, the same elementwise kernel
+the closed forms use, called with alpha per element and without the
+strategy-cap check (every row already stops at its cap). The oracle
+searches; it adds no formula of its own.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from .dynamics import (
     horizon_window,
     viewcount,
 )
-from .numerics import lambert_w0_log_arr
 from .utility import (
     Scenario,
     _discontinuity_preimages,
-    _sub_params,
     strategy_cap,
     symmetric_cap,
     utility,
@@ -139,133 +138,13 @@ def _beta_grid(alpha: float, p: ModelParams, s: Scenario,
     return _beta_rows([alpha], p, s, n_beta)[0]
 
 
-# -- vectorized utility sweeps ------------------------------------------------
-#
-# alpha is a scalar or an array broadcasting to the shape of betas, so one
-# call can cover many population thresholds, one per element.
-
-def _pos_arr(x):
-    return np.maximum(x, 0.0)
-
-
-def _tb_linear_arr(betas, alpha, lam, lpu):
-    pure = betas / lam
-    if lpu == 0.0:
-        return pure
-    boosted = alpha / lam + (betas - alpha) / (lam + lpu)
-    return np.where(betas <= alpha, pure, boosted)
-
-
-def _tb_pure_exp_arr(betas, lam, n):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -np.log1p(-np.minimum(betas, n) / n) / lam
-    return np.where(betas >= n, INF, t)
-
-
-def _tb_exp_arr(betas, alpha, lam, lpu, n):
-    # elementwise dynamics._cross_plain_raw for saturating push
-    t = _tb_pure_exp_arr(betas, lam, n)
-    zeta = lam * n / lpu if lpu > 0.0 else INF
-    boosted = (betas > alpha) & (alpha < n)
-    if not math.isfinite(zeta) or not boosted.any():
-        return t
-    a = np.broadcast_to(alpha, boosted.shape)[boosted]
-    c = -zeta * (1.0 - betas[boosted] / n) - np.log1p(-a / n)
-    log_zeta = math.log(lam * n) - math.log(lpu)
-    w = lambert_w0_log_arr(log_zeta - c)
-    # ln(zeta) - ln(w) equals c + w but keeps its accuracy when c and w
-    # cancel to leading order (large zeta, tiny pull rate)
-    with np.errstate(divide="ignore"):
-        t[boosted] = np.where(w <= 0.0, c / lam, (log_zeta - np.log(w)) / lam)
-    return t
-
-
-def _tb_side_arr(betas, alpha, lam, lpu, tau):
-    x2 = (lam * tau) ** 2
-    s = np.sqrt(_pos_arr(x2 - 2.0 * betas))
-    pure = s / lam
-    ax = np.sqrt(_pos_arr(x2 - 2.0 * alpha))
-    mixed = (ax * lpu / lam + s) / (lam + lpu)
-    t = np.where((betas >= alpha) | (2.0 * alpha > x2), pure, mixed)
-    return np.where(betas > 0.5 * x2, INF, t)
-
-
-def _window_term_arr(w, t):
-    # bare window minus crossing, 0 when the crossing never happens
-    return np.where(np.isfinite(t), w - t, 0.0)
-
-
-def _bulk_utilities(alpha, betas: np.ndarray, belief: Belief,
-                    p: ModelParams, s: Scenario) -> np.ndarray:
-    """U(alpha, beta) over a beta array; must match the scalar utility."""
-    betas = np.asarray(betas, dtype=float)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), betas.shape)
-    pig, pib = belief.pi_g, belief.pi_b
-    if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        return _bulk_utilities(alpha, betas, belief, _sub_params(p),
-                               Scenario.LINEAR_FIXED_HORIZON)
-    if s is Scenario.LINEAR_FIXED_HORIZON:
-        tb_g = _tb_linear_arr(betas, alpha, p.lambda_ps_g, p.lambda_pu)
-        tb_b = _tb_linear_arr(betas, alpha, p.lambda_ps_b, p.lambda_pu)
-    elif s is Scenario.EXPONENTIAL_FIXED_HORIZON:
-        n = p.require_pool()
-        tb_g = _tb_exp_arr(betas, alpha, p.lambda_ps_g, p.lambda_pu, n)
-        tb_b = _tb_exp_arr(betas, alpha, p.lambda_ps_b, p.lambda_pu, n)
-    elif s is Scenario.SIDE_INFORMATION:
-        tb_g = _tb_side_arr(betas, alpha, p.lambda_ps_g, p.lambda_pu, p.tau)
-        tb_b = _tb_side_arr(betas, alpha, p.lambda_ps_b, p.lambda_pu, p.tau)
-    elif s is Scenario.VARIABLE_HORIZON:
-        return _bulk_variable_horizon(alpha, betas, belief, p)
-    else:
-        # trend*viewcount with saturating push: the strict first-passage
-        # time needs a scan, so this one stays scalar
-        scalar = np.vectorize(
-            lambda a, b: utility(float(a), float(b), belief, p, s),
-            otypes=[float])
-        return scalar(alpha, betas)
-    # a crossing that never happens (t = inf) collects nothing
-    return pig * _pos_arr(p.tau - tb_g) - pib * _pos_arr(p.tau - tb_b)
-
-
-def _bulk_variable_horizon(alpha, betas, belief, p):
-    pig, pib = belief.pi_g, belief.pi_b
-    n = p.require_pool()
-    lam_g, lam_b = p.lambda_ps_g, p.lambda_ps_b
-    push = PushKind.EXPONENTIAL_SATURATING
-    w0g, t1g, xth_g = horizon_window(Quality.GOOD, p, push)
-    w0b, t1b, xth_b = horizon_window(Quality.BAD, p, push)
-    u = np.empty(betas.shape)
-    # each branch is evaluated on its own elements only
-    above = betas > alpha
-    b, a = betas[above], alpha[above]
-    tb_g = _tb_exp_arr(b, a, lam_g, p.lambda_pu, n)
-    tb_b = _tb_exp_arr(b, a, lam_b, p.lambda_pu, n)
-    u[above] = pig * _pos_arr(t1g - tb_g) - pib * _pos_arr(t1b - tb_b)
-    # beta <= alpha: the deviator crosses on the push-only segment, and a
-    # window can reopen when the population pulls at t_alpha
-    below = ~above
-    b, a = betas[below], alpha[below]
-    tbp_g = _tb_pure_exp_arr(b, lam_g, n)
-    tbp_b = _tb_pure_exp_arr(b, lam_b, n)
-    ta_g = _tb_pure_exp_arr(a, lam_g, n)
-    ta_b = _tb_pure_exp_arr(a, lam_b, n)
-    good = np.where(a > xth_g,
-                    _pos_arr(w0g - tbp_g) + _pos_arr(t1g - ta_g),
-                    _window_term_arr(t1g, tbp_g))
-    bad = np.where(a >= xth_b,
-                   _pos_arr(w0b - tbp_b) + _pos_arr(t1b - ta_b),
-                   _window_term_arr(t1b, ta_b))
-    u[below] = pig * good - pib * bad
-    return u
-
-
 # -- public sweeps -------------------------------------------------------------
 
 def grid_best_response(alpha: float, belief: Belief, p: ModelParams,
                        s: Scenario, g: GridSpec) -> np.ndarray:
     """All grid thresholds within g.tol of the best achievable utility."""
     betas = _beta_grid(alpha, p, s, g.n_beta)
-    us = _bulk_utilities(alpha, betas, belief, p, s)
+    us = utility(alpha, betas, belief, p, s, enforce_cap=False)
     return betas[us >= us.max() - g.resolve_tol(p)]
 
 
@@ -283,7 +162,8 @@ def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
         return np.empty(0), np.empty(0)
     betas, starts = _beta_rows(alphas, p, s, g.n_beta)
     counts = np.diff(starts, append=betas.size)
-    us = _bulk_utilities(np.repeat(alphas, counts), betas, belief, p, s)
+    us = utility(np.repeat(alphas, counts), betas, belief, p, s,
+                 enforce_cap=False)
     best = np.maximum.reduceat(us, starts)
     # min(alpha, cap) is an extra point of every row (the cap is the row's
     # last), so its index is the number of row points below it

@@ -23,10 +23,7 @@ from .dynamics import Belief, ModelParams, PushKind, Quality, Trajectory
 from .utility import (
     Scenario,
     UtilityError,
-    _sub_params,
-    best_response_exponential,
-    best_response_linear,
-    best_response_side_info,
+    closed_form_best_response,
     symmetric_cap,
 )
 
@@ -94,20 +91,6 @@ def simulate_views(q: Quality, alpha: float, p: ModelParams,
 
 
 # -- iterated best response ----------------------------------------------------
-
-def _closed_form_br(median: float, belief: Belief, p: ModelParams,
-                    s: Scenario):
-    if s is Scenario.LINEAR_FIXED_HORIZON:
-        return best_response_linear(median, belief, p)
-    if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        return best_response_linear(median, belief, _sub_params(p))
-    if s is Scenario.EXPONENTIAL_FIXED_HORIZON:
-        return best_response_exponential(median, belief, p)
-    if s is Scenario.SIDE_INFORMATION:
-        return best_response_side_info(median, belief, p)
-    raise UtilityError(
-        f"no closed-form best response for scenario {s.value}")
-
 
 def _project_onto_br(br, x: float) -> float:
     # nearest element of the best-response set; inside a flat segment the
@@ -189,7 +172,10 @@ def best_response_dynamics(belief: Belief, p: ModelParams, s: Scenario,
     pending: list = []
     for r in range(c.rounds):
         median = float(np.median(thresholds))
-        br = _closed_form_br(median, belief, p, s)
+        br = closed_form_best_response(median, belief, p, s)
+        if br is None:
+            raise UtilityError(
+                f"no closed-form best response for scenario {s.value}")
         target = _project_onto_br(br, median)
         # cycle through seeded permutations so every agent updates within
         # ceil(1/update_fraction) rounds; otherwise an unlucky draw of

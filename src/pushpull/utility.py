@@ -11,6 +11,12 @@ variant replaces tau by trend-gated windows, and the look-ahead variant
 rewards the remaining viewing value instead. Thresholds live in
 [0, beta_tau(Bad, alpha)]: no rational deviator waits for a level the
 bad content cannot reach.
+
+utility is the one implementation of U. It is elementwise: alpha and
+beta broadcast together, so the grid oracle evaluates many population
+thresholds and deviations in one call and the best responses evaluate
+all their candidates at once. Only TrendViewcountExponential, whose
+strict first-passage time needs a scan, loops over the elements.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +38,8 @@ from .dynamics import (
     beta_tau,
     crossing_time_raw,
     horizon_window,
+    _cross_plain_raw,
+    _t_ps_inverse_arr,
     _x_ps,
     _xdot_ps,
 )
@@ -111,9 +119,12 @@ class BestResponse:
         }
 
 
-def _sub_params(p: ModelParams) -> ModelParams:
-    # trend-times-viewcount with linear push reduces to plain viewcount
-    # with squared rates
+def sub_params(p: ModelParams) -> ModelParams:
+    """Squared rates: TrendViewcountLinear is LinearFixedHorizon under them.
+
+    Under linear push trend*viewcount is lam_q * X, so every threshold
+    level maps onto the plain viewcount of a game with squared rates.
+    """
     return ModelParams(p.lambda_ps_g ** 2, p.lambda_ps_b ** 2,
                        p.lambda_pu ** 2, p.tau)
 
@@ -124,7 +135,7 @@ def strategy_cap(alpha: float, p: ModelParams, s: Scenario) -> float:
         # look-ahead value of the bad content at t=0, push audience only
         return 0.5 * (p.lambda_ps_b * p.tau) ** 2
     if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        return beta_tau(Quality.BAD, alpha, _sub_params(p),
+        return beta_tau(Quality.BAD, alpha, sub_params(p),
                         PushKind.LINEAR, MetricKind.PLAIN_VIEWCOUNT)
     return beta_tau(Quality.BAD, alpha, p, s.push, s.metric)
 
@@ -148,69 +159,78 @@ def symmetric_cap(p: ModelParams, s: Scenario) -> float:
 
 
 # -- scenario utilities ------------------------------------------------------
+#
+# alpha and beta arrive as arrays of one broadcast shape, one population
+# threshold per element.
 
-def _pos(x: float) -> float:
-    return x if x > 0.0 else 0.0
+def _pos(x):
+    return np.maximum(x, 0.0)
 
 
-def _window_term(w: float, t: float) -> float:
+def _window_term(w, t):
     # bare window minus crossing; a crossing that never happens collects
     # nothing rather than minus infinity
-    return w - t if t < INF else 0.0
+    return np.where(np.isfinite(t), w - t, 0.0)
 
 
 def _fixed_horizon_utility(alpha, beta, belief, p, push):
-    tb_g = crossing_time_raw(beta, Quality.GOOD, alpha, p, push,
-                             MetricKind.PLAIN_VIEWCOUNT)
-    tb_b = crossing_time_raw(beta, Quality.BAD, alpha, p, push,
-                             MetricKind.PLAIN_VIEWCOUNT)
+    tb_g = _cross_plain_raw(beta, alpha, Quality.GOOD, p, push)
+    tb_b = _cross_plain_raw(beta, alpha, Quality.BAD, p, push)
+    # a crossing that never happens (t = inf) collects nothing
     return belief.pi_g * _pos(p.tau - tb_g) - belief.pi_b * _pos(p.tau - tb_b)
 
 
 def _variable_horizon_utility(alpha, beta, belief, p):
     push = PushKind.EXPONENTIAL_SATURATING
-    plain = MetricKind.PLAIN_VIEWCOUNT
+    n = p.require_pool()
+    lam_g, lam_b = p.lambda_ps_g, p.lambda_ps_b
     w0g, t1g, xth_g = horizon_window(Quality.GOOD, p, push)
     w0b, t1b, xth_b = horizon_window(Quality.BAD, p, push)
     pig, pib = belief.pi_g, belief.pi_b
-    if beta > alpha:
-        tb_g = crossing_time_raw(beta, Quality.GOOD, alpha, p, push, plain)
-        tb_b = crossing_time_raw(beta, Quality.BAD, alpha, p, push, plain)
-        return pig * _pos(t1g - tb_g) - pib * _pos(t1b - tb_b)
-    # beta <= alpha: the deviator crosses on the push-only segment
-    tb_g = crossing_time_raw(beta, Quality.GOOD, alpha, p, push, plain)
-    tb_b = crossing_time_raw(beta, Quality.BAD, alpha, p, push, plain)
-    ta_g = activation_time(alpha, Quality.GOOD, p, push, plain)
-    ta_b = activation_time(alpha, Quality.BAD, p, push, plain)
-    if alpha > xth_g:
-        # both qualities reopen their window when the population pulls
-        return (pig * (_pos(w0g - tb_g) + _pos(t1g - ta_g))
-                - pib * (_pos(w0b - tb_b) + _pos(t1b - ta_b)))
-    if alpha >= xth_b:
-        # good stays trending throughout, bad reopens at activation
-        return (pig * _window_term(t1g, tb_g)
-                - pib * (_pos(w0b - tb_b) + _pos(t1b - ta_b)))
-    # activation happens while both are still trending; the bad-side cost
-    # window closes at the population crossing, as printed
-    return pig * _window_term(t1g, tb_g) - pib * _window_term(t1b, ta_b)
+    u = np.empty(beta.shape)
+    # each branch is evaluated on its own elements only
+    above = beta > alpha
+    b, a = beta[above], alpha[above]
+    tb_g = _cross_plain_raw(b, a, Quality.GOOD, p, push)
+    tb_b = _cross_plain_raw(b, a, Quality.BAD, p, push)
+    u[above] = pig * _pos(t1g - tb_g) - pib * _pos(t1b - tb_b)
+    # beta <= alpha: the deviator crosses on the push-only segment, and a
+    # window can reopen when the population pulls at t_alpha
+    below = ~above
+    b, a = beta[below], alpha[below]
+    tbp_g = _t_ps_inverse_arr(b, lam_g, n)
+    tbp_b = _t_ps_inverse_arr(b, lam_b, n)
+    ta_g = _t_ps_inverse_arr(a, lam_g, n)
+    ta_b = _t_ps_inverse_arr(a, lam_b, n)
+    # alpha > xth_g: both qualities reopen their window when the
+    # population pulls; xth_b <= alpha <= xth_g: good stays trending
+    # throughout, bad reopens; below both: the bad-side cost window
+    # closes at the population crossing, as printed
+    good = np.where(a > xth_g,
+                    _pos(w0g - tbp_g) + _pos(t1g - ta_g),
+                    _window_term(t1g, tbp_g))
+    bad = np.where(a >= xth_b,
+                   _pos(w0b - tbp_b) + _pos(t1b - ta_b),
+                   _window_term(t1b, ta_b))
+    u[below] = pig * good - pib * bad
+    return u
 
 
 def _t_side_paper(beta, alpha, lam, lpu, tau):
     """Access time on the look-ahead metric, push-audience value only.
 
     The metric decreases from (lam*tau)^2/2, so larger thresholds are
-    met earlier; thresholds above the initial value are never met.
+    met earlier; thresholds above the initial value are never met. The
+    deviator crosses on the push-only branch when it moves first
+    (beta >= alpha) or the population never moves.
     """
-    x_tau = lam * tau
-    rem0 = 0.5 * x_tau * x_tau
-    if beta > rem0:
-        return INF
-    s = math.sqrt(x_tau * x_tau - 2.0 * beta)
-    if beta >= alpha or 2.0 * alpha > x_tau * x_tau:
-        # deviator moves first (or the population never does): push only
-        return s / lam
-    ax = math.sqrt(x_tau * x_tau - 2.0 * alpha)
-    return (ax * lpu / lam + s) / (lam + lpu)
+    x2 = (lam * tau) ** 2
+    s = np.sqrt(_pos(x2 - 2.0 * beta))
+    pure = s / lam
+    ax = np.sqrt(_pos(x2 - 2.0 * alpha))
+    mixed = (ax * lpu / lam + s) / (lam + lpu)
+    t = np.where((beta >= alpha) | (2.0 * alpha > x2), pure, mixed)
+    return np.where(beta > 0.5 * x2, INF, t)
 
 
 def _side_info_utility(alpha, beta, belief, p):
@@ -260,36 +280,56 @@ def _t_product_strict(beta, q, alpha, p):
 
 
 def _trend_exp_utility(alpha, beta, belief, p):
-    tb_g = _t_product_strict(beta, Quality.GOOD, alpha, p)
-    tb_b = _t_product_strict(beta, Quality.BAD, alpha, p)
-    return belief.pi_g * _pos(p.tau - tb_g) - belief.pi_b * _pos(p.tau - tb_b)
+    # the strict first-passage time needs a scan, so this one stays
+    # scalar and loops over the elements
+    def one(a, b):
+        a, b = float(a), float(b)
+        tb_g = _t_product_strict(b, Quality.GOOD, a, p)
+        tb_b = _t_product_strict(b, Quality.BAD, a, p)
+        return (belief.pi_g * _pos(p.tau - tb_g)
+                - belief.pi_b * _pos(p.tau - tb_b))
+
+    return np.vectorize(one, otypes=[float])(alpha, beta)
 
 
-def utility(alpha: float, beta: float, belief: Belief, p: ModelParams,
-            s: Scenario, *, enforce_cap: bool = True) -> float:
+def utility(alpha, beta, belief: Belief, p: ModelParams,
+            s: Scenario, *, enforce_cap: bool = True):
     """Expected payoff of a deviator playing beta against population alpha.
 
-    Set enforce_cap=False to probe thresholds beyond beta_tau(Bad);
-    the strategy space proper stops at the cap.
+    Elementwise: alpha and beta broadcast together, and the result is a
+    float for two scalars and an array of their broadcast shape
+    otherwise. Set enforce_cap=False to probe thresholds beyond
+    beta_tau(Bad); the strategy space proper stops at the cap.
     """
-    if alpha < 0.0:
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if (alpha < 0.0).any():
         raise UtilityError("alpha must be nonnegative")
-    if beta < 0.0:
+    if (beta < 0.0).any():
         raise UtilityError("beta must be nonnegative")
     if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        return utility(alpha, beta, belief, _sub_params(p),
-                       Scenario.LINEAR_FIXED_HORIZON, enforce_cap=enforce_cap)
-    cap = strategy_cap(alpha, p, s)
-    if enforce_cap and beta > cap * (1.0 + 1e-12):
-        raise UtilityError(
-            f"beta={beta} exceeds the bad-content cap beta_tau(Bad)={cap}")
+        p, s = sub_params(p), Scenario.LINEAR_FIXED_HORIZON
+    alpha, beta = np.broadcast_arrays(alpha, beta)
+    if enforce_cap:
+        # the cap depends on alpha only: one evaluation per distinct alpha
+        levels, inverse = np.unique(alpha, return_inverse=True)
+        caps = np.array([strategy_cap(float(a), p, s) for a in levels])
+        caps = caps[inverse].reshape(alpha.shape)
+        over = beta > caps * (1.0 + 1e-12)
+        if np.any(over):
+            k = np.flatnonzero(over)[0]
+            raise UtilityError(
+                f"beta={beta.flat[k]} exceeds the bad-content cap "
+                f"beta_tau(Bad)={caps.flat[k]}")
     if s in (Scenario.LINEAR_FIXED_HORIZON, Scenario.EXPONENTIAL_FIXED_HORIZON):
-        return _fixed_horizon_utility(alpha, beta, belief, p, s.push)
-    if s is Scenario.VARIABLE_HORIZON:
-        return _variable_horizon_utility(alpha, beta, belief, p)
-    if s is Scenario.TREND_VIEWCOUNT_EXPONENTIAL:
-        return _trend_exp_utility(alpha, beta, belief, p)
-    return _side_info_utility(alpha, beta, belief, p)
+        u = _fixed_horizon_utility(alpha, beta, belief, p, s.push)
+    elif s is Scenario.VARIABLE_HORIZON:
+        u = _variable_horizon_utility(alpha, beta, belief, p)
+    elif s is Scenario.TREND_VIEWCOUNT_EXPONENTIAL:
+        u = _trend_exp_utility(alpha, beta, belief, p)
+    else:
+        u = _side_info_utility(alpha, beta, belief, p)
+    return float(u) if np.ndim(u) == 0 else u
 
 
 # -- best responses ----------------------------------------------------------
@@ -345,7 +385,7 @@ def best_response_linear(alpha: float, belief: Belief,
     cap = strategy_cap(alpha, p, s)
     knee = min(alpha, cap)
     cands = _dedup([0.0, knee, cap], cap)
-    us = [utility(alpha, b, belief, p, s) for b in cands]
+    us = utility(alpha, np.array(cands), belief, p, s).tolist()
     return _assemble(cands, us, 1e-9 * p.tau, cap)
 
 
@@ -392,7 +432,7 @@ def best_response_exponential(alpha: float, belief: Belief,
                              1e-13 * max(cap, 1.0))
             cands.append(min(max(root, knee), cap))
     cands = _dedup(cands, cap)
-    us = [utility(alpha, b, belief, p, s) for b in cands]
+    us = utility(alpha, np.array(cands), belief, p, s).tolist()
     return _assemble(cands, us, 1e-9 * p.tau, cap)
 
 
@@ -480,8 +520,9 @@ def best_response_side_info(alpha: float, belief: Belief,
     s = Scenario.SIDE_INFORMATION
     cap = strategy_cap(alpha, p, s)
     down, up = side_info_branch_candidates(alpha, belief, p)
-    u_down = utility(alpha, down, belief, p, s)
-    u_up = utility(alpha, up, belief, p, s)
+    # the midpoint decides between a flat segment and a pair on a tie
+    u_down, u_up, u_mid = utility(
+        alpha, np.array([down, up, 0.5 * (down + up)]), belief, p, s).tolist()
     tol = 1e-9 * p.tau
     if abs(u_down - u_up) > tol:
         win, u_win = (down, u_down) if u_down > u_up else (up, u_up)
@@ -490,11 +531,28 @@ def best_response_side_info(alpha: float, belief: Belief,
     pts = _dedup([down, up], cap)
     if len(pts) == 1:
         return BestResponse(BestResponseKind.POINT, (pts[0],), (), umax)
-    mid = 0.5 * (pts[0] + pts[1])
-    if utility(alpha, mid, belief, p, s) >= umax - tol:
+    if u_mid >= umax - tol:
         return BestResponse(BestResponseKind.INTERVAL_OF_OPTIMA, tuple(pts),
                             ((pts[0], pts[1]),), umax)
     return BestResponse(BestResponseKind.EXTREMAL_PAIR, tuple(pts), (), umax)
+
+
+def closed_form_best_response(alpha: float, belief: Belief, p: ModelParams,
+                              s: Scenario) -> Optional[BestResponse]:
+    """The scenario's closed-form argmax set; None when it has none.
+
+    VariableHorizon and TrendViewcountExponential have no closed form;
+    callers fall back to the grid oracle or report the gap.
+    """
+    if s is Scenario.LINEAR_FIXED_HORIZON:
+        return best_response_linear(alpha, belief, p)
+    if s is Scenario.TREND_VIEWCOUNT_LINEAR:
+        return best_response_linear(alpha, belief, sub_params(p))
+    if s is Scenario.EXPONENTIAL_FIXED_HORIZON:
+        return best_response_exponential(alpha, belief, p)
+    if s is Scenario.SIDE_INFORMATION:
+        return best_response_side_info(alpha, belief, p)
+    return None
 
 
 # -- utility surface ----------------------------------------------------------
@@ -507,7 +565,7 @@ def _discontinuity_preimages(alpha: float, p: ModelParams,
     activation, so both one-sided values enter.
     """
     if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        p = _sub_params(p)
+        p = sub_params(p)
         s = Scenario.LINEAR_FIXED_HORIZON
     out: List[float] = []
     for q in (Quality.GOOD, Quality.BAD):
@@ -537,18 +595,19 @@ def utility_surface(alpha: float, belief: Belief, p: ModelParams,
         raise UtilityError("n_grid must be at least 2")
     cap = strategy_cap(alpha, p, s)
     grid = np.linspace(0.0, cap, n_grid) if cap > 0.0 else np.array([0.0])
-    rows = []
-    for b in grid:
-        b = float(b)
-        branch = "below_alpha" if b <= alpha else "above_alpha"
-        rows.append((b, utility(alpha, b, belief, p, s), branch, 1))
+    rows = [(b, u, "below_alpha" if b <= alpha else "above_alpha", 1)
+            for b, u in zip(grid.tolist(),
+                            utility(alpha, grid, belief, p, s).tolist())]
     eps = 1e-9 * max(cap, 1e-9)
-    for d in _dedup(_discontinuity_preimages(alpha, p, s), cap):
-        if not 0.0 < d < cap:
-            continue
-        u_left = utility(alpha, max(d - eps, 0.0), belief, p, s)
-        u_right = utility(alpha, min(d + eps, cap), belief, p, s)
-        rows.append((d, u_left, "left_limit", 0))
-        rows.append((d, u_right, "right_limit", 2))
+    jumps = [d for d in _dedup(_discontinuity_preimages(alpha, p, s), cap)
+             if 0.0 < d < cap]
+    if jumps:
+        d = np.array(jumps)
+        us = utility(alpha, np.concatenate([np.maximum(d - eps, 0.0),
+                                            np.minimum(d + eps, cap)]),
+                     belief, p, s).tolist()
+        for d, u_left, u_right in zip(jumps, us, us[len(jumps):]):
+            rows.append((d, u_left, "left_limit", 0))
+            rows.append((d, u_right, "right_limit", 2))
     rows.sort(key=lambda r: (r[0], r[3]))
     return [(b, u, branch) for b, u, branch, _ in rows]

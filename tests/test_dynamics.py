@@ -5,6 +5,7 @@ integrator for the trajectory, bisection on the forward map for the
 crossing times, and finite differences for the trend.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from pushpull import (
     activation_time,
     beta_tau,
     crossing_time,
+    crossing_time_raw,
     find_root,
     horizon_window,
     metric_value,
@@ -143,6 +145,28 @@ def test_saturating_crossing_matches_root_finding():
     ref = find_root(BracketedFunction(f, t_a, p.tau), tol=1e-13)
     assert t > t_a
     assert t == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("lpu", [1e-9, 1e-12, 1.1e-308])
+def test_crossing_inverts_viewcount_at_vanishing_pull(lpu):
+    # lam*n/lpu is huge, or overflows at the subnormal rate: the crossing
+    # needs the cancellation-safe Lambert form and the push-only limit
+    p = ModelParams(0.1, 0.05, lpu, 8.0, n_pool=1000.0)
+    alphas = np.array([[0.0], [100.0], [250.0]])
+    betas = np.linspace(0.0, 600.0, 61)
+    for push, q in itertools.product((LIN, EXP), (Quality.GOOD, Quality.BAD)):
+        ts = crossing_time_raw(betas, q, alphas, p, push, PLAIN)
+        assert ts.shape == (3, betas.size)
+        for alpha, row in zip(alphas[:, 0], ts):
+            xs = [viewcount(float(t), q, float(alpha), p, push) for t in row]
+            assert xs == pytest.approx(betas, rel=1e-9, abs=1e-9)
+            t_one = crossing_time_raw(300.0, q, float(alpha), p, push, PLAIN)
+            assert isinstance(t_one, float)
+            assert t_one == pytest.approx(row[30], rel=1e-12)
+        if lpu == 1.1e-308:
+            push_only = crossing_time_raw(betas, q, INF, p, push, PLAIN)
+            assert ts == pytest.approx(np.broadcast_to(push_only, ts.shape),
+                                       rel=1e-12)
 
 
 def test_beta_tau_linear_push_only():

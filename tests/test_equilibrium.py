@@ -46,9 +46,9 @@ def assert_sound(es, belief, p, s, n_beta=2000):
     tol = 1e-6 * p.tau
     for alpha in equilibrium_candidates(es):
         betas = np.linspace(0.0, strategy_cap(alpha, p, s), g.n_beta)
-        us = [utility(alpha, float(bb), belief, p, s) for bb in betas]
+        us = utility(alpha, betas, belief, p, s)
         u_self = utility(alpha, alpha, belief, p, s)
-        assert u_self >= max(us) - tol, f"alpha={alpha} loses to a deviation"
+        assert u_self >= us.max() - tol, f"alpha={alpha} loses to a deviation"
 
 
 # -- linear -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Brute-force grid oracle: bulk evaluation, best responses, fixed points."""
+"""Brute-force grid oracle: batched evaluation, best responses, fixed points."""
 
 import math
 
@@ -18,7 +18,7 @@ from pushpull import (
     symmetric_cap,
     utility,
 )
-from pushpull.oracle import _beta_grid, _beta_rows, _bulk_utilities
+from pushpull.oracle import _beta_grid, _beta_rows
 
 INF = math.inf
 ALL_SCENARIOS = list(Scenario)
@@ -37,46 +37,31 @@ def params_for(s):
     return ModelParams(0.2, 0.1, 1.0, 10.0)
 
 
-def _rows_with_alphas(alphas, p, s, n_beta):
-    betas, starts = _beta_rows(alphas, p, s, n_beta)
-    return np.repeat(alphas, np.diff(starts, append=betas.size)), betas
-
-
-def _assert_bulk_matches_scalar(alphas, betas, bulk, b, p, s):
-    assert bulk.shape == betas.shape
-    for alpha, beta, u in zip(alphas, betas, bulk):
-        # vectorized Lambert/exp paths differ from the scalar ones by a few
-        # ulps that compound; observed worst case is ~7e-13 relative
-        assert u == pytest.approx(utility(float(alpha), float(beta), b, p, s),
-                                  rel=1e-12, abs=1e-12)
-
-
 @pytest.mark.parametrize("s", ALL_SCENARIOS)
 def test_bulk_evaluation_matches_scalar_utility(s):
+    # one utility call over several deviation rows, alpha given per
+    # element, against one call per row and one scalar call per row
     p = params_for(s)
     b = Belief(0.6, 0.4)
     cap = strategy_cap(INF, p, s)
-    # several population thresholds in one call, alpha given per element
-    alphas, betas = _rows_with_alphas(np.array([0.0, 0.4 * cap, cap]), p, s, 45)
-    bulk = _bulk_utilities(alphas, betas, b, p, s)
-    _assert_bulk_matches_scalar(alphas, betas, bulk, b, p, s)
-    # a scalar alpha is the 0-d case of the same evaluation
-    mid = alphas == 0.4 * cap
-    assert np.array_equal(betas[mid], _beta_grid(0.4 * cap, p, s, 45))
-    assert _bulk_utilities(0.4 * cap, betas[mid], b, p, s) == pytest.approx(
-        bulk[mid], rel=1e-12, abs=1e-12)
-
-
-@pytest.mark.parametrize("lpu", [1e-9, 1e-12, 1.1e-308])
-def test_bulk_matches_scalar_at_vanishing_pull(lpu):
-    # lam*n/lpu is huge, or overflows at the subnormal rate: the array
-    # crossing needs the scalar's cancellation-safe form and push-only limit
-    p = ModelParams(0.1, 0.05, lpu, 8.0, n_pool=1000.0)
-    s = Scenario.EXPONENTIAL_FIXED_HORIZON
-    b = Belief(0.6, 0.4)
-    alphas, betas = _rows_with_alphas(np.array([0.0, 100.0, 250.0]), p, s, 101)
-    _assert_bulk_matches_scalar(alphas, betas,
-                                _bulk_utilities(alphas, betas, b, p, s), b, p, s)
+    alphas = np.array([0.0, 0.4 * cap, cap])
+    betas, starts = _beta_rows(alphas, p, s, 45)
+    counts = np.diff(starts, append=betas.size)
+    batched = utility(np.repeat(alphas, counts), betas, b, p, s,
+                      enforce_cap=False)
+    assert batched.shape == betas.shape
+    for alpha, lo, k in zip(alphas, starts, counts):
+        row = betas[lo:lo + k]
+        assert np.array_equal(row, _beta_grid(alpha, p, s, 45))
+        per_alpha = utility(alpha, row, b, p, s, enforce_cap=False)
+        # the array Lambert iteration stops on the whole batch, so a larger
+        # batch can take one more Halley step: equal up to a few ulps
+        assert batched[lo:lo + k] == pytest.approx(per_alpha, rel=1e-12,
+                                                   abs=1e-12)
+        one = utility(float(alpha), float(row[k // 2]), b, p, s,
+                      enforce_cap=False)
+        assert isinstance(one, float)
+        assert one == pytest.approx(per_alpha[k // 2], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("s", CLOSED_FORM)
