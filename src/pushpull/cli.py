@@ -16,7 +16,7 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .dynamics import (
     Belief,
     DynamicsError,
     ModelParams,
+    PushKind,
     Quality,
     sample_trajectory,
 )
@@ -46,8 +47,8 @@ from .utility import (
     Scenario,
     UtilityError,
     closed_form_best_response,
+    reduce_scenario,
     strategy_cap,
-    sub_params,
     symmetric_cap,
     utility,
     utility_surface,
@@ -67,33 +68,6 @@ class ConfigError(ValueError):
 
 # -- config plumbing -----------------------------------------------------------
 
-_SCHEMAS = {
-    "trajectory": {"scenario", "params", "alpha", "out", "n_samples"},
-    "surface": {"scenario", "params", "belief", "alpha", "n_grid", "out"},
-    "best-response": {"scenario", "params", "belief", "alpha", "out", "grid"},
-    "classify": {"scenario", "params", "belief", "out", "sweep_lambda_pu",
-                 "oracle_check", "grid"},
-    "verify": {"scenario", "n_draws", "seed", "grid", "corrupt", "out"},
-    "simulate": {"mode", "scenario", "params", "belief", "alpha", "quality",
-                 "sim", "out"},
-}
-
-_REQUIRED = {
-    "trajectory": {"scenario", "params", "alpha", "out"},
-    "surface": {"scenario", "params", "belief", "alpha", "out"},
-    "best-response": {"scenario", "params", "belief", "alpha", "out"},
-    "classify": {"scenario", "params", "belief", "out"},
-    "verify": {"scenario"},
-    "simulate": {"mode", "scenario", "params", "sim", "out"},
-}
-
-_PARAM_KEYS = {"lambda_ps_g", "lambda_ps_b", "lambda_pu", "tau",
-               "n_pool", "gamma_th"}
-_GRID_KEYS = {"n_beta", "n_alpha", "tol"}
-_SIM_KEYS = {"seed", "n_push_pool", "n_agents", "rounds", "update_fraction",
-             "initial_thresholds"}
-
-
 def _check_keys(d: dict, allowed: set, required: set, what: str) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -103,6 +77,25 @@ def _check_keys(d: dict, allowed: set, required: set, what: str) -> None:
     missing = required - set(d)
     if missing:
         raise ConfigError(f"missing {what} field(s): {', '.join(sorted(missing))}")
+
+
+def _check_fields(d: dict, cls, what: str) -> None:
+    """_check_keys against the fields of dataclass cls; a field without a
+    default is required."""
+    fields = dataclasses.fields(cls)
+    _check_keys(d, {f.name for f in fields},
+                {f.name for f in fields if f.default is dataclasses.MISSING},
+                what)
+
+
+def _int_field(d: dict, key: str, default: int, least: int) -> int:
+    """d[key] (default when absent), which must be an integer >= least."""
+    v = d.get(key, default)
+    if not isinstance(v, int):
+        raise ConfigError(f"{key} must be an integer")
+    if v < least:
+        raise ConfigError(f"{key} must be at least {least}")
+    return v
 
 
 def _load_config(args) -> dict:
@@ -120,30 +113,32 @@ def _load_config(args) -> dict:
     if args.scenario is not None:
         cfg["scenario"] = args.scenario
     if getattr(args, "seed", None) is not None:
-        if args.command == "simulate":
-            cfg.setdefault("sim", {})["seed"] = args.seed
-        else:
+        if args.command != "simulate":
             cfg["seed"] = args.seed
-    _check_keys(cfg, _SCHEMAS[args.command], _REQUIRED[args.command],
+        elif isinstance(cfg.setdefault("sim", {}), dict):
+            # a sim that is not an object is reported by _sim_from
+            cfg["sim"]["seed"] = args.seed
+    cmd = _COMMANDS[args.command]
+    required = set(cmd.required.split())
+    _check_keys(cfg, required | set(cmd.optional.split()), required,
                 f"{args.command} config")
     return cfg
 
 
 def _params_from(cfg: dict) -> ModelParams:
-    _check_keys(cfg["params"], _PARAM_KEYS,
-                {"lambda_ps_g", "lambda_ps_b", "lambda_pu", "tau"}, "params")
+    _check_fields(cfg["params"], ModelParams, "params")
     try:
         return ModelParams(**{k: float(v) for k, v in cfg["params"].items()})
-    except (DynamicsError, TypeError) as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError(f"bad params: {e}")
 
 
 def _belief_from(cfg: dict) -> Belief:
     b = cfg["belief"]
-    _check_keys(b, {"pi_g", "pi_b"}, {"pi_g", "pi_b"}, "belief")
+    _check_fields(b, Belief, "belief")
     try:
         return Belief(float(b["pi_g"]), float(b["pi_b"]))
-    except DynamicsError as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError(f"bad belief: {e}")
 
 
@@ -156,16 +151,16 @@ def _scenario_from(cfg: dict) -> Scenario:
 
 def _grid_from(cfg: dict) -> GridSpec:
     g = cfg.get("grid", {})
-    _check_keys(g, _GRID_KEYS, set(), "grid")
+    _check_fields(g, GridSpec, "grid")
     try:
         return GridSpec(**g)
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError(f"bad grid: {e}")
 
 
 def _sim_from(cfg: dict) -> SimConfig:
     s = cfg["sim"]
-    _check_keys(s, _SIM_KEYS, {"seed", "n_push_pool"}, "sim")
+    _check_fields(s, SimConfig, "sim")
     try:
         return SimConfig(**s)
     except (ValueError, TypeError) as e:
@@ -203,9 +198,7 @@ def cmd_trajectory(cfg: dict) -> int:
     s = _scenario_from(cfg)
     p = _params_from(cfg)
     alpha = _alpha_from(cfg)
-    n = int(cfg.get("n_samples", 2001))
-    if n < 2:
-        raise ConfigError("n_samples must be at least 2")
+    n = _int_field(cfg, "n_samples", 2001, 2)
     base = _out_base(cfg)
     for q, tag in ((Quality.GOOD, "good"), (Quality.BAD, "bad")):
         traj = sample_trajectory(q, alpha, p, s.push, s.metric, n_samples=n)
@@ -218,9 +211,7 @@ def cmd_surface(cfg: dict) -> int:
     p = _params_from(cfg)
     belief = _belief_from(cfg)
     alpha = _alpha_from(cfg)
-    n_grid = int(cfg.get("n_grid", 512))
-    if n_grid < 2:
-        raise ConfigError("n_grid must be at least 2")
+    n_grid = _int_field(cfg, "n_grid", 512, 2)
     rows = utility_surface(alpha, belief, p, s, n_grid)
     out = str(cfg["out"])
     with open(out, "w", newline="") as fh:
@@ -251,7 +242,7 @@ def cmd_best_response(cfg: dict) -> int:
         method = "grid"
     _write_json(str(cfg["out"]), {
         "alpha": alpha,
-        "belief": {"pi_g": belief.pi_g, "pi_b": belief.pi_b},
+        "belief": dataclasses.asdict(belief),
         "best_response": payload,
         "method": method,
         "scenario": s.value,
@@ -296,10 +287,12 @@ def _check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
 
 def _report_sweep(s: Scenario, belief: Belief, cfg: dict) -> list:
     rows = []
+    if not isinstance(cfg["sweep_lambda_pu"], list):
+        raise ConfigError("sweep_lambda_pu must be a list of pull rates")
     base = dict(cfg["params"])
     for lpu in cfg["sweep_lambda_pu"]:
         sub = dict(base)
-        sub["lambda_pu"] = float(lpu)
+        sub["lambda_pu"] = lpu
         p = _params_from({"params": sub})
         eq, diags = classify(s, belief, p)
         row = {
@@ -350,24 +343,18 @@ def _draw_model(s: Scenario, rng: np.random.Generator):
         pi_g = rng.uniform(0.05, 0.95)
         belief = Belief(pi_g, 1.0 - pi_g)
         rho = pi_g / (1.0 - pi_g)
-        if s in (Scenario.LINEAR_FIXED_HORIZON, Scenario.TREND_VIEWCOUNT_LINEAR):
-            lpu = rng.uniform(0.0, 3.0)
-            p = ModelParams(lam_g, lam_b, lpu, tau)
-            eff = sub_params(p) if s is Scenario.TREND_VIEWCOUNT_LINEAR else p
-            r1 = (eff.lambda_ps_g + eff.lambda_pu) / (eff.lambda_ps_b + eff.lambda_pu)
-            margins = (abs(rho - eff.lambda_ps_g / eff.lambda_ps_b),
-                       abs(rho - r1))
-            if min(margins) > 0.05:
-                return belief, p
-            continue
-        if s is Scenario.SIDE_INFORMATION:
-            lpu = rng.uniform(0.0, 3.0)
-            p = ModelParams(lam_g, lam_b, lpu, tau)
-            # between these two ratios the printed bracket covers [0, cap]
-            # while the true set is {0}; draws stay clear of that band
-            ratio_push = lam_g / lam_b
-            ratio_pull = (lam_g + lpu) / (lam_b + lpu)
-            if rho >= 1.05 * ratio_push or rho <= 0.95 * ratio_pull:
+        if s.push is PushKind.LINEAR:
+            p = ModelParams(lam_g, lam_b, rng.uniform(0.0, 3.0), tau)
+            eff, _ = reduce_scenario(p, s)
+            ratio_push = eff.lambda_ps_g / eff.lambda_ps_b
+            ratio_pull = ((eff.lambda_ps_g + eff.lambda_pu)
+                          / (eff.lambda_ps_b + eff.lambda_pu))
+            if s is Scenario.SIDE_INFORMATION:
+                # between these two ratios the printed bracket covers
+                # [0, cap] while the true set is {0}; draws stay clear of it
+                if rho >= 1.05 * ratio_push or rho <= 0.95 * ratio_pull:
+                    return belief, p
+            elif min(abs(rho - ratio_push), abs(rho - ratio_pull)) > 0.05:
                 return belief, p
             continue
         n = rng.uniform(200.0, 3000.0)
@@ -400,10 +387,8 @@ def cmd_verify(cfg: dict) -> int:
     if s is Scenario.TREND_VIEWCOUNT_EXPONENTIAL:
         raise ConfigError(
             "verify does not support TrendViewcountExponential (no closed form)")
-    n_draws = int(cfg.get("n_draws", 100))
-    if n_draws < 1:
-        raise ConfigError("n_draws must be positive")
-    seed = int(cfg.get("seed", 0))
+    n_draws = _int_field(cfg, "n_draws", 100, 1)
+    seed = _int_field(cfg, "seed", 0, 0)
     corrupt = bool(cfg.get("corrupt", False))
     g = _grid_from(cfg)
     rng = np.random.default_rng(seed)
@@ -459,13 +444,33 @@ def cmd_simulate(cfg: dict) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "trajectory": cmd_trajectory,
-    "surface": cmd_surface,
-    "best-response": cmd_best_response,
-    "classify": cmd_classify,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
+class _Command(NamedTuple):
+    run: Callable[[dict], int]
+    help: str
+    required: str    # config keys, space-separated
+    optional: str
+
+
+# argparse lists the subcommands in this order
+_COMMANDS = {
+    "trajectory": _Command(
+        cmd_trajectory, "write good/bad viewcount trajectories as CSV",
+        "scenario params alpha out", "n_samples"),
+    "surface": _Command(
+        cmd_surface, "write the deviator utility over the strategy space",
+        "scenario params belief alpha out", "n_grid"),
+    "best-response": _Command(
+        cmd_best_response, "write the best-response set for one threshold",
+        "scenario params belief alpha out", "grid"),
+    "classify": _Command(
+        cmd_classify, "write the symmetric-equilibrium report as JSON",
+        "scenario params belief out", "sweep_lambda_pu oracle_check grid"),
+    "verify": _Command(
+        cmd_verify, "cross-check the closed forms against the grid oracle",
+        "scenario", "n_draws seed grid corrupt out"),
+    "simulate": _Command(
+        cmd_simulate, "run the stochastic simulators",
+        "mode scenario params sim out", "belief alpha quality"),
 }
 
 
@@ -475,16 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical toolkit for push/pull content diffusion games.",
         epilog=_UNITS)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "trajectory": "write good/bad viewcount trajectories as CSV",
-        "surface": "write the deviator utility over the strategy space",
-        "best-response": "write the best-response set for one threshold",
-        "classify": "write the symmetric-equilibrium report as JSON",
-        "verify": "cross-check the closed forms against the grid oracle",
-        "simulate": "run the stochastic simulators",
-    }
-    for name, h in helps.items():
-        sp = sub.add_parser(name, help=h, epilog=_UNITS)
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help, epilog=_UNITS)
         sp.add_argument("--config", help="path to a JSON config document")
         sp.add_argument("--out", help="output path (overrides config)")
         sp.add_argument("--seed", type=int, help="seed (overrides config)")
@@ -500,7 +497,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         cfg = _load_config(args)
-        return _HANDLERS[args.command](cfg)
+        return _COMMANDS[args.command].run(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,27 +6,32 @@ alpha: U(alpha, alpha) >= max_beta U(alpha, beta). Each classifier
 returns the full fixed-point set in closed form; the oracle module
 cross-checks every emitted set against a brute-force grid.
 
-Candidate thresholds live in [0, beta_tau(Bad)] evaluated at the
-self-consistent cap: the largest beta with t_beta(Bad) = tau collects
-no pull before the horizon, which gives lambda_B*tau under linear push
-and N(1 - exp(-lambda_B*tau)) under saturating push.
+Candidate thresholds live in [0, utility.symmetric_cap]: a threshold
+the whole population shares is met on the push-only segment, so the
+bound is the bad content's pure-push cap, trimmed to the end of its
+trending window (dynamics.horizon_window) under the trend gate. The
+classifiers take these caps, the window ends and the saturating-push
+hypotheses (utility.require_exp_hypotheses) from those functions
+rather than restating them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
-from .dynamics import Belief, InfiniteHorizonError, ModelParams
+from .dynamics import Belief, ModelParams, PushKind, Quality, horizon_window
 from .utility import (
     Scenario,
     UtilityError,
     best_response_side_info,
+    reduce_scenario,
+    require_exp_hypotheses,
     side_info_lambda_pu_s,
     side_info_peaks,
-    sub_params,
+    symmetric_cap,
 )
 
 INF = math.inf
@@ -100,14 +105,7 @@ class SideInfoDiagnostics:
     mu_positive: bool
 
     def as_dict(self) -> dict:
-        return {
-            "beta1": _json_num(self.beta1),
-            "beta2": _json_num(self.beta2),
-            "lambda_pu_s": _json_num(self.lambda_pu_s),
-            "L": _json_num(self.L),
-            "x": _json_num(self.x),
-            "mu_positive": self.mu_positive,
-        }
+        return {k: _json_num(v) for k, v in asdict(self).items()}
 
 
 def _json_num(v: float):
@@ -130,9 +128,10 @@ def classify_linear(belief: Belief, p: ModelParams) -> EquilibriumSet:
     to bad content below the population threshold (pi_G/lam_G >=
     pi_B/lam_B) the unique equilibrium is immediate access; when the
     pulled rates also keep the upper branch non-increasing every
-    threshold up to the cap is a fixed point; otherwise only the cap.
+    threshold up to the cap (symmetric_cap) is a fixed point; otherwise
+    only the cap.
     """
-    cap = p.lambda_ps_b * p.tau
+    cap = symmetric_cap(p, Scenario.LINEAR_FIXED_HORIZON)
     pig, pib = belief.pi_g, belief.pi_b
     if pig / p.lambda_ps_g >= pib / p.lambda_ps_b:
         return EquilibriumSet(
@@ -152,19 +151,6 @@ def classify_linear(belief: Belief, p: ModelParams) -> EquilibriumSet:
 
 # -- saturating push, plain viewcount -----------------------------------------
 
-def _require_exp_hypotheses(p: ModelParams) -> float:
-    n = p.require_pool()
-    if not p.lambda_ps_g > p.lambda_ps_b:
-        raise EquilibriumError(
-            "requires lambda_ps(G) > lambda_ps(B): "
-            f"{p.lambda_ps_g} <= {p.lambda_ps_b}")
-    if not p.lambda_ps_g * n <= p.lambda_pu:
-        raise EquilibriumError(
-            "requires lambda_ps(G)*n_pool <= lambda_pu: "
-            f"{p.lambda_ps_g * n} > {p.lambda_pu}")
-    return n
-
-
 def pull_ratio(a: float, n: float, p: ModelParams) -> float:
     """R(a) = (lam_pu + lam_G (n-a)) / (lam_pu + lam_B (n-a)).
 
@@ -173,6 +159,13 @@ def pull_ratio(a: float, n: float, p: ModelParams) -> float:
     """
     return ((p.lambda_pu + p.lambda_ps_g * (n - a))
             / (p.lambda_pu + p.lambda_ps_b * (n - a)))
+
+
+def _alpha_bar(belief: Belief, n: float, p: ModelParams) -> float:
+    # the inverse of pull_ratio: R(alpha_bar) = pi_G/pi_B, unclamped
+    pig, pib = belief.pi_g, belief.pi_b
+    return n - p.lambda_pu * (pig - pib) / (
+        pib * p.lambda_ps_g - pig * p.lambda_ps_b)
 
 
 def classify_exponential(belief: Belief, p: ModelParams) -> EquilibriumSet:
@@ -186,12 +179,12 @@ def classify_exponential(belief: Belief, p: ModelParams) -> EquilibriumSet:
       rho >= R(cap)               -> [alpha_bar, cap], R(alpha_bar)=rho
       else                        -> {cap}
 
-    with the boundary rho = lam_G/lam_B giving exactly {0, cap}: there
-    the payoff of joining the crowd at the cap ties the payoff of
-    immediate access.
+    with cap = symmetric_cap and the boundary rho = lam_G/lam_B giving
+    exactly {0, cap}: there the payoff of joining the crowd at the cap
+    ties the payoff of immediate access.
     """
-    n = _require_exp_hypotheses(p)
-    cap = n * (1.0 - math.exp(-p.lambda_ps_b * p.tau))
+    n = require_exp_hypotheses(p, EquilibriumError)
+    cap = symmetric_cap(p, Scenario.EXPONENTIAL_FIXED_HORIZON)
     pig, pib = belief.pi_g, belief.pi_b
     aux = (("beta_tau_b", cap),)
     rho = INF if pib == 0.0 else pig / pib
@@ -210,9 +203,7 @@ def classify_exponential(belief: Belief, p: ModelParams) -> EquilibriumSet:
             EquilibriumKind.INTERVAL, intervals=((0.0, cap),),
             interval_labels=(("0", "beta_tau_b"),), case="ii-a", aux=aux)
     if rho >= pull_ratio(cap, n, p):
-        alpha_bar = n - p.lambda_pu * (pig - pib) / (
-            pib * p.lambda_ps_g - pig * p.lambda_ps_b)
-        alpha_bar = min(max(alpha_bar, 0.0), cap)
+        alpha_bar = min(max(_alpha_bar(belief, n, p), 0.0), cap)
         return EquilibriumSet(
             EquilibriumKind.INTERVAL, intervals=((alpha_bar, cap),),
             interval_labels=(("alpha_bar", "beta_tau_b"),), case="ii-b",
@@ -228,57 +219,58 @@ def classify_variable_horizon(belief: Belief, p: ModelParams) -> EquilibriumSet:
     """Fixed points when rewards accrue only inside the trending window.
 
     Same tree as classify_exponential, with the candidate cap moved to
-    the bad window's effective end T1B = min(tau1(B), tau) and the
-    interval's lower end alpha_0 solving the bare window comparison
+    the bad window's effective end T1B = min(tau1(B), tau) (tau1 from
+    horizon_window, the cap from symmetric_cap) and the interval's lower
+    end alpha_0 solving the bare window comparison
     pi_G (tau1G - t_a(G)) = pi_B (T1B - t_a(B)) in closed form.
     """
     if p.gamma_th is None:
         raise EquilibriumError("gamma_th is required for the variable horizon")
-    if p.gamma_th <= p.lambda_pu:
-        raise InfiniteHorizonError(
-            f"gamma_th={p.gamma_th} <= lambda_pu={p.lambda_pu}: "
-            "the trending window never closes")
-    n = _require_exp_hypotheses(p)
-    lam_g, lam_b = p.lambda_ps_g, p.lambda_ps_b
-    t1g = math.log(lam_g * n / (p.gamma_th - p.lambda_pu)) / lam_g
-    t1b = math.log(lam_b * n / (p.gamma_th - p.lambda_pu)) / lam_b
+    push = PushKind.EXPONENTIAL_SATURATING
+    _, t1g, _ = horizon_window(Quality.GOOD, p, push)
+    _, t1b, _ = horizon_window(Quality.BAD, p, push)
+    n = require_exp_hypotheses(p, EquilibriumError)
     t1b_eff = min(t1b, p.tau)
-    cap_tau = n * (1.0 - math.exp(-lam_b * p.tau))
     if t1b_eff <= 0.0:
         # the bad content never trends: waiting costs nothing and pays
         # nothing, immediate access keeps the whole good window
         return EquilibriumSet(
             EquilibriumKind.FINITE_POINTS, points=(0.0,), point_labels=("0",),
             case="degenerate-window", aux=(("tau1_b", t1b),))
-    cap = n * (1.0 - math.exp(-lam_b * t1b_eff))
+    cap = symmetric_cap(p, Scenario.VARIABLE_HORIZON)
+    cap_tau = symmetric_cap(p, Scenario.EXPONENTIAL_FIXED_HORIZON)  # no gate
     aux = (("beta_tau1_b", cap), ("beta_tau_b", cap_tau),
            ("tau1_g", t1g), ("tau1_b", t1b))
     pig, pib = belief.pi_g, belief.pi_b
     rho = INF if pib == 0.0 else pig / pib
-    if rho >= lam_g / lam_b:
+
+    def alpha_0():
+        # t_a(q) = -ln(1 - a/n)/lam_q turns the window comparison into
+        # ln(1 - a/n) = d; never formed in the interval-full branch, where
+        # the denominator can vanish and exp(d) overflow
+        d = (pib * t1b_eff - pig * t1g) / (
+            pig / p.lambda_ps_g - pib / p.lambda_ps_b)
+        return max(0.0, n * (1.0 - math.exp(d)))
+
+    if rho >= p.lambda_ps_g / p.lambda_ps_b:
         return EquilibriumSet(
             EquilibriumKind.INTERVAL, intervals=((0.0, cap),),
             interval_labels=(("0", "beta_tau1_b"),), case="interval-full",
             aux=aux)
     if rho >= pull_ratio(0.0, n, p):
-        d = (pib * t1b_eff - pig * t1g) / (pig / lam_g - pib / lam_b)
-        alpha_0 = max(0.0, n * (1.0 - math.exp(d)))
-        alpha_0 = min(alpha_0, cap)
+        a0 = min(alpha_0(), cap)
         return EquilibriumSet(
-            EquilibriumKind.INTERVAL, intervals=((alpha_0, cap),),
+            EquilibriumKind.INTERVAL, intervals=((a0, cap),),
             interval_labels=(("alpha_0", "beta_tau1_b"),),
-            case="interval-window", aux=aux + (("alpha_0", alpha_0),))
+            case="interval-window", aux=aux + (("alpha_0", a0),))
     if rho >= pull_ratio(cap, n, p):
-        d = (pib * t1b_eff - pig * t1g) / (pig / lam_g - pib / lam_b)
-        alpha_0 = max(0.0, n * (1.0 - math.exp(d)))
-        alpha_bar = n - p.lambda_pu * (pig - pib) / (
-            pib * lam_g - pig * lam_b)
-        lo = min(max(alpha_bar, alpha_0, 0.0), cap)
+        a0, alpha_bar = alpha_0(), _alpha_bar(belief, n, p)
+        lo = min(max(alpha_bar, a0, 0.0), cap)
         return EquilibriumSet(
             EquilibriumKind.INTERVAL, intervals=((lo, cap),),
             interval_labels=(("alpha_bar", "beta_tau1_b"),),
             case="interval-pull",
-            aux=aux + (("alpha_0", alpha_0), ("alpha_bar", alpha_bar)))
+            aux=aux + (("alpha_0", a0), ("alpha_bar", alpha_bar)))
     return EquilibriumSet(
         EquilibriumKind.FINITE_POINTS, points=(cap,),
         point_labels=("beta_tau1_b",), case="cap-only", aux=aux)
@@ -292,7 +284,8 @@ def classify_side_info(belief: Belief,
     """Fixed points under the look-ahead value metric.
 
     Above the pull-rate singularity (and for a uniform belief) emits
-    the bracket between the two branch peaks intersected with [0, cap].
+    the bracket between the two branch peaks intersected with [0, cap],
+    cap = symmetric_cap.
     When that bracket misses [0, cap] entirely, both peaks are spurious
     (the underlying branch derivatives never vanish inside the strategy
     space), so the set reduces to endpoint membership exactly as at or
@@ -305,7 +298,7 @@ def classify_side_info(belief: Belief,
     promised outside it. See the verification draw constraints.
     """
     pig, pib = belief.pi_g, belief.pi_b
-    cap = 0.5 * (p.lambda_ps_b * p.tau) ** 2
+    cap = symmetric_cap(p, Scenario.SIDE_INFORMATION)
     beta1, beta2 = side_info_peaks(belief, p)
     s = side_info_lambda_pu_s(belief, p)
     mu_flag = ((p.lambda_pu > s and beta1 >= 0.0 > beta2)
@@ -369,10 +362,9 @@ def classify(scenario: Scenario, belief: Belief, p: ModelParams):
     trend-times-viewcount games have no closed-form classification; use
     the grid oracle for those.
     """
+    p, scenario = reduce_scenario(p, scenario)
     if scenario is Scenario.LINEAR_FIXED_HORIZON:
         return classify_linear(belief, p), None
-    if scenario is Scenario.TREND_VIEWCOUNT_LINEAR:
-        return classify_linear(belief, sub_params(p)), None
     if scenario is Scenario.EXPONENTIAL_FIXED_HORIZON:
         return classify_exponential(belief, p), None
     if scenario is Scenario.VARIABLE_HORIZON:
@@ -392,21 +384,11 @@ def make_report(scenario: Scenario, belief: Belief, p: ModelParams,
 
     The set's as_dict plus the inputs, the diagnostics and the oracle flag.
     """
-    params = {
-        "lambda_ps_g": p.lambda_ps_g,
-        "lambda_ps_b": p.lambda_ps_b,
-        "lambda_pu": p.lambda_pu,
-        "tau": p.tau,
-    }
-    if p.n_pool is not None:
-        params["n_pool"] = p.n_pool
-    if p.gamma_th is not None:
-        params["gamma_th"] = p.gamma_th
     report = eq.as_dict()
     report.update({
         "scenario": scenario.value,
-        "params": params,
-        "belief": {"pi_g": belief.pi_g, "pi_b": belief.pi_b},
+        "params": {k: v for k, v in asdict(p).items() if v is not None},
+        "belief": asdict(belief),
         "diagnostics": diags.as_dict() if diags is not None else None,
         "oracle_checked": bool(oracle_checked),
     })

@@ -38,7 +38,7 @@ from .dynamics import (
 )
 from .utility import (
     Scenario,
-    _discontinuity_preimages,
+    discontinuity_preimages,
     strategy_cap,
     symmetric_cap,
     utility,
@@ -60,6 +60,9 @@ class GridSpec:
     tol: Optional[float] = None
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer))
+                   for v in (self.n_beta, self.n_alpha)):
+            raise TypeError("n_beta and n_alpha must be integers")
         if self.n_beta < 100:
             raise ValueError(f"n_beta={self.n_beta} must be at least 100")
         if self.n_alpha < 100:
@@ -95,7 +98,7 @@ def _row_extras(alpha: float, cap: float, p: ModelParams,
     extra = [min(alpha, cap)]
     if s is Scenario.VARIABLE_HORIZON:
         extra.extend(_window_kinks(alpha, p))
-    for d in _discontinuity_preimages(alpha, p, s):
+    for d in discontinuity_preimages(alpha, p, s):
         extra.extend((d - eps, d, d + eps))
     return extra
 

@@ -40,14 +40,18 @@ class SimConfig:
     initial_thresholds: Optional[object] = None
 
     def __post_init__(self):
-        if self.n_push_pool < 1:
-            raise ValueError("n_push_pool must be at least 1")
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be at least 1")
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
+        least = {"seed": 0, "n_push_pool": 1, "n_agents": 1, "rounds": 1}
+        for name, lo in least.items():
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer")
+            if v < lo:
+                raise ValueError(f"{name} must be at least {lo}")
         if not 0.0 < self.update_fraction <= 1.0:
             raise ValueError("update_fraction must be in (0, 1]")
+        if self.initial_thresholds is not None:
+            # a malformed spec fails here, not mid-run
+            _initial_thresholds(self, 1.0, self.generator())
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed))

@@ -39,9 +39,11 @@ from .dynamics import (
     crossing_time_raw,
     horizon_window,
     _cross_plain_raw,
+    _first_passage,
     _t_ps_inverse_arr,
     _x_ps,
     _xdot_ps,
+    _y_post,
 )
 from .numerics import BracketedFunction, find_root, lambert_w0_log
 
@@ -119,24 +121,47 @@ class BestResponse:
         }
 
 
-def sub_params(p: ModelParams) -> ModelParams:
-    """Squared rates: TrendViewcountLinear is LinearFixedHorizon under them.
+def reduce_scenario(p: ModelParams,
+                    s: Scenario) -> Tuple[ModelParams, Scenario]:
+    """The (params, scenario) pair a game is solved as.
 
-    Under linear push trend*viewcount is lam_q * X, so every threshold
-    level maps onto the plain viewcount of a game with squared rates.
+    Under linear push trend*viewcount is lam_q * X, so every
+    TrendViewcountLinear threshold level maps onto the plain viewcount
+    of a LinearFixedHorizon game with squared rates. Every other
+    scenario is solved as itself.
     """
-    return ModelParams(p.lambda_ps_g ** 2, p.lambda_ps_b ** 2,
-                       p.lambda_pu ** 2, p.tau)
+    if s is Scenario.TREND_VIEWCOUNT_LINEAR:
+        return (ModelParams(p.lambda_ps_g ** 2, p.lambda_ps_b ** 2,
+                            p.lambda_pu ** 2, p.tau),
+                Scenario.LINEAR_FIXED_HORIZON)
+    return p, s
+
+
+def require_exp_hypotheses(p: ModelParams, error: type) -> float:
+    """The pool size, once the saturating-push closed forms apply to p.
+
+    They need lambda_ps(G) > lambda_ps(B) and lambda_ps(G)*n_pool <=
+    lambda_pu; otherwise this raises error (the classifiers pass
+    EquilibriumError, the best response UtilityError).
+    """
+    n = p.require_pool()
+    if not p.lambda_ps_g > p.lambda_ps_b:
+        raise error(
+            "requires lambda_ps(G) > lambda_ps(B): "
+            f"{p.lambda_ps_g} <= {p.lambda_ps_b}")
+    if not p.lambda_ps_g * n <= p.lambda_pu:
+        raise error(
+            "requires lambda_ps(G)*n_pool <= lambda_pu: "
+            f"{p.lambda_ps_g * n} > {p.lambda_pu}")
+    return n
 
 
 def strategy_cap(alpha: float, p: ModelParams, s: Scenario) -> float:
     """Largest threshold the bad content can meet: the strategy space cap."""
+    p, s = reduce_scenario(p, s)
     if s is Scenario.SIDE_INFORMATION:
         # look-ahead value of the bad content at t=0, push audience only
         return 0.5 * (p.lambda_ps_b * p.tau) ** 2
-    if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        return beta_tau(Quality.BAD, alpha, sub_params(p),
-                        PushKind.LINEAR, MetricKind.PLAIN_VIEWCOUNT)
     return beta_tau(Quality.BAD, alpha, p, s.push, s.metric)
 
 
@@ -151,10 +176,10 @@ def symmetric_cap(p: ModelParams, s: Scenario) -> float:
     Above these caps a candidate exceeds its own strategy space.
     """
     if s is Scenario.VARIABLE_HORIZON:
-        _, t1b, _ = horizon_window(Quality.BAD, p,
-                                   PushKind.EXPONENTIAL_SATURATING)
+        push = PushKind.EXPONENTIAL_SATURATING
+        _, t1b, _ = horizon_window(Quality.BAD, p, push)
         t_end = min(max(t1b, 0.0), p.tau)
-        return p.n_pool * (1.0 - math.exp(-p.lambda_ps_b * t_end))
+        return _x_ps(t_end, p.lambda_ps_b, push, p.require_pool())
     return strategy_cap(INF, p, s)
 
 
@@ -239,6 +264,16 @@ def _side_info_utility(alpha, beta, belief, p):
     return belief.pi_g * _pos(p.tau - tb_g) - belief.pi_b * _pos(p.tau - tb_b)
 
 
+def _product_jump(ta, q, p):
+    # trend*viewcount just before and just after the population starts
+    # pulling at ta, saturating push
+    push = PushKind.EXPONENTIAL_SATURATING
+    lam, n = p.lambda_ps(q), p.require_pool()
+    x_a = _x_ps(ta, lam, push, n)
+    y_lo = _xdot_ps(ta, lam, push, n) * x_a
+    return y_lo, y_lo + p.lambda_pu * x_a
+
+
 def _t_product_strict(beta, q, alpha, p):
     """First time trend*viewcount equals beta, capped at the lifetime.
 
@@ -249,34 +284,17 @@ def _t_product_strict(beta, q, alpha, p):
     """
     push = PushKind.EXPONENTIAL_SATURATING
     metric = MetricKind.TREND_TIMES_VIEWCOUNT
-    lam = p.lambda_ps(q)
-    n = p.require_pool()
-    lpu = p.lambda_pu
     ta = activation_time(alpha, q, p, push, metric)
-    if ta == INF or lpu == 0.0:
+    if ta == INF or p.lambda_pu == 0.0:
         return crossing_time_raw(beta, q, alpha, p, push, metric)
-    x_a = _x_ps(ta, lam, push, n)
-    y_lo = _xdot_ps(ta, lam, push, n) * x_a
-    y_hi = y_lo + lpu * x_a
+    y_lo, y_hi = _product_jump(ta, q, p)
     if beta <= y_lo or beta >= y_hi:
         return crossing_time_raw(beta, q, alpha, p, push, metric)
     if ta >= p.tau:
         return INF
-
-    def y_post(t):
-        return ((_xdot_ps(t, lam, push, n) + lpu)
-                * (_x_ps(t, lam, push, n) + lpu * (t - ta)))
-
-    ts = np.linspace(ta, p.tau, 4097)
-    vals = np.array([y_post(t) for t in ts]) - beta
-    below = np.nonzero(vals <= 0.0)[0]
-    if below.size == 0:
-        return INF
-    k = int(below[0])
-    if k == 0:
-        return ta
-    bf = BracketedFunction(lambda t: y_post(t) - beta, ts[k - 1], ts[k])
-    return find_root(bf, 1e-13 * max(p.tau, 1.0))
+    lam, lpu, n = p.lambda_ps(q), p.lambda_pu, p.require_pool()
+    return _first_passage(lambda t: beta - _y_post(t, ta, lam, lpu, n),
+                          ta, p.tau, 4097, 1e-13 * max(p.tau, 1.0))
 
 
 def _trend_exp_utility(alpha, beta, belief, p):
@@ -307,8 +325,7 @@ def utility(alpha, beta, belief: Belief, p: ModelParams,
         raise UtilityError("alpha must be nonnegative")
     if (beta < 0.0).any():
         raise UtilityError("beta must be nonnegative")
-    if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        p, s = sub_params(p), Scenario.LINEAR_FIXED_HORIZON
+    p, s = reduce_scenario(p, s)
     alpha, beta = np.broadcast_arrays(alpha, beta)
     if enforce_cap:
         # the cap depends on alpha only: one evaluation per distinct alpha
@@ -405,15 +422,7 @@ def best_response_exponential(alpha: float, belief: Belief,
     beta, so the branch is unimodal and the interior optimum is the
     bisection root of the ratio condition.
     """
-    n = p.require_pool()
-    if not p.lambda_ps_g > p.lambda_ps_b:
-        raise UtilityError(
-            "requires lambda_ps(G) > lambda_ps(B): "
-            f"{p.lambda_ps_g} <= {p.lambda_ps_b}")
-    if not p.lambda_ps_g * n <= p.lambda_pu:
-        raise UtilityError(
-            "requires lambda_ps(G)*n_pool <= lambda_pu: "
-            f"{p.lambda_ps_g * n} > {p.lambda_pu}")
+    n = require_exp_hypotheses(p, UtilityError)
     s = Scenario.EXPONENTIAL_FIXED_HORIZON
     cap = strategy_cap(alpha, p, s)
     knee = min(alpha, cap)
@@ -501,7 +510,7 @@ def side_info_branch_candidates(alpha: float, belief: Belief,
     beta >= alpha.
     """
     b1e, b2e = _side_info_eff_peaks(belief, p)
-    cap = 0.5 * (p.lambda_ps_b * p.tau) ** 2
+    cap = strategy_cap(alpha, p, Scenario.SIDE_INFORMATION)
     knee = min(alpha, cap)
     down = min(max(b1e, 0.0), knee)
     up = min(max(b2e, knee), cap)
@@ -544,10 +553,9 @@ def closed_form_best_response(alpha: float, belief: Belief, p: ModelParams,
     VariableHorizon and TrendViewcountExponential have no closed form;
     callers fall back to the grid oracle or report the gap.
     """
+    p, s = reduce_scenario(p, s)
     if s is Scenario.LINEAR_FIXED_HORIZON:
         return best_response_linear(alpha, belief, p)
-    if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        return best_response_linear(alpha, belief, sub_params(p))
     if s is Scenario.EXPONENTIAL_FIXED_HORIZON:
         return best_response_exponential(alpha, belief, p)
     if s is Scenario.SIDE_INFORMATION:
@@ -557,27 +565,21 @@ def closed_form_best_response(alpha: float, belief: Belief, p: ModelParams,
 
 # -- utility surface ----------------------------------------------------------
 
-def _discontinuity_preimages(alpha: float, p: ModelParams,
-                             s: Scenario) -> List[float]:
+def discontinuity_preimages(alpha: float, p: ModelParams,
+                            s: Scenario) -> List[float]:
     """Metric values at the population activation, per quality.
 
     For continuous metrics this is just alpha; trend*viewcount jumps at
     activation, so both one-sided values enter.
     """
-    if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        p = sub_params(p)
-        s = Scenario.LINEAR_FIXED_HORIZON
+    p, s = reduce_scenario(p, s)
     out: List[float] = []
     for q in (Quality.GOOD, Quality.BAD):
         ta = activation_time(alpha, q, p, s.push, s.metric)
         if ta == INF:
             continue
         if s.metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-            lam = p.lambda_ps(q)
-            n = p.require_pool()
-            x_a = _x_ps(ta, lam, s.push, n)
-            y_lo = _xdot_ps(ta, lam, s.push, n) * x_a
-            out.extend([y_lo, y_lo + p.lambda_pu * x_a])
+            out.extend(_product_jump(ta, q, p))
         else:
             out.append(alpha)
     return out
@@ -599,7 +601,7 @@ def utility_surface(alpha: float, belief: Belief, p: ModelParams,
             for b, u in zip(grid.tolist(),
                             utility(alpha, grid, belief, p, s).tolist())]
     eps = 1e-9 * max(cap, 1e-9)
-    jumps = [d for d in _dedup(_discontinuity_preimages(alpha, p, s), cap)
+    jumps = [d for d in _dedup(discontinuity_preimages(alpha, p, s), cap)
              if 0.0 < d < cap]
     if jumps:
         d = np.array(jumps)
