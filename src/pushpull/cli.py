@@ -294,7 +294,13 @@ def _report_sweep(s: Scenario, belief: Belief, cfg: dict) -> list:
         sub = dict(base)
         sub["lambda_pu"] = lpu
         p = _params_from({"params": sub})
-        eq, diags = classify(s, belief, p)
+        try:
+            eq, diags = classify(s, belief, p)
+        except (DynamicsError, UtilityError, EquilibriumError,
+                NumericsError) as e:
+            # a rate outside a theorem's hypotheses spoils its row only
+            rows.append({"lambda_pu": float(lpu), "error": str(e)})
+            continue
         row = {
             "lambda_pu": float(lpu),
             "kind": eq.kind.value,

@@ -19,7 +19,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import BracketedFunction, find_root, lambert_w0_log_arr
+from .numerics import (
+    BracketedFunction,
+    find_root,
+    find_root_arr,
+    lambert_w0_log_arr,
+)
 
 INF = math.inf
 
@@ -137,27 +142,43 @@ def _xdot_ps(t: float, lam: float, push: PushKind, n: float) -> float:
     return lam * n * math.exp(-lam * t)
 
 
-def _y_post(t: float, ta: float, lam: float, lpu: float, n: float) -> float:
+def _y_push(t, lam: float, n: float):
+    """Xdot*X under saturating push alone, elementwise."""
+    e = np.exp(-lam * t)
+    return lam * n * e * (n * (1.0 - e))
+
+
+def _y_post(t, ta, lam, lpu: float, n: float):
     """Xdot*X under saturating push once the population pulls from ta.
 
-    _xdot_ps and _x_ps written out on one shared exponential, same bits:
-    called per scan point, the two helpers cost a third of the speed.
+    Elementwise; the same operations as sample_trajectory, so the values
+    at its grid points agree bit for bit.
     """
-    e = math.exp(-lam * t)
+    e = np.exp(-lam * t)
     return (lam * n * e + lpu) * (n * (1.0 - e) + lpu * (t - ta))
 
 
-def _first_passage(g, t0: float, t1: float, n_grid: int, tol: float) -> float:
-    """First t in [t0, t1] with g(t) >= 0: a scan of n_grid points, then
-    bisection inside the first bracket; INF when no grid point gets there."""
-    ts = np.linspace(t0, t1, n_grid)
-    hit = np.flatnonzero(np.array([g(t) for t in ts]) >= 0.0)
-    if hit.size == 0:
-        return INF
-    k = int(hit[0])
-    if k == 0:
-        return t0
-    return find_root(BracketedFunction(g, ts[k - 1], ts[k]), tol)
+def _y_post_slope(t, ta, lam, lpu: float, n: float):
+    """y'/Xdot^2 for _y_post: 1 - lam (push/Xdot)(X/Xdot), elementwise,
+    with push = lam n e^{-lam t}.
+
+    The sign of y' on a scale of order one: y' itself fades like
+    e^{-lam t} and would meet find_root's |f| <= tol stop far from its
+    roots. X/Xdot overflows only at subnormal pull rates, to -inf, which
+    keeps the sign.
+    """
+    e = np.exp(-lam * t)
+    push = lam * n * e
+    xdot = push + lpu
+    with np.errstate(over="ignore"):
+        return 1.0 - lam * (push / xdot) * ((n * (1.0 - e) + lpu * (t - ta))
+                                            / xdot)
+
+
+def _product_jump(ta, lam, lpu: float, n: float):
+    """(y(ta-), y(ta+)): trend*viewcount just before and just after the
+    population starts pulling at ta, saturating push."""
+    return _y_push(ta, lam, n), _y_post(ta, ta, lam, lpu, n)
 
 
 def _t_ps_inverse(x: float, lam: float, push: PushKind, n: float) -> float:
@@ -186,17 +207,17 @@ def _t_alpha_trend(alpha, lam, push, n):
 
 
 def _t_alpha_product(alpha, lam, push, n):
-    """First crossing of Xdot*X = alpha under push alone."""
-    if alpha <= 0.0:
-        return 0.0
+    """First crossing of Xdot*X = alpha under push alone, elementwise."""
+    alpha = np.asarray(alpha, dtype=float)
     if push is PushKind.LINEAR:
-        return alpha / (lam * lam)
-    peak = lam * n * n / 4.0
-    if alpha > peak:
-        return INF
-    # e^{-lam t} = (1 + sqrt(1 - 4 alpha/(lam N^2)))/2, rising-side root
-    u = 0.5 * (1.0 + math.sqrt(max(1.0 - 4.0 * alpha / (lam * n * n), 0.0)))
-    return -math.log(u) / lam
+        t = alpha / (lam * lam)
+    else:
+        # e^{-lam t} = (1 + sqrt(1 - 4 alpha/(lam N^2)))/2, rising-side
+        # root; none above the push-only peak lam N^2/4
+        disc = np.maximum(1.0 - 4.0 * alpha / (lam * n * n), 0.0)
+        t = np.where(alpha > lam * n * n / 4.0, INF,
+                     -np.log(0.5 * (1.0 + np.sqrt(disc))) / lam)
+    return np.where(alpha <= 0.0, 0.0, t)
 
 
 def _t_alpha_side_info(alpha, lam, lpu, tau, push, n):
@@ -258,7 +279,7 @@ def activation_time(alpha: float, q: Quality, p: ModelParams,
     if metric is MetricKind.TREND:
         return _t_alpha_trend(alpha, lam, push, n)
     if metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-        return _t_alpha_product(alpha, lam, push, n)
+        return float(_t_alpha_product(alpha, lam, push, n))
     return _t_alpha_side_info(alpha, lam, p.lambda_pu, p.tau, push, n)
 
 
@@ -341,45 +362,132 @@ def _cross_plain_raw(beta, alpha, q, p, push):
     return t
 
 
-def _cross_product_raw(beta, q, alpha, p, push):
-    """Uncapped first time Xdot*X >= beta (inf over a possibly jumping path)."""
+def _product_pieces(ta, lam, p):
+    """Ends (r, f) of the monotone pieces of _y_post after ta, elementwise.
+
+    y' = e^{-lam t} h(t), where h falls until t* = ln(2 lam n/lpu)/lam
+    and rises after it. So y rises on [ta, r], falls on [r, f] and rises
+    after f, each piece possibly empty: r is the local maximum c1 < t*,
+    ta when y falls from the start and INF when it never falls; f is the
+    local minimum c2 > t*, or tau when y still falls there (the falling
+    piece matters only within the lifetime). Both come from one
+    find_root_arr pass on the sign of y'. Needs lambda_pu > 0.
+    """
+    lpu, n, tau = p.lambda_pu, p.require_pool(), p.tau
+    ta, lam = np.broadcast_arrays(np.asarray(ta, dtype=float), lam)
+    # an activation that never happens (ta = INF) has NaN slopes, which
+    # fail every test below: no pieces
+    with np.errstate(invalid="ignore"):
+        # log-space: 2 lam n/lpu overflows at subnormal pull rates
+        t_star = (np.log(2.0 * lam * n) - math.log(lpu)) / lam
+        s0 = np.maximum(t_star, ta)
+        at_a = _y_post_slope(ta, ta, lam, lpu, n)
+        at_s0 = _y_post_slope(s0, ta, lam, lpu, n)
+        at_tau = _y_post_slope(tau, ta, lam, lpu, n)
+    falls_first = at_a <= 0.0
+    peak = (at_a > 0.0) & (t_star > ta) & (at_s0 < 0.0)
+    # h < 0 from r up to s0 = max(t*, ta), so c2 lies past s0
+    trough = (falls_first | peak) & (s0 < tau) & (at_tau > 0.0)
+    r = np.where(falls_first, ta, INF)
+    f = np.full(ta.shape, tau)
+    if peak.any() or trough.any():
+        lo = np.concatenate([ta[peak], s0[trough]])
+        hi = np.concatenate([t_star[peak], f[trough]])
+        t0 = np.concatenate([ta[peak], ta[trough]])
+        lm = np.concatenate([lam[peak], lam[trough]])
+        roots = find_root_arr(lambda t: _y_post_slope(t, t0, lm, lpu, n),
+                              lo, hi, 1e-13 * max(tau, 1.0))
+        k = np.count_nonzero(peak)
+        r[peak] = roots[:k]
+        f[trough] = roots[k:]
+    return r, f
+
+
+def _cross_product_sat(beta, alpha, lams, p, strict: bool):
+    """First time Xdot*X reaches beta under saturating push, elementwise.
+
+    beta and alpha are float arrays of one shape, one population
+    threshold per element; the result has one row per push rate in
+    lams (the utility passes both qualities at once). Before activation
+    the push-only parabola is inverted in closed form. After it the
+    passage lies in one monotone piece of y (_product_pieces, computed
+    once per alpha and rate), and every element is bisected there in
+    one find_root_arr pass.
+
+    strict=False gives the raw inf{t : y >= beta}: a beta inside the
+    activation jump (y(ta-), y(ta+)] lands on ta. With strict=True a
+    beta strictly inside the jump counts as met only if the
+    post-activation curve comes back down to it before tau (INF
+    otherwise); this is what makes the utility surface jump at the gap
+    edges.
+    """
+    lpu, n, tau = p.lambda_pu, p.require_pool(), p.tau
+    shape = (len(lams),) + beta.shape
+    lam_col = np.asarray(lams, dtype=float)[:, None]
+    lam = lam_col.reshape((-1,) + (1,) * beta.ndim)
+    t = _t_alpha_product(beta, lam, PushKind.EXPONENTIAL_SATURATING, n).ravel()
+    if lpu == 0.0:
+        return t.reshape(shape)
+    levels, inverse = np.unique(alpha, return_inverse=True)
+    ta_lv = _t_alpha_product(levels, lam_col,
+                             PushKind.EXPONENTIAL_SATURATING, n)
+    r_lv, f_lv = _product_pieces(ta_lv, lam_col, p)
+    ta, r, f = (v[:, inverse.ravel()].ravel() for v in (ta_lv, r_lv, f_lv))
+    beta = np.broadcast_to(beta, shape).ravel()
+    lam = np.broadcast_to(lam, shape).ravel()
+    with np.errstate(invalid="ignore"):  # ta = INF: no jump, NaN bounds
+        y_lo, y_hi = _product_jump(ta, lam, lpu, n)
+    gap = (beta > y_lo) & (beta < y_hi) if strict else np.zeros(t.shape, bool)
+    post = ~gap & (t > ta)
+    t[post] = ta[post]  # inside the activation jump; up is past it
+    up = np.flatnonzero(post & (beta > y_hi))
+    down = np.flatnonzero(gap)
+    t[down] = INF
+    # up: the first rising piece [ta, r] when y gets to beta there, else
+    # the last one; y >= lpu^2 (t - ta) bounds that by ta + beta/lpu^2.
+    # Passages later than 1e9 tau count as never.
+    bu, au, lu = beta[up], ta[up], lam[up]
+    with np.errstate(divide="ignore", over="ignore"):  # lpu^2 underflows
+        t_hi = np.minimum(au + bu / (lpu * lpu), 1e9 * tau)
+    r_up = np.minimum(r[up], t_hi)
+    first = _y_post(r_up, au, lu, lpu, n) >= bu
+    reach_up = first | (_y_post(t_hi, au, lu, lpu, n) >= bu)
+    t[up[~reach_up]] = INF
+    # down: the falling piece [r, f], if it starts before tau and gets
+    # down to beta
+    reach_down = (r[down] < tau) & (
+        _y_post(f[down], ta[down], lam[down], lpu, n) <= beta[down])
+    k = np.concatenate([up[reach_up], down[reach_down]])
+    if k.size:
+        lo = np.concatenate([np.where(first, au, r_up)[reach_up],
+                             r[down][reach_down]])
+        hi = np.concatenate([np.where(first, r_up, t_hi)[reach_up],
+                             f[down][reach_down]])
+        ak, lk, bk = ta[k], lam[k], beta[k]
+        # a passage by tau is bracketed by tau, so beta = y(tau) lands on
+        # tau exactly (the strategy cap is often that value)
+        by_tau = (lo < tau) & (tau < hi) & (_y_post(tau, ak, lk, lpu, n) >= bk)
+        hi[by_tau] = tau
+        t[k] = find_root_arr(lambda s: _y_post(s, ak, lk, lpu, n) - bk,
+                             lo, hi, 1e-13 * max(tau, 1.0))
+    return t.reshape(shape)
+
+
+def _cross_product_raw(beta, alpha, q, p, push):
+    """Uncapped first time Xdot*X >= beta (inf over a possibly jumping
+    path), elementwise like _cross_plain_raw."""
     lam = p.lambda_ps(q)
-    lpu = p.lambda_pu
-    n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
-    ta = _t_alpha_product(alpha, lam, push, n)
-    if beta <= 0.0:
-        return 0.0
-    if push is PushKind.LINEAR:
-        pre = beta / (lam * lam)
-        if pre <= ta:
-            return pre
-        if ta == INF:
-            return INF
-        big = lam + lpu
-        xa = lam * ta
-        if beta <= big * xa:
-            return ta  # lands inside the activation jump
-        return ta + (beta / big - xa) / big
-    # saturating push: rising-side closed form while the push parabola
-    # still governs, scan plus bisection after the activation jump
-    t_pre = _t_alpha_product(beta, lam, push, n)
-    if t_pre <= ta or lpu == 0.0:
-        return t_pre
-    if ta == INF:
-        return INF
-
-    def gap(t):
-        return _y_post(t, ta, lam, lpu, n) - beta
-
-    if gap(ta) >= 0.0:
-        return ta  # lands inside the activation jump
-    # the curve eventually grows like lpu^2 t; scan forward for a bracket
-    t_hi = max(p.tau, ta + 1.0)
-    while gap(t_hi) < 0.0:
-        t_hi = 2.0 * t_hi + 1.0
-        if t_hi > 1e9 * p.tau:
-            return INF
-    return _first_passage(gap, ta, t_hi, 4096, 1e-13 * max(p.tau, 1.0))
+    if push is PushKind.EXPONENTIAL_SATURATING:
+        return _cross_product_sat(beta, alpha, [lam], p, False)[0]
+    ta = _t_alpha_product(alpha, lam, push, 0.0)
+    big = lam + p.lambda_pu
+    xa = lam * ta
+    # alpha = inf makes the discarded boosted value inf - inf
+    with np.errstate(invalid="ignore"):
+        boosted = np.where(beta <= big * xa, ta,  # inside the activation jump
+                           ta + (beta / big - xa) / big)
+    pre = beta / (lam * lam)
+    return np.where(beta <= 0.0, 0.0, np.where(pre <= ta, pre, boosted))
 
 
 def _cross_side_info_raw(beta, q, alpha, p, push):
@@ -435,17 +543,19 @@ def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
                       push: PushKind, metric: MetricKind):
     """Crossing time without the lifetime cap (utility algebra needs it).
 
-    For the plain viewcount beta and alpha may be arrays that broadcast
-    together, one population threshold per element: the result is a
-    float for two scalars and an array otherwise. The other metrics
-    take scalars only.
+    For the plain viewcount and trend*viewcount, beta and alpha may be
+    arrays that broadcast together, one population threshold per
+    element: the result is a float for two scalars and an array
+    otherwise. The trend and look-ahead metrics take scalars only.
     """
     if np.any(np.less(beta, 0.0)):
         raise DynamicsError("beta must be nonnegative")
-    if metric is MetricKind.PLAIN_VIEWCOUNT:
+    if metric in (MetricKind.PLAIN_VIEWCOUNT, MetricKind.TREND_TIMES_VIEWCOUNT):
         beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),
                                           np.asarray(alpha, dtype=float))
-        t = _cross_plain_raw(beta, alpha, q, p, push)
+        cross = (_cross_plain_raw if metric is MetricKind.PLAIN_VIEWCOUNT
+                 else _cross_product_raw)
+        t = cross(beta, alpha, q, p, push)
         return float(t) if np.ndim(t) == 0 else t
     if metric is MetricKind.TREND:
         lam = p.lambda_ps(q)
@@ -457,8 +567,6 @@ def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
         if ta < INF and beta <= base + p.lambda_pu:
             return ta  # trend jumps by lambda_pu at activation (t=0 here)
         return INF
-    if metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-        return _cross_product_raw(beta, q, alpha, p, push)
     return _cross_side_info_raw(beta, q, alpha, p, push)
 
 
@@ -466,17 +574,33 @@ def beta_tau(q: Quality, alpha: float, p: ModelParams,
              push: PushKind, metric: MetricKind) -> float:
     """Largest threshold quality q can meet within the lifetime.
 
-    Plain viewcount peaks at tau, the look-ahead metric at 0; the trend
-    metrics are not monotone, so those take a max over the sampling grid.
+    Plain viewcount peaks at tau, the look-ahead metric at 0. The trend
+    is largest at 0, and trend*viewcount at one of its breakpoints: the
+    push-only peak, the activation jump, the local maximum of the
+    post-activation curve (see _product_pieces) or tau.
     """
     if metric is MetricKind.PLAIN_VIEWCOUNT:
         return metric_value(p.tau, q, alpha, p, push, metric)
     if metric is MetricKind.SIDE_INFORMATION:
         return metric_value(0.0, q, alpha, p, push, metric)
-    traj = sample_trajectory(q, alpha, p, push, metric)
+    lam, lpu, tau = p.lambda_ps(q), p.lambda_pu, p.tau
+    n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
     if metric is MetricKind.TREND:
-        return float(np.max(traj.xdot))
-    return float(np.max(traj.xdot * traj.x))
+        base = _xdot_ps(0.0, lam, push, n)
+        return base + lpu if _t_alpha_trend(alpha, lam, push, n) == 0.0 else base
+    if push is PushKind.LINEAR:
+        return metric_value(tau, q, alpha, p, push, metric)  # increasing
+    # without pull the push-only curve is the whole path
+    ta = activation_time(alpha, q, p, push, metric) if lpu > 0.0 else INF
+    # push-only, y rises to lam n^2/4 at ln 2/lam and falls after it
+    cands = [lam * n * n / 4.0] if math.log(2.0) / lam <= min(ta, tau) else []
+    if ta > tau:
+        cands.append(_y_push(tau, lam, n))
+    else:
+        # y(ta+) >= y(ta-): the jump adds lpu * X(ta)
+        r, _ = _product_pieces(ta, lam, p)
+        cands += [_y_post(t, ta, lam, lpu, n) for t in (ta, tau, r) if t <= tau]
+    return float(max(cands))
 
 
 def horizon_window(q: Quality, p: ModelParams, push: PushKind) -> tuple:
@@ -506,18 +630,14 @@ def sample_trajectory(q: Quality, alpha: float, p: ModelParams,
                       push: PushKind, metric: MetricKind = MetricKind.PLAIN_VIEWCOUNT,
                       n_samples: int = 10_000) -> Trajectory:
     """Sample (t, X, Xdot) on [0, tau]: uniform grid plus exact breakpoints."""
-    pts = set(np.linspace(0.0, p.tau, n_samples).tolist())
+    pts = [np.linspace(0.0, p.tau, n_samples)]
     for quality in (Quality.GOOD, Quality.BAD):
-        ta = activation_time(alpha, quality, p, push, metric)
-        if 0.0 <= ta <= p.tau:
-            pts.add(ta)
+        pts.append([activation_time(alpha, quality, p, push, metric)])
     if p.gamma_th is not None and push is PushKind.EXPONENTIAL_SATURATING \
             and p.gamma_th > p.lambda_pu:
-        t0, t1, _ = horizon_window(q, p, push)
-        for b in (t0, t1):
-            if 0.0 <= b <= p.tau:
-                pts.add(b)
-    t = np.array(sorted(pts))
+        pts.append(horizon_window(q, p, push)[:2])
+    t = np.concatenate(pts)
+    t = np.unique(t[(t >= 0.0) & (t <= p.tau)])
     lam = p.lambda_ps(q)
     n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
     ta = activation_time(alpha, q, p, push, metric)

@@ -190,3 +190,46 @@ def find_root(bf: BracketedFunction, tol: float) -> float:
         else:
             a, fa = mid, fm
     raise NumericsError("find_root: iteration cap reached (malformed input?)")
+
+
+def find_root_arr(f: Callable[[np.ndarray], np.ndarray], a, b,
+                  tol: float) -> np.ndarray:
+    """find_root over arrays of brackets [a, b], one root per element.
+
+    f maps an array of points, one per bracket, to their values. Every
+    element takes find_root's iterates and stops by its rule; the loop
+    runs until the last element has stopped. The half kept is the one
+    whose ends differ in sign, judged by sign(f(a)), which bisection
+    never changes (find_root forms f(a)*f(mid), which can underflow).
+    Each step is a few numpy passes over all elements, so this pays off
+    from a handful of brackets on; scalar callers keep find_root.
+    """
+    if tol <= 0.0:
+        raise NumericsError("find_root_arr: tol must be positive")
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    fa, fb = f(a), f(b)
+    if np.any(fa * fb > 0.0):
+        raise NumericsError("find_root_arr: no sign change on some bracket")
+    out = np.where(fa == 0.0, a, b)
+    todo = (fa != 0.0) & (fb != 0.0)
+    sign_a = np.sign(fa)
+    # in-place updates and count_nonzero: on the few elements of a
+    # utility surface numpy's per-call cost is most of each step
+    for _ in range(200):
+        if not np.count_nonzero(todo):
+            return out
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        # stopped elements keep bisecting, but their result is kept
+        stop = (np.abs(fm) <= tol) | (b - a <= tol)
+        stop &= todo
+        np.copyto(out, mid, where=stop)
+        todo ^= stop
+        left = sign_a * fm <= 0.0
+        np.copyto(b, mid, where=left)
+        np.copyto(a, mid, where=~left)
+    if todo.any():
+        raise NumericsError(
+            "find_root_arr: iteration cap reached (malformed input?)")
+    return out

@@ -15,8 +15,9 @@ bad content cannot reach.
 utility is the one implementation of U. It is elementwise: alpha and
 beta broadcast together, so the grid oracle evaluates many population
 thresholds and deviations in one call and the best responses evaluate
-all their candidates at once. Only TrendViewcountExponential, whose
-strict first-passage time needs a scan, loops over the elements.
+all their candidates at once. TrendViewcountExponential, which has no
+closed-form passage after activation, bisects every element and both
+qualities in one array pass.
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ from .dynamics import (
     Quality,
     activation_time,
     beta_tau,
-    crossing_time_raw,
     horizon_window,
     _cross_plain_raw,
-    _first_passage,
+    _cross_product_sat,
+    _product_jump,
     _t_ps_inverse_arr,
     _x_ps,
-    _xdot_ps,
-    _y_post,
 )
 from .numerics import BracketedFunction, find_root, lambert_w0_log
 
@@ -264,50 +263,12 @@ def _side_info_utility(alpha, beta, belief, p):
     return belief.pi_g * _pos(p.tau - tb_g) - belief.pi_b * _pos(p.tau - tb_b)
 
 
-def _product_jump(ta, q, p):
-    # trend*viewcount just before and just after the population starts
-    # pulling at ta, saturating push
-    push = PushKind.EXPONENTIAL_SATURATING
-    lam, n = p.lambda_ps(q), p.require_pool()
-    x_a = _x_ps(ta, lam, push, n)
-    y_lo = _xdot_ps(ta, lam, push, n) * x_a
-    return y_lo, y_lo + p.lambda_pu * x_a
-
-
-def _t_product_strict(beta, q, alpha, p):
-    """First time trend*viewcount equals beta, capped at the lifetime.
-
-    The metric jumps over (y(t_a-), y(t_a+)] at activation. A threshold
-    inside that gap counts as crossed only if the post-activation curve
-    comes back down to it before tau; this is what makes the utility
-    surface jump at the gap edges.
-    """
-    push = PushKind.EXPONENTIAL_SATURATING
-    metric = MetricKind.TREND_TIMES_VIEWCOUNT
-    ta = activation_time(alpha, q, p, push, metric)
-    if ta == INF or p.lambda_pu == 0.0:
-        return crossing_time_raw(beta, q, alpha, p, push, metric)
-    y_lo, y_hi = _product_jump(ta, q, p)
-    if beta <= y_lo or beta >= y_hi:
-        return crossing_time_raw(beta, q, alpha, p, push, metric)
-    if ta >= p.tau:
-        return INF
-    lam, lpu, n = p.lambda_ps(q), p.lambda_pu, p.require_pool()
-    return _first_passage(lambda t: beta - _y_post(t, ta, lam, lpu, n),
-                          ta, p.tau, 4097, 1e-13 * max(p.tau, 1.0))
-
-
 def _trend_exp_utility(alpha, beta, belief, p):
-    # the strict first-passage time needs a scan, so this one stays
-    # scalar and loops over the elements
-    def one(a, b):
-        a, b = float(a), float(b)
-        tb_g = _t_product_strict(b, Quality.GOOD, a, p)
-        tb_b = _t_product_strict(b, Quality.BAD, a, p)
-        return (belief.pi_g * _pos(p.tau - tb_g)
-                - belief.pi_b * _pos(p.tau - tb_b))
-
-    return np.vectorize(one, otypes=[float])(alpha, beta)
+    # the strict passage, so a threshold inside the activation jump is met
+    # only when the curve comes back down to it; both qualities at once
+    tb_g, tb_b = _cross_product_sat(beta, alpha,
+                                    [p.lambda_ps_g, p.lambda_ps_b], p, True)
+    return belief.pi_g * _pos(p.tau - tb_g) - belief.pi_b * _pos(p.tau - tb_b)
 
 
 def utility(alpha, beta, belief: Belief, p: ModelParams,
@@ -579,7 +540,8 @@ def discontinuity_preimages(alpha: float, p: ModelParams,
         if ta == INF:
             continue
         if s.metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-            out.extend(_product_jump(ta, q, p))
+            out.extend(float(y) for y in _product_jump(
+                ta, p.lambda_ps(q), p.lambda_pu, p.require_pool()))
         else:
             out.append(alpha)
     return out
@@ -597,9 +559,10 @@ def utility_surface(alpha: float, belief: Belief, p: ModelParams,
         raise UtilityError("n_grid must be at least 2")
     cap = strategy_cap(alpha, p, s)
     grid = np.linspace(0.0, cap, n_grid) if cap > 0.0 else np.array([0.0])
+    # both utility calls stay inside [0, cap] by construction
     rows = [(b, u, "below_alpha" if b <= alpha else "above_alpha", 1)
-            for b, u in zip(grid.tolist(),
-                            utility(alpha, grid, belief, p, s).tolist())]
+            for b, u in zip(grid.tolist(), utility(
+                alpha, grid, belief, p, s, enforce_cap=False).tolist())]
     eps = 1e-9 * max(cap, 1e-9)
     jumps = [d for d in _dedup(discontinuity_preimages(alpha, p, s), cap)
              if 0.0 < d < cap]
@@ -607,7 +570,7 @@ def utility_surface(alpha: float, belief: Belief, p: ModelParams,
         d = np.array(jumps)
         us = utility(alpha, np.concatenate([np.maximum(d - eps, 0.0),
                                             np.minimum(d + eps, cap)]),
-                     belief, p, s).tolist()
+                     belief, p, s, enforce_cap=False).tolist()
         for d, u_left, u_right in zip(jumps, us, us[len(jumps):]):
             rows.append((d, u_left, "left_limit", 0))
             rows.append((d, u_right, "right_limit", 2))

@@ -126,6 +126,30 @@ def test_classify_with_oracle_check_passes(scenario, tmp_path, capsys):
         make_report(s, b, p, eq, diags, oracle_checked=True)))
 
 
+@pytest.mark.parametrize("scenario, last", [
+    ("ExponentialFixedHorizon", None),
+    ("VariableHorizon", "gamma_th=140.0 <= lambda_pu=220.0: window never closes"),
+])
+def test_classify_sweep_keeps_the_report_when_a_rate_fails(
+        scenario, last, tmp_path, capsys):
+    # lambda_ps(G)*n_pool = 100, so half the base pull rate breaks the
+    # saturating-push hypothesis; under the trend gate (gamma_th = 140)
+    # twice the rate keeps the window open
+    s = Scenario.from_tag(scenario)
+    p, b = ModelParams(**PARAMS[scenario]), Belief(**BELIEF)
+    rep = json.loads(run_twice("classify", tmp_path, capsys,
+                               scenario=scenario, params=PARAMS[scenario],
+                               belief=BELIEF,
+                               sweep_lambda_pu=[55.0, 110.0, 220.0])["out"])
+    rows = rep.pop("sweep")
+    eq, diags = classify(s, b, p)
+    assert rep == json.loads(json.dumps(make_report(s, b, p, eq, diags)))
+    assert rows[0] == {"lambda_pu": 55.0, "error": (
+        "requires lambda_ps(G)*n_pool <= lambda_pu: 100.0 > 55.0")}
+    assert rows[1]["lambda_pu"] == 110.0 and rows[1]["kind"] == eq.kind.value
+    assert rows[2]["lambda_pu"] == 220.0 and rows[2].get("error") == last
+
+
 @pytest.mark.parametrize("scenario", CLOSED_FORM)
 def test_verify_passes_every_closed_form_scenario(scenario, tmp_path, capsys):
     rc, out, _ = run_cli("verify", tmp_path, capsys, scenario=scenario,

@@ -33,6 +33,7 @@ from pushpull import (
     sample_trajectory,
     viewcount,
 )
+from pushpull.dynamics import _cross_product_sat
 
 INF = math.inf
 PLAIN = MetricKind.PLAIN_VIEWCOUNT
@@ -334,6 +335,23 @@ def test_trajectory_shape_and_monotonicity():
     assert np.min(np.abs(t - t_a)) == 0.0
 
 
+def test_trajectory_grid_is_the_sorted_union_of_its_points():
+    # reference: the uniform grid and every breakpoint inside [0, tau]
+    # as a set of Python floats, sorted
+    p = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0)
+    for metric, alpha in ((PLAIN, 400.0), (MetricKind.TREND_TIMES_VIEWCOUNT,
+                                           1500.0)):
+        for q in Quality:
+            tr = sample_trajectory(q, alpha, p, EXP, metric, n_samples=301)
+            pts = set(np.linspace(0.0, p.tau, 301).tolist())
+            pts.update(activation_time(alpha, qq, p, EXP, metric)
+                       for qq in Quality)
+            pts.update(horizon_window(q, p, EXP)[:2])
+            ref = np.array(sorted(t for t in pts if 0.0 <= t <= p.tau))
+            assert tr.t.tobytes() == ref.tobytes()
+            assert tr.t.size > 301
+
+
 def test_trajectory_csv_format(tmp_path):
     tr = sample_trajectory(Quality.BAD, 1.0, ModelParams(0.2, 0.1, 1.0, 10.0),
                            LIN, n_samples=50)
@@ -376,3 +394,171 @@ def test_metric_value_requires_time_in_lifetime():
         metric_value(10.5, Quality.GOOD, 0.5, p, LIN, PLAIN)
     with pytest.raises(DynamicsError):
         metric_value(-0.5, Quality.GOOD, 0.5, p, LIN, PLAIN)
+
+
+# -- trend*viewcount under saturating push ------------------------------------
+
+TV = MetricKind.TREND_TIMES_VIEWCOUNT
+
+
+def _y_after(t, ta, lam, lpu, n):
+    # Xdot * X once the population pulls from ta, written from X and Xdot
+    x = -n * np.expm1(-lam * t) + lpu * (t - ta)
+    return (lam * n * np.exp(-lam * t) + lpu) * x
+
+
+def _slope_after(t, ta, lam, lpu, n):
+    # y' = Xdot^2 + Xddot * X
+    push = lam * n * np.exp(-lam * t)
+    return (push + lpu) ** 2 - lam * push * (-n * np.expm1(-lam * t)
+                                             + lpu * (t - ta))
+
+
+def _bisect(g, lo, hi):
+    # g(lo) < 0 <= g(hi); halve down to adjacent doubles
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if g(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _dense_passages(betas, ta, lam, p, t_end, down):
+    """Reference first passages of y through each beta on [ta, t_end],
+    from below (or from above when down): a scan of 10**6 + 1 points,
+    then bisection in the first bracket; INF where the scan never gets
+    there."""
+    n, lpu = p.n_pool, p.lambda_pu
+    sign = -1.0 if down else 1.0
+    ts = np.linspace(ta, t_end, 1_000_001)
+    # the first scan point past each beta, from the running extreme
+    reach = np.maximum.accumulate(sign * _y_after(ts, ta, lam, lpu, n))
+    out = []
+    for beta in betas:
+        k = int(np.searchsorted(reach, sign * beta))
+        if k == ts.size:
+            out.append(INF)
+        elif k == 0:
+            out.append(ta)
+        else:
+            out.append(_bisect(
+                lambda t: sign * (_y_after(t, ta, lam, lpu, n) - beta),
+                ts[k - 1], ts[k]))
+    return np.array(out)
+
+
+def _weak_pull_draws(count, seed):
+    # lpu << lam n: after activation y rises to a local maximum before
+    # t* = ln(2 lam n/lpu)/lam, falls to a local minimum after it, and
+    # tau lies past both
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lg = rng.uniform(0.05, 0.4)
+        lb = lg * rng.uniform(0.3, 0.9)
+        n = rng.uniform(200.0, 3000.0)
+        lpu = lb * n * rng.uniform(0.01, 0.1)
+        tau = rng.uniform(1.5, 3.0) * math.log(2.0 * lg * n / lpu) / lg
+        yield ModelParams(lg, lb, lpu, tau, n_pool=n), \
+            rng.uniform(0.02, 0.5) * lb * n * n / 4.0
+
+
+def _strong_pull_draws(count, seed):
+    # the verify families, lpu >= lam_g n: y only rises after activation
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lg = rng.uniform(0.05, 0.4)
+        lb = lg * rng.uniform(0.2, 0.9)
+        n = rng.uniform(200.0, 3000.0)
+        p = ModelParams(lg, lb, lg * n * rng.uniform(1.0, 1.6),
+                        rng.uniform(2.0, 40.0), n_pool=n)
+        yield p, rng.uniform(0.05, 0.95) * lb * n * n / 4.0
+
+
+def _product_draws():
+    return itertools.chain(_weak_pull_draws(5, 2024),
+                           _strong_pull_draws(3, 4242))
+
+
+def test_product_passages_match_dense_reference():
+    two_extrema = finite_down = 0
+    for p, alpha in _product_draws():
+        n, lpu, tol = p.n_pool, p.lambda_pu, 1e-13 * max(p.tau, 1.0)
+        lams = [p.lambda_ps_g, p.lambda_ps_b]
+        for q, lam in zip((Quality.GOOD, Quality.BAD), lams):
+            ta = activation_time(alpha, q, p, EXP, TV)
+            ts = np.linspace(ta, 4.0 * p.tau, 1_000_001)
+            ys = _y_after(ts, ta, lam, lpu, n)
+            inside = ts <= p.tau
+            flips = np.count_nonzero(np.diff(np.sign(np.diff(ys[inside]))))
+            two_extrema += flips == 2
+            # up: levels above the jump top y(ta+) and below the largest
+            # by 4 tau (the passage through a maximum is ill-conditioned)
+            up = np.linspace(ys[0], ys.max(), 27)[1:-1]
+            got = crossing_time_raw(up, q, alpha, p, EXP, TV)
+            ref = _dense_passages(up, ta, lam, p, 4.0 * p.tau, down=False)
+            assert np.all(np.abs(got - ref) <= tol)
+            # down: levels inside the jump are met only when y comes back
+            # to them before tau
+            x_a = -n * math.expm1(-lam * ta)
+            y_lo = lam * n * math.exp(-lam * ta) * x_a
+            gap = np.linspace(y_lo, y_lo + lpu * x_a, 27)[1:-1]
+            got = _cross_product_sat(gap, np.full(gap.shape, alpha), [lam],
+                                     p, True)[0]
+            ref = _dense_passages(gap, ta, lam, p, p.tau, down=True)
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            finite = np.isfinite(ref)
+            assert np.all(np.abs(got[finite] - ref[finite]) <= tol)
+            finite_down += np.count_nonzero(finite)
+        # both qualities in one pass give the per-quality rows
+        betas = np.linspace(0.0, 1.5 * beta_tau(Quality.GOOD, alpha, p, EXP, TV),
+                            40)
+        both = _cross_product_sat(betas, np.full(betas.shape, alpha), lams,
+                                  p, True)
+        for row, lam in zip(both, lams):
+            one = _cross_product_sat(betas, np.full(betas.shape, alpha), [lam],
+                                     p, True)[0]
+            assert np.array_equal(row, one)
+    assert two_extrema >= 5 and finite_down >= 100
+
+
+def test_product_cap_is_the_dense_maximum():
+    # the analytic cap against 2*10**6 samples of y on [0, tau] plus the
+    # activation time, with the best interior sample refined by bisection
+    # on y'
+    for p, alpha in _product_draws():
+        n, lpu = p.n_pool, p.lambda_pu
+        for q in Quality:
+            lam = p.lambda_ps(q)
+            ta = activation_time(alpha, q, p, EXP, TV)
+            cap = beta_tau(q, alpha, p, EXP, TV)
+            t = np.union1d(np.linspace(0.0, p.tau, 2_000_000),
+                           [ta] if ta <= p.tau else [])
+            pull = np.where(t >= ta, lpu, 0.0)
+            ys = ((lam * n * np.exp(-lam * t) + pull)
+                  * (-n * np.expm1(-lam * t) + pull * (t - np.minimum(t, ta))))
+            k = int(np.argmax(ys))
+            dense = ys[k]
+            assert cap >= dense
+            if 0 < k < t.size - 1 and t[k - 1] >= ta:
+                g = lambda s: -_slope_after(s, ta, lam, lpu, n)
+                if g(t[k - 1]) < 0.0 <= g(t[k + 1]):
+                    dense = max(dense, _y_after(_bisect(g, t[k - 1], t[k + 1]),
+                                                ta, lam, lpu, n))
+            assert cap == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("lpu", [1e-12, 1.1e-308])
+def test_product_passage_at_vanishing_pull(lpu):
+    # the pull term fades against the push parabola: passages and caps
+    # tend to the push-only ones, also where lpu^2 and lam n/lpu leave
+    # the double range
+    p = ModelParams(0.1, 0.05, lpu, 8.0, n_pool=1000.0)
+    betas = np.linspace(0.0, 30000.0, 31)
+    for q in Quality:
+        t = crossing_time_raw(betas, q, 5000.0, p, EXP, TV)
+        push_only = crossing_time_raw(betas, q, INF, p, EXP, TV)
+        assert t == pytest.approx(push_only, rel=1e-6)
+        assert beta_tau(q, 5000.0, p, EXP, TV) == pytest.approx(
+            beta_tau(q, INF, p, EXP, TV), rel=1e-12)

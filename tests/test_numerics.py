@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pushpull import BracketedFunction, NumericsError, find_root, lambert_w0
-from pushpull.numerics import lambert_w0_arr, lambert_w0_log, lambert_w0_log_arr
+from pushpull.numerics import (
+    find_root_arr,
+    lambert_w0_arr,
+    lambert_w0_log,
+    lambert_w0_log_arr,
+)
 
 BRANCH = -math.exp(-1.0)
 
@@ -144,3 +149,26 @@ def test_find_root_rejects_nonpositive_tol():
         find_root(bf, tol=0.0)
     with pytest.raises(NumericsError):
         find_root(bf, tol=-1e-9)
+
+
+def test_find_root_arr_takes_find_root_iterates():
+    # rising and falling brackets, roots at either end, and an |f| <= tol
+    # stop: every element equals its scalar find_root bit for bit
+    shift = np.array([2.0, 0.3, 2.0, 1.0, 4.0, 1e-14])
+    sign = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    a = np.array([0.0, 0.0, -3.0, 1.0, 0.0, 0.0])
+    b = np.array([2.0, 5.0, 0.0, 3.0, 2.0, 1.0])
+    tol = 1e-12
+    got = find_root_arr(lambda t: sign * (t * t - shift), a, b, tol)
+    for k in range(shift.size):
+        f = lambda t: sign[k] * (t * t - shift[k])
+        assert got[k] == find_root(BracketedFunction(f, a[k], b[k]), tol)
+    assert got[3] == 1.0 and got[4] == 2.0
+    assert got[5] > 1e-7  # stopped by |f| <= tol, long before the width
+
+
+def test_find_root_arr_rejects_what_find_root_rejects():
+    with pytest.raises(NumericsError, match="sign change"):
+        find_root_arr(lambda t: t * t + 1.0, [-1.0, 0.0], [1.0, 1.0], 1e-9)
+    with pytest.raises(NumericsError, match="tol"):
+        find_root_arr(lambda t: t, [-1.0], [1.0], 0.0)

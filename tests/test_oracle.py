@@ -22,8 +22,6 @@ from pushpull.oracle import _beta_grid, _beta_rows
 
 INF = math.inf
 ALL_SCENARIOS = list(Scenario)
-CLOSED_FORM = [s for s in Scenario
-               if s is not Scenario.TREND_VIEWCOUNT_EXPONENTIAL]
 EXP_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0)
 VH_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0)
 
@@ -64,7 +62,7 @@ def test_bulk_evaluation_matches_scalar_utility(s):
         assert one == pytest.approx(per_alpha[k // 2], rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("s", CLOSED_FORM)
+@pytest.mark.parametrize("s", ALL_SCENARIOS)
 @pytest.mark.parametrize("belief", [Belief(0.4, 0.6), Belief(0.75, 0.25)])
 def test_batched_sweep_matches_per_alpha_reference(s, belief):
     # reference: one grid best response per alpha, as the sweep did before
