@@ -261,12 +261,11 @@ def _check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
                            s: Scenario, g: GridSpec) -> Optional[str]:
     """None when the set is sound and complete, else a reason string."""
     tol_sound = max(g.resolve_tol(p), 1e-6 * p.tau)
-    pts = _soundness_points(eq)
-    inside = [0.0 <= a <= strategy_cap(a, p, s) * (1.0 + 1e-9) + 1e-12
-              for a in pts]
-    sweep = zip(*deviation_sweep([a for a, ok in zip(pts, inside) if ok],
-                                 belief, p, s, g))
-    for a, ok in zip(pts, inside):
+    pts = np.array(_soundness_points(eq), dtype=float)
+    inside = (0.0 <= pts) & (
+        pts <= strategy_cap(pts, p, s) * (1.0 + 1e-9) + 1e-12)
+    sweep = zip(*deviation_sweep(pts[inside], belief, p, s, g))
+    for a, ok in zip(pts.tolist(), inside):
         if not ok:
             return f"classified point {a:.6g} lies outside its strategy space"
         u_best, u_own = next(sweep)

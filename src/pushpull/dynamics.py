@@ -129,30 +129,32 @@ class Trajectory:
 
 
 # -- push-only primitives ---------------------------------------------------
+#
+# Everything from here to beta_tau is elementwise in t and alpha, except
+# the look-ahead metric, which takes scalars only. The public functions
+# return a float for scalars and an array otherwise.
 
-def _x_ps(t: float, lam: float, push: PushKind, n: float) -> float:
+def _float_or_array(x):
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _x_ps(t, lam, push: PushKind, n: float):
     if push is PushKind.LINEAR:
         return lam * t
-    return n * (1.0 - math.exp(-lam * t))
+    return n * (1.0 - np.exp(-lam * t))
 
 
-def _xdot_ps(t: float, lam: float, push: PushKind, n: float) -> float:
+def _xdot_ps(t, lam, push: PushKind, n: float):
     if push is PushKind.LINEAR:
         return lam
-    return lam * n * math.exp(-lam * t)
-
-
-def _y_push(t, lam: float, n: float):
-    """Xdot*X under saturating push alone, elementwise."""
-    e = np.exp(-lam * t)
-    return lam * n * e * (n * (1.0 - e))
+    return lam * n * np.exp(-lam * t)
 
 
 def _y_post(t, ta, lam, lpu: float, n: float):
     """Xdot*X under saturating push once the population pulls from ta.
 
-    Elementwise; the same operations as sample_trajectory, so the values
-    at its grid points agree bit for bit.
+    Elementwise; for t >= ta the same operations as _xdot * viewcount,
+    so the values at a trajectory's grid points agree bit for bit.
     """
     e = np.exp(-lam * t)
     return (lam * n * e + lpu) * (n * (1.0 - e) + lpu * (t - ta))
@@ -175,36 +177,17 @@ def _y_post_slope(t, ta, lam, lpu: float, n: float):
                                             / xdot)
 
 
-def _product_jump(ta, lam, lpu: float, n: float):
-    """(y(ta-), y(ta+)): trend*viewcount just before and just after the
-    population starts pulling at ta, saturating push."""
-    return _y_push(ta, lam, n), _y_post(ta, ta, lam, lpu, n)
-
-
-def _t_ps_inverse(x: float, lam: float, push: PushKind, n: float) -> float:
-    """First time the push-only viewcount reaches x; INF when unreachable."""
-    if x <= 0.0:
-        return 0.0
+def _t_ps_inverse(x, lam, push: PushKind, n: float):
+    """First time the push-only viewcount reaches x >= 0; INF when
+    unreachable."""
     if push is PushKind.LINEAR:
         return x / lam
-    if x >= n:
-        return INF
-    return -math.log(1.0 - x / n) / lam
-
-
-def _t_ps_inverse_arr(x, lam: float, n: float):
-    """_t_ps_inverse for saturating push, elementwise over levels x >= 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -np.log1p(-np.minimum(x, n) / n) / lam
-    return np.where(x >= n, INF, t)
+    # x >= n: log1p(-1) = -inf, so t = INF
+    with np.errstate(divide="ignore"):
+        return -np.log1p(-np.minimum(x, n) / n) / lam
 
 
 # -- activation time t_alpha ------------------------------------------------
-
-def _t_alpha_trend(alpha, lam, push, n):
-    # push-only trend is nonincreasing; the gate opens at t=0 or never
-    return 0.0 if _xdot_ps(0.0, lam, push, n) >= alpha else INF
-
 
 def _t_alpha_product(alpha, lam, push, n):
     """First crossing of Xdot*X = alpha under push alone, elementwise."""
@@ -266,60 +249,71 @@ def _t_alpha_side_info(alpha, lam, lpu, tau, push, n):
     return find_root(BracketedFunction(f, 0.0, tau), 1e-13 * tau)
 
 
-def activation_time(alpha: float, q: Quality, p: ModelParams,
-                    push: PushKind, metric: MetricKind) -> float:
-    """Earliest time the population metric reaches alpha (INF if never)."""
-    if alpha < 0.0:
+def activation_time(alpha, q: Quality, p: ModelParams,
+                    push: PushKind, metric: MetricKind):
+    """Earliest time the population metric reaches alpha (INF if never).
+
+    Elementwise in alpha: a float for a scalar, an array otherwise. The
+    look-ahead metric (SIDE_INFORMATION) takes a scalar alpha only.
+    """
+    if np.count_nonzero(alpha < 0.0):
         raise DynamicsError("alpha must be nonnegative")
     lam = p.lambda_ps(q)
     n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
     if metric is MetricKind.PLAIN_VIEWCOUNT:
         # pull cannot fire before activation, so only push drives X up to alpha
-        return _t_ps_inverse(alpha, lam, push, n)
-    if metric is MetricKind.TREND:
-        return _t_alpha_trend(alpha, lam, push, n)
-    if metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-        return float(_t_alpha_product(alpha, lam, push, n))
-    return _t_alpha_side_info(alpha, lam, p.lambda_pu, p.tau, push, n)
+        ta = _t_ps_inverse(alpha, lam, push, n)
+    elif metric is MetricKind.TREND:
+        # push-only trend is nonincreasing; the gate opens at t=0 or never
+        ta = np.where(_xdot_ps(0.0, lam, push, n) >= alpha, 0.0, INF)
+    elif metric is MetricKind.TREND_TIMES_VIEWCOUNT:
+        ta = _t_alpha_product(alpha, lam, push, n)
+    else:
+        ta = _t_alpha_side_info(alpha, lam, p.lambda_pu, p.tau, push, n)
+    return _float_or_array(ta)
 
 
 # -- trajectory values ------------------------------------------------------
 
-def viewcount(t: float, q: Quality, alpha: float, p: ModelParams,
-              push: PushKind, metric: MetricKind = MetricKind.PLAIN_VIEWCOUNT) -> float:
-    """X(t): push views plus pull views accumulated since activation."""
-    if t < 0.0:
+def viewcount(t, q: Quality, alpha, p: ModelParams, push: PushKind,
+              metric: MetricKind = MetricKind.PLAIN_VIEWCOUNT):
+    """X(t): push views plus pull views accumulated since activation.
+
+    Elementwise in t and alpha, which broadcast together: a float for
+    scalars, an array otherwise. The look-ahead metric takes a scalar
+    alpha only.
+    """
+    if np.count_nonzero(t < 0.0):
         raise DynamicsError("t must be nonnegative")
     lam = p.lambda_ps(q)
     n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
     ta = activation_time(alpha, q, p, push, metric)
-    x = _x_ps(t, lam, push, n)
-    if t >= ta:
-        x += p.lambda_pu * (t - ta)
-    return x
+    # before ta (and for ta = INF) the pull term is lambda_pu * 0
+    return _float_or_array(_x_ps(t, lam, push, n)
+                           + p.lambda_pu * np.maximum(t - ta, 0.0))
 
 
 def _xdot(t, q, alpha, p, push, metric):
+    """Xdot(t), elementwise like viewcount; the right limit at the jump."""
     lam = p.lambda_ps(q)
     n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
     ta = activation_time(alpha, q, p, push, metric)
-    xd = _xdot_ps(t, lam, push, n)
-    if t >= ta:  # right limit at the jump
-        xd += p.lambda_pu
-    return xd
+    return _xdot_ps(t, lam, push, n) + np.where(t >= ta, p.lambda_pu, 0.0)
 
 
-def metric_value(t: float, q: Quality, alpha: float, p: ModelParams,
-                 push: PushKind, metric: MetricKind) -> float:
-    """The access metric observed at time t under population threshold alpha."""
+def metric_value(t: float, q: Quality, alpha, p: ModelParams,
+                 push: PushKind, metric: MetricKind):
+    """The access metric observed at time t under population threshold
+    alpha; elementwise in alpha like viewcount."""
     if not 0.0 <= t <= p.tau:
         raise DynamicsError("metric_value is defined on [0, tau]")
     if metric is MetricKind.PLAIN_VIEWCOUNT:
         return viewcount(t, q, alpha, p, push, metric)
     if metric is MetricKind.TREND:
-        return _xdot(t, q, alpha, p, push, metric)
+        return _float_or_array(_xdot(t, q, alpha, p, push, metric))
     if metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-        return _xdot(t, q, alpha, p, push, metric) * viewcount(t, q, alpha, p, push, metric)
+        return _float_or_array(_xdot(t, q, alpha, p, push, metric)
+                               * viewcount(t, q, alpha, p, push, metric))
     xt = viewcount(p.tau, q, alpha, p, push, metric)
     xnow = viewcount(t, q, alpha, p, push, metric)
     return 0.5 * (xt * xt - xnow * xnow)
@@ -345,7 +339,7 @@ def _cross_plain_raw(beta, alpha, q, p, push):
         return np.where(beta <= alpha, pure, boosted)
     # saturating push plus pull: Lambert form, robust for beta past n
     n = p.require_pool()
-    t = _t_ps_inverse_arr(beta, lam, n)
+    t = np.asarray(_t_ps_inverse(beta, lam, push, n))
     zeta = lam * n / lpu if lpu > 0.0 else INF
     boosted = (beta > alpha) & (alpha < n)
     if not math.isfinite(zeta) or not boosted.any():
@@ -433,11 +427,14 @@ def _cross_product_sat(beta, alpha, lams, p, strict: bool):
                              PushKind.EXPONENTIAL_SATURATING, n)
     r_lv, f_lv = _product_pieces(ta_lv, lam_col, p)
     ta, r, f = (v[:, inverse.ravel()].ravel() for v in (ta_lv, r_lv, f_lv))
-    beta = np.broadcast_to(beta, shape).ravel()
-    lam = np.broadcast_to(lam, shape).ravel()
-    with np.errstate(invalid="ignore"):  # ta = INF: no jump, NaN bounds
-        y_lo, y_hi = _product_jump(ta, lam, lpu, n)
-    gap = (beta > y_lo) & (beta < y_hi) if strict else np.zeros(t.shape, bool)
+    beta, alpha, lam = (np.broadcast_to(v, shape).ravel()
+                        for v in (beta, alpha, lam))
+    with np.errstate(invalid="ignore"):  # ta = INF: no jump, NaN bound
+        y_hi = _y_post(ta, ta, lam, lpu, n)
+    # the jump runs from y(ta-) = alpha itself: recomputed from ta that
+    # is off by an ulp either way, and the own threshold's payoff would
+    # be decided by rounding
+    gap = (beta > alpha) & (beta < y_hi) if strict else np.zeros(t.shape, bool)
     post = ~gap & (t > ta)
     t[post] = ta[post]  # inside the activation jump; up is past it
     up = np.flatnonzero(post & (beta > y_hi))
@@ -555,52 +552,45 @@ def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
                                           np.asarray(alpha, dtype=float))
         cross = (_cross_plain_raw if metric is MetricKind.PLAIN_VIEWCOUNT
                  else _cross_product_raw)
-        t = cross(beta, alpha, q, p, push)
-        return float(t) if np.ndim(t) == 0 else t
+        return _float_or_array(cross(beta, alpha, q, p, push))
     if metric is MetricKind.TREND:
-        lam = p.lambda_ps(q)
-        n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
-        ta = _t_alpha_trend(alpha, lam, push, n)
-        base = _xdot_ps(0.0, lam, push, n)
-        if beta <= base:
-            return 0.0
-        if ta < INF and beta <= base + p.lambda_pu:
-            return ta  # trend jumps by lambda_pu at activation (t=0 here)
-        return INF
+        # the trend is largest at t = 0, where any activation happens too
+        return 0.0 if beta <= beta_tau(q, alpha, p, push, metric) else INF
     return _cross_side_info_raw(beta, q, alpha, p, push)
 
 
-def beta_tau(q: Quality, alpha: float, p: ModelParams,
-             push: PushKind, metric: MetricKind) -> float:
+def beta_tau(q: Quality, alpha, p: ModelParams,
+             push: PushKind, metric: MetricKind):
     """Largest threshold quality q can meet within the lifetime.
 
     Plain viewcount peaks at tau, the look-ahead metric at 0. The trend
     is largest at 0, and trend*viewcount at one of its breakpoints: the
     push-only peak, the activation jump, the local maximum of the
     post-activation curve (see _product_pieces) or tau.
+
+    Elementwise in alpha: a float for a scalar, an array otherwise. The
+    look-ahead metric takes a scalar alpha only.
     """
-    if metric is MetricKind.PLAIN_VIEWCOUNT:
-        return metric_value(p.tau, q, alpha, p, push, metric)
-    if metric is MetricKind.SIDE_INFORMATION:
-        return metric_value(0.0, q, alpha, p, push, metric)
+    if metric in (MetricKind.TREND, MetricKind.SIDE_INFORMATION):
+        return metric_value(0.0, q, alpha, p, push, metric)  # decreasing
     lam, lpu, tau = p.lambda_ps(q), p.lambda_pu, p.tau
     n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
-    if metric is MetricKind.TREND:
-        base = _xdot_ps(0.0, lam, push, n)
-        return base + lpu if _t_alpha_trend(alpha, lam, push, n) == 0.0 else base
-    if push is PushKind.LINEAR:
-        return metric_value(tau, q, alpha, p, push, metric)  # increasing
+    y_tau = metric_value(tau, q, alpha, p, push, metric)
+    if metric is MetricKind.PLAIN_VIEWCOUNT or push is PushKind.LINEAR:
+        return y_tau  # increasing
     # without pull the push-only curve is the whole path
     ta = activation_time(alpha, q, p, push, metric) if lpu > 0.0 else INF
     # push-only, y rises to lam n^2/4 at ln 2/lam and falls after it
-    cands = [lam * n * n / 4.0] if math.log(2.0) / lam <= min(ta, tau) else []
-    if ta > tau:
-        cands.append(_y_push(tau, lam, n))
-    else:
-        # y(ta+) >= y(ta-): the jump adds lpu * X(ta)
+    y = np.maximum(y_tau, np.where(math.log(2.0) / lam <= np.minimum(ta, tau),
+                                   lam * n * n / 4.0, -INF))
+    if lpu > 0.0:
+        # y(ta+) >= y(ta-): the jump adds lpu * X(ta); r >= ta
         r, _ = _product_pieces(ta, lam, p)
-        cands += [_y_post(t, ta, lam, lpu, n) for t in (ta, tau, r) if t <= tau]
-    return float(max(cands))
+        with np.errstate(invalid="ignore"):  # ta = INF: NaN, never taken
+            for t in (ta, r):
+                y = np.maximum(y, np.where(t <= tau, _y_post(t, ta, lam, lpu, n),
+                                           -INF))
+    return _float_or_array(y)
 
 
 def horizon_window(q: Quality, p: ModelParams, push: PushKind) -> tuple:
@@ -638,16 +628,6 @@ def sample_trajectory(q: Quality, alpha: float, p: ModelParams,
         pts.append(horizon_window(q, p, push)[:2])
     t = np.concatenate(pts)
     t = np.unique(t[(t >= 0.0) & (t <= p.tau)])
-    lam = p.lambda_ps(q)
-    n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
-    ta = activation_time(alpha, q, p, push, metric)
-    if push is PushKind.LINEAR:
-        x = lam * t
-        xd = np.full_like(t, lam)
-    else:
-        x = n * (1.0 - np.exp(-lam * t))
-        xd = lam * n * np.exp(-lam * t)
-    active = t >= ta
-    x = x + np.where(active, p.lambda_pu * (t - ta), 0.0)
-    xd = xd + np.where(active, p.lambda_pu, 0.0)
-    return Trajectory(quality=q, alpha=alpha, t=t, x=x, xdot=xd)
+    return Trajectory(quality=q, alpha=alpha, t=t,
+                      x=viewcount(t, q, alpha, p, push, metric),
+                      xdot=_xdot(t, q, alpha, p, push, metric))

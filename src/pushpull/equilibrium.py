@@ -246,11 +246,13 @@ def classify_variable_horizon(belief: Belief, p: ModelParams) -> EquilibriumSet:
 
     def alpha_0():
         # t_a(q) = -ln(1 - a/n)/lam_q turns the window comparison into
-        # ln(1 - a/n) = d; never formed in the interval-full branch, where
-        # the denominator can vanish and exp(d) overflow
-        d = (pib * t1b_eff - pig * t1g) / (
-            pig / p.lambda_ps_g - pib / p.lambda_ps_b)
-        return max(0.0, n * (1.0 - math.exp(d)))
+        # ln(1 - a/n) = d. Below rho = lam_G/lam_B the denominator is
+        # negative; next to that boundary it can round to 0, where d takes
+        # its one-sided limit. d >= 0 clamps to 0 (1 - e^d <= 0).
+        num = pib * t1b_eff - pig * t1g
+        den = pig / p.lambda_ps_g - pib / p.lambda_ps_b
+        d = num / den if den != 0.0 else (-INF if num > 0.0 else 0.0)
+        return -n * math.expm1(d) if d < 0.0 else 0.0
 
     if rho >= p.lambda_ps_g / p.lambda_ps_b:
         return EquilibriumSet(

@@ -8,8 +8,10 @@ A sweep over many population thresholds alpha is one flattened grid and
 one vectorized utility pass. Every alpha gets a deviation row: n_beta
 evenly spaced thresholds on [0, cap(alpha)] plus the row's own extra
 points (alpha itself, the VariableHorizon window kinks, and each
-discontinuity preimage with its +-eps neighbours). All rows are built
-as one NaN-padded 2-D array, sorted and deduplicated along each row,
+discontinuity preimage with its +-eps neighbours). The caps and the
+extras are computed as columns, one elementwise call each over all
+alphas, with NaN where a row has no such point. All rows are built as
+one NaN-padded 2-D array, sorted and deduplicated along each row,
 and flattened with row offsets. U(alpha_i, beta) is then evaluated over
 the flat array with alpha given per element; each row's maximum comes
 from a segmented reduction and its own-threshold utility by index.
@@ -74,11 +76,11 @@ class GridSpec:
         return self.tol if self.tol is not None else 1e-6 * p.tau
 
 
-def _window_kinks(alpha: float, p: ModelParams) -> list:
+def _window_kinks(alpha, p: ModelParams) -> list:
     # levels where a trend window dies under the deviator's crossing
     # dynamics: pure push for the tau0 terms, population-boosted for tau1.
     # The deviation optimum sits exactly on these kinks, so a grid that
-    # skips them certifies false fixed points nearby.
+    # skips them certifies false fixed points nearby. Elementwise in alpha.
     push = PushKind.EXPONENTIAL_SATURATING
     out = []
     for q in (Quality.GOOD, Quality.BAD):
@@ -90,17 +92,17 @@ def _window_kinks(alpha: float, p: ModelParams) -> list:
     return out
 
 
-def _row_extras(alpha: float, cap: float, p: ModelParams,
-                s: Scenario) -> list:
-    # points a uniform grid would step over: the population threshold
-    # itself, the window kinks and both sides of every discontinuity
-    eps = 1e-9 * max(cap, 1e-9)
-    extra = [min(alpha, cap)]
+def _row_extras(alphas, caps, p: ModelParams, s: Scenario) -> np.ndarray:
+    """Points a uniform grid would step over, one row per alpha: the
+    population threshold itself, the window kinks and both sides of
+    every discontinuity (NaN where there is none)."""
+    eps = 1e-9 * np.maximum(caps, 1e-9)
+    cols = [np.minimum(alphas, caps)]
     if s is Scenario.VARIABLE_HORIZON:
-        extra.extend(_window_kinks(alpha, p))
-    for d in discontinuity_preimages(alpha, p, s):
-        extra.extend((d - eps, d, d + eps))
-    return extra
+        cols.extend(_window_kinks(alphas, p))
+    for d in discontinuity_preimages(alphas, p, s):
+        cols.extend((d - eps, d, d + eps))
+    return np.column_stack(np.broadcast_arrays(*cols))
 
 
 def _beta_rows(alphas, p: ModelParams, s: Scenario,
@@ -114,17 +116,14 @@ def _beta_rows(alphas, p: ModelParams, s: Scenario,
     positive is the single threshold 0.
     """
     alphas = np.asarray(alphas, dtype=float)
-    caps = np.array([strategy_cap(float(a), p, s) for a in alphas])
-    extras = [_row_extras(float(a), cap, p, s) if cap > 0.0 else []
-              for a, cap in zip(alphas, caps)]
-    ext = np.full((alphas.size, max(map(len, extras), default=0)), np.nan)
-    for row, e in zip(ext, extras):
-        row[:len(e)] = e
+    caps = strategy_cap(alphas, p, s)
     # arange * step with the cap as last column is np.linspace(0, cap,
     # n_beta) bit for bit, one row per cap (unless the step underflows)
     base = np.arange(n_beta) * (caps / (n_beta - 1))[:, None]
     base[:, -1] = caps
-    grid = np.concatenate([base, np.clip(ext, 0.0, caps[:, None])], axis=1)
+    grid = np.concatenate(
+        [base, np.clip(_row_extras(alphas, caps, p, s), 0.0, caps[:, None])],
+        axis=1)
     empty = caps <= 0.0
     grid[empty] = np.nan
     grid[empty, 0] = 0.0

@@ -38,11 +38,12 @@ from .dynamics import (
     activation_time,
     beta_tau,
     horizon_window,
+    viewcount,
     _cross_plain_raw,
     _cross_product_sat,
-    _product_jump,
-    _t_ps_inverse_arr,
-    _x_ps,
+    _float_or_array,
+    _t_ps_inverse,
+    _y_post,
 )
 from .numerics import BracketedFunction, find_root, lambert_w0_log
 
@@ -155,12 +156,17 @@ def require_exp_hypotheses(p: ModelParams, error: type) -> float:
     return n
 
 
-def strategy_cap(alpha: float, p: ModelParams, s: Scenario) -> float:
-    """Largest threshold the bad content can meet: the strategy space cap."""
+def strategy_cap(alpha, p: ModelParams, s: Scenario):
+    """Largest threshold the bad content can meet: the strategy space cap.
+
+    Elementwise in alpha, for every scenario: a float for a scalar, an
+    array otherwise.
+    """
     p, s = reduce_scenario(p, s)
     if s is Scenario.SIDE_INFORMATION:
         # look-ahead value of the bad content at t=0, push audience only
-        return 0.5 * (p.lambda_ps_b * p.tau) ** 2
+        return _float_or_array(
+            np.full(np.shape(alpha), 0.5 * (p.lambda_ps_b * p.tau) ** 2))
     return beta_tau(Quality.BAD, alpha, p, s.push, s.metric)
 
 
@@ -178,7 +184,7 @@ def symmetric_cap(p: ModelParams, s: Scenario) -> float:
         push = PushKind.EXPONENTIAL_SATURATING
         _, t1b, _ = horizon_window(Quality.BAD, p, push)
         t_end = min(max(t1b, 0.0), p.tau)
-        return _x_ps(t_end, p.lambda_ps_b, push, p.require_pool())
+        return viewcount(t_end, Quality.BAD, INF, p, push)
     return strategy_cap(INF, p, s)
 
 
@@ -222,10 +228,10 @@ def _variable_horizon_utility(alpha, beta, belief, p):
     # window can reopen when the population pulls at t_alpha
     below = ~above
     b, a = beta[below], alpha[below]
-    tbp_g = _t_ps_inverse_arr(b, lam_g, n)
-    tbp_b = _t_ps_inverse_arr(b, lam_b, n)
-    ta_g = _t_ps_inverse_arr(a, lam_g, n)
-    ta_b = _t_ps_inverse_arr(a, lam_b, n)
+    tbp_g = _t_ps_inverse(b, lam_g, push, n)
+    tbp_b = _t_ps_inverse(b, lam_b, push, n)
+    ta_g = _t_ps_inverse(a, lam_g, push, n)
+    ta_b = _t_ps_inverse(a, lam_b, push, n)
     # alpha > xth_g: both qualities reopen their window when the
     # population pulls; xth_b <= alpha <= xth_g: good stays trending
     # throughout, bad reopens; below both: the bad-side cost window
@@ -287,18 +293,17 @@ def utility(alpha, beta, belief: Belief, p: ModelParams,
     if (beta < 0.0).any():
         raise UtilityError("beta must be nonnegative")
     p, s = reduce_scenario(p, s)
-    alpha, beta = np.broadcast_arrays(alpha, beta)
     if enforce_cap:
-        # the cap depends on alpha only: one evaluation per distinct alpha
-        levels, inverse = np.unique(alpha, return_inverse=True)
-        caps = np.array([strategy_cap(float(a), p, s) for a in levels])
-        caps = caps[inverse].reshape(alpha.shape)
+        # before broadcasting: the cap depends on alpha only
+        caps = strategy_cap(alpha, p, s)
         over = beta > caps * (1.0 + 1e-12)
         if np.any(over):
             k = np.flatnonzero(over)[0]
             raise UtilityError(
-                f"beta={beta.flat[k]} exceeds the bad-content cap "
-                f"beta_tau(Bad)={caps.flat[k]}")
+                f"beta={np.broadcast_to(beta, over.shape).flat[k]} exceeds "
+                "the bad-content cap beta_tau(Bad)="
+                f"{np.broadcast_to(caps, over.shape).flat[k]}")
+    alpha, beta = np.broadcast_arrays(alpha, beta)
     if s in (Scenario.LINEAR_FIXED_HORIZON, Scenario.EXPONENTIAL_FIXED_HORIZON):
         u = _fixed_horizon_utility(alpha, beta, belief, p, s.push)
     elif s is Scenario.VARIABLE_HORIZON:
@@ -307,7 +312,7 @@ def utility(alpha, beta, belief: Belief, p: ModelParams,
         u = _trend_exp_utility(alpha, beta, belief, p)
     else:
         u = _side_info_utility(alpha, beta, belief, p)
-    return float(u) if np.ndim(u) == 0 else u
+    return _float_or_array(u)
 
 
 # -- best responses ----------------------------------------------------------
@@ -526,25 +531,25 @@ def closed_form_best_response(alpha: float, belief: Belief, p: ModelParams,
 
 # -- utility surface ----------------------------------------------------------
 
-def discontinuity_preimages(alpha: float, p: ModelParams,
-                            s: Scenario) -> List[float]:
-    """Metric values at the population activation, per quality.
+def discontinuity_preimages(alpha, p: ModelParams, s: Scenario) -> np.ndarray:
+    """Metric values at the population activation, one row per value.
 
-    For continuous metrics this is just alpha; trend*viewcount jumps at
-    activation, so both one-sided values enter.
+    Elementwise in alpha: the result has shape (k,) + shape(alpha). For
+    continuous metrics the one row is alpha itself. Trend*viewcount
+    jumps at activation, so it gives both one-sided values per quality,
+    y(ta-) = alpha and y(ta+), NaN where that quality never activates.
     """
     p, s = reduce_scenario(p, s)
-    out: List[float] = []
+    alpha = np.asarray(alpha, dtype=float)
+    if s.metric is not MetricKind.TREND_TIMES_VIEWCOUNT:
+        return alpha[None]
+    rows = []
     for q in (Quality.GOOD, Quality.BAD):
         ta = activation_time(alpha, q, p, s.push, s.metric)
-        if ta == INF:
-            continue
-        if s.metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-            out.extend(float(y) for y in _product_jump(
-                ta, p.lambda_ps(q), p.lambda_pu, p.require_pool()))
-        else:
-            out.append(alpha)
-    return out
+        with np.errstate(invalid="ignore"):  # ta = INF: NaN, masked below
+            y_hi = _y_post(ta, ta, p.lambda_ps(q), p.lambda_pu, p.require_pool())
+        rows += [np.where(np.isfinite(ta), y, np.nan) for y in (alpha, y_hi)]
+    return np.array(rows)
 
 
 def utility_surface(alpha: float, belief: Belief, p: ModelParams,
@@ -559,20 +564,20 @@ def utility_surface(alpha: float, belief: Belief, p: ModelParams,
         raise UtilityError("n_grid must be at least 2")
     cap = strategy_cap(alpha, p, s)
     grid = np.linspace(0.0, cap, n_grid) if cap > 0.0 else np.array([0.0])
-    # both utility calls stay inside [0, cap] by construction
-    rows = [(b, u, "below_alpha" if b <= alpha else "above_alpha", 1)
-            for b, u in zip(grid.tolist(), utility(
-                alpha, grid, belief, p, s, enforce_cap=False).tolist())]
     eps = 1e-9 * max(cap, 1e-9)
-    jumps = [d for d in _dedup(discontinuity_preimages(alpha, p, s), cap)
-             if 0.0 < d < cap]
-    if jumps:
-        d = np.array(jumps)
-        us = utility(alpha, np.concatenate([np.maximum(d - eps, 0.0),
-                                            np.minimum(d + eps, cap)]),
-                     belief, p, s, enforce_cap=False).tolist()
-        for d, u_left, u_right in zip(jumps, us, us[len(jumps):]):
-            rows.append((d, u_left, "left_limit", 0))
-            rows.append((d, u_right, "right_limit", 2))
+    jumps = _dedup([d for d in discontinuity_preimages(alpha, p, s).tolist()
+                    if 0.0 < d < cap], cap)
+    d = np.array(jumps)
+    # one utility call over the grid and both limits of every jump, all
+    # inside [0, cap] by construction
+    us = utility(alpha, np.concatenate([grid, np.maximum(d - eps, 0.0),
+                                        np.minimum(d + eps, cap)]),
+                 belief, p, s, enforce_cap=False).tolist()
+    rows = [(b, u, "below_alpha" if b <= alpha else "above_alpha", 1)
+            for b, u in zip(grid.tolist(), us)]
+    for d, u_left, u_right in zip(jumps, us[grid.size:],
+                                  us[grid.size + len(jumps):]):
+        rows.append((d, u_left, "left_limit", 0))
+        rows.append((d, u_right, "right_limit", 2))
     rows.sort(key=lambda r: (r[0], r[3]))
     return [(b, u, branch) for b, u, branch, _ in rows]

@@ -4,6 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pushpull import (
@@ -19,7 +20,14 @@ from pushpull import (
     symmetric_cap,
     utility,
 )
-from pushpull.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from pushpull.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    _check_equilibrium_set,
+    _draw_model,
+    main,
+)
 
 CLOSED_FORM = [s.value for s in Scenario
                if s is not Scenario.TREND_VIEWCOUNT_EXPONENTIAL]
@@ -202,6 +210,32 @@ def test_verify_variable_horizon_seed_1045(tmp_path, capsys):
                          scenario="VariableHorizon", n_draws=1, seed=1045)
     assert out.splitlines()[0].startswith("draw 000: PASS ")
     assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-9, 0.0])
+def test_variable_horizon_knife_edge_at_the_push_ratio(r):
+    # rho = (1 - r) lam_G/lam_B: just below the boundary alpha_0's
+    # exponent has a denominator tending to 0 (it rounds to 0 next to
+    # it); the limit must come out, not OverflowError or ZeroDivisionError
+    s = Scenario.VARIABLE_HORIZON
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        _, p = _draw_model(s, rng)
+        rho = (1.0 - r) * p.lambda_ps_g / p.lambda_ps_b
+        b = Belief(rho / (1.0 + rho), 1.0 / (1.0 + rho))
+        eq, _ = classify(s, b, p)
+        assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
+
+
+def test_classify_oracle_check_next_to_the_push_ratio(tmp_path, capsys):
+    # rho is 1e-9 relative below lam_G/lam_B = 2
+    params = {"lambda_ps_g": 0.2, "lambda_ps_b": 0.1, "lambda_pu": 260.0,
+              "tau": 10.0, "n_pool": 1000.0, "gamma_th": 300.0}
+    belief = {"pi_g": 0.6666666664444444, "pi_b": 0.3333333335555556}
+    rc, _, err = run_cli("classify", tmp_path, capsys, "--out",
+                         str(tmp_path / "out.json"), scenario="VariableHorizon",
+                         params=params, belief=belief, oracle_check=True)
+    assert rc == EXIT_OK, err
 
 
 SIM = {"seed": 3, "n_push_pool": 1000}

@@ -562,3 +562,100 @@ def test_product_passage_at_vanishing_pull(lpu):
         assert t == pytest.approx(push_only, rel=1e-6)
         assert beta_tau(q, 5000.0, p, EXP, TV) == pytest.approx(
             beta_tau(q, INF, p, EXP, TV), rel=1e-12)
+
+
+# -- elementwise front: arrays against loops of scalar calls ------------------
+
+# (params, push): linear, saturating, and both without pull
+FRONT_CASES = [
+    (ModelParams(0.2, 0.1, 1.0, 10.0), LIN),
+    (ModelParams(0.2, 0.1, 0.0, 10.0), LIN),
+    (ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0), EXP),
+    (ModelParams(0.1, 0.05, 0.0, 8.0, n_pool=1000.0), EXP),
+]
+ARRAY_METRICS = [PLAIN, MetricKind.TREND, TV]
+
+
+def _front_alphas(p, push, metric):
+    # 0, interior levels, the push-only top of the metric, and for
+    # saturating push thresholds at and past the pool
+    top = beta_tau(Quality.GOOD, INF, p, push, metric)
+    alphas = [0.0, 0.3 * top, 0.7 * top, top, 2.0 * top]
+    if push is EXP:
+        alphas += [p.n_pool, 1.5 * p.n_pool]
+    return np.array(alphas)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("p, push", FRONT_CASES)
+@pytest.mark.parametrize("metric", ARRAY_METRICS)
+def test_front_on_arrays_equals_scalar_loops(p, push, metric):
+    alphas = _front_alphas(p, push, metric)
+    ts = np.linspace(0.0, p.tau, alphas.size)
+    for q in Quality:
+        for fn, arr, one in (
+                (activation_time,
+                 activation_time(alphas, q, p, push, metric),
+                 [activation_time(float(a), q, p, push, metric)
+                  for a in alphas]),
+                (beta_tau,
+                 beta_tau(q, alphas, p, push, metric),
+                 [beta_tau(q, float(a), p, push, metric) for a in alphas]),
+                (viewcount,
+                 viewcount(ts, q, alphas, p, push, metric),
+                 [viewcount(float(t), q, float(a), p, push, metric)
+                  for t, a in zip(ts, alphas)])):
+            assert isinstance(arr, np.ndarray), fn.__name__
+            assert all(isinstance(v, float) for v in one), fn.__name__
+            assert _bits(arr) == _bits(one), fn.__name__
+        # t and alpha broadcast against each other
+        grid = viewcount(ts[:, None], q, alphas, p, push, metric)
+        assert grid.shape == (ts.size, alphas.size)
+        assert _bits(grid[:, 2]) == _bits(viewcount(ts, q, alphas[2], p,
+                                                    push, metric))
+
+
+def test_front_rejects_negative_inputs_on_arrays():
+    p = ModelParams(0.2, 0.1, 1.0, 10.0)
+    with pytest.raises(DynamicsError):
+        activation_time(np.array([1.0, -1.0]), Quality.GOOD, p, LIN, PLAIN)
+    with pytest.raises(DynamicsError):
+        viewcount(np.array([1.0, -1.0]), Quality.GOOD, 0.5, p, LIN)
+
+
+def _inline_trajectory(q, alpha, p, push, metric, t):
+    # the formulas sample_trajectory evaluated on its grid before it
+    # called viewcount and _xdot; kept as the reference
+    lam = p.lambda_ps(q)
+    n = p.require_pool() if push is EXP else 0.0
+    ta = activation_time(alpha, q, p, push, metric)
+    if push is LIN:
+        x = lam * t
+        xd = np.full_like(t, lam)
+    else:
+        x = n * (1.0 - np.exp(-lam * t))
+        xd = lam * n * np.exp(-lam * t)
+    active = t >= ta
+    with np.errstate(invalid="ignore"):  # lambda_pu = 0 with ta = inf
+        x = x + np.where(active, p.lambda_pu * (t - ta), 0.0)
+    xd = xd + np.where(active, p.lambda_pu, 0.0)
+    return x, xd
+
+
+@pytest.mark.parametrize("p, push", FRONT_CASES)
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_trajectory_equals_inline_formulas(p, push, metric):
+    if metric is MetricKind.SIDE_INFORMATION:
+        alphas = [0.0, 0.2 * metric_value(0.0, Quality.BAD, INF, p, push,
+                                          metric)]
+    else:
+        alphas = _front_alphas(p, push, metric).tolist()
+    for q in Quality:
+        for alpha in alphas:
+            tr = sample_trajectory(q, alpha, p, push, metric, n_samples=101)
+            x, xd = _inline_trajectory(q, alpha, p, push, metric, tr.t)
+            assert tr.x.tobytes() == x.tobytes()
+            assert tr.xdot.tobytes() == xd.tobytes()

@@ -9,7 +9,10 @@ from pushpull import (
     Belief,
     GridSpec,
     ModelParams,
+    PushKind,
+    Quality,
     Scenario,
+    activation_time,
     classify_exponential,
     classify_linear,
     find_symmetric_equilibria,
@@ -18,7 +21,8 @@ from pushpull import (
     symmetric_cap,
     utility,
 )
-from pushpull.oracle import _beta_grid, _beta_rows
+from pushpull.oracle import _beta_grid, _beta_rows, _window_kinks
+from pushpull.utility import discontinuity_preimages
 
 INF = math.inf
 ALL_SCENARIOS = list(Scenario)
@@ -199,7 +203,6 @@ def test_oracle_confirms_upper_subinterval_band():
 
 
 def test_variable_horizon_beta_grid_contains_window_kinks():
-    from pushpull.oracle import _window_kinks
     alpha = 150.0
     kinks = _window_kinks(alpha, VH_P)
     betas = _beta_grid(alpha, VH_P, Scenario.VARIABLE_HORIZON, 120)
@@ -218,3 +221,78 @@ def test_zero_pull_oracle_is_alpha_independent():
     u2 = grid_best_response(1.7, b, p, Scenario.LINEAR_FIXED_HORIZON, g)
     assert u1[0] == u2[0]
     assert abs(u1[-1] - u2[-1]) <= 1e-12
+
+
+def _scalar_row(alpha, p, s, n_beta):
+    # reference: one row from scalar calls, the extras gathered one alpha
+    # at a time as the rows were built before the extras became columns
+    cap = strategy_cap(alpha, p, s)
+    if cap <= 0.0:
+        return np.array([0.0])
+    eps = 1e-9 * max(cap, 1e-9)
+    extra = [min(alpha, cap)]
+    if s is Scenario.VARIABLE_HORIZON:
+        extra.extend(_window_kinks(alpha, p))
+    for d in discontinuity_preimages(alpha, p, s).tolist():
+        if not math.isnan(d):
+            extra.extend((d - eps, d, d + eps))
+    row = np.concatenate([np.linspace(0.0, cap, n_beta), extra])
+    return np.unique(np.clip(row, 0.0, cap))
+
+
+def _row_alphas(p, s):
+    cap = strategy_cap(INF, p, s)
+    alphas = [0.0, 0.4 * cap, cap]
+    if s.push is PushKind.EXPONENTIAL_SATURATING:
+        alphas.append(1.5 * p.n_pool)
+    return np.array(alphas)
+
+
+@pytest.mark.parametrize("s", ALL_SCENARIOS)
+def test_beta_rows_equal_scalar_row_reference(s):
+    p = params_for(s)
+    alphas = _row_alphas(p, s)
+    betas, starts = _beta_rows(alphas, p, s, 45)
+    ends = np.append(starts[1:], betas.size)
+    for alpha, lo, hi in zip(alphas, starts, ends):
+        ref = _scalar_row(float(alpha), p, s, 45)
+        assert betas[lo:hi].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("s", ALL_SCENARIOS)
+@pytest.mark.parametrize("no_pull", [False, True])
+def test_strategy_cap_on_arrays_equals_scalar_loop(s, no_pull):
+    p = params_for(s)
+    if no_pull:
+        p = ModelParams(p.lambda_ps_g, p.lambda_ps_b, 0.0, p.tau,
+                        n_pool=p.n_pool, gamma_th=p.gamma_th)
+    alphas = _row_alphas(p, s)
+    caps = strategy_cap(alphas, p, s)
+    one = [strategy_cap(float(a), p, s) for a in alphas]
+    assert isinstance(caps, np.ndarray)
+    assert all(isinstance(c, float) for c in one)
+    assert caps.tobytes() == np.array(one).tobytes()
+
+
+@pytest.mark.parametrize("belief, at_zero", [(Belief(0.4, 0.6), False),
+                                             (Belief(0.75, 0.25), True)])
+def test_trend_exp_own_threshold_payoff_is_exact(belief, at_zero):
+    # with the population at alpha the deviator playing alpha crosses
+    # exactly at each quality's activation: y(ta-) = alpha, not a value
+    # recomputed from ta that rounding puts on either side of the jump
+    s = Scenario.TREND_VIEWCOUNT_EXPONENTIAL
+    cap = symmetric_cap(EXP_P, s)
+    alphas = np.linspace(0.0, cap, 62)[1:-1]
+    ref = []
+    for a in alphas.tolist():
+        ta_g, ta_b = (activation_time(a, q, EXP_P, s.push, s.metric)
+                      for q in Quality)
+        ref.append(belief.pi_g * max(EXP_P.tau - ta_g, 0.0)
+                   - belief.pi_b * max(EXP_P.tau - ta_b, 0.0))
+        assert utility(a, a, belief, EXP_P, s) == ref[-1]
+    assert utility(alphas, alphas, belief, EXP_P, s).tolist() == ref
+    # so the grid fixed points no longer scatter with the resolution
+    for n_alpha in (101, 401):
+        found = find_symmetric_equilibria(belief, EXP_P, s,
+                                          GridSpec(n_alpha=n_alpha))
+        assert found.tolist() == ([0.0, cap] if at_zero else [cap])
