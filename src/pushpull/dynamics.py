@@ -23,7 +23,7 @@ from .numerics import (
     BracketedFunction,
     find_root,
     find_root_arr,
-    lambert_w0_log_arr,
+    lambert_w0_log,
 )
 
 INF = math.inf
@@ -348,7 +348,7 @@ def _cross_plain_raw(beta, alpha, q, p, push):
         return t
     c = -zeta * (1.0 - beta[boosted] / n) - np.log1p(-alpha[boosted] / n)
     log_zeta = math.log(lam * n) - math.log(lpu)
-    w = lambert_w0_log_arr(log_zeta - c)
+    w = lambert_w0_log(log_zeta - c)
     # c + w = ln(zeta) - ln(w) exactly, and the latter form stays accurate
     # when zeta blows up (tiny pull rate) and c, w cancel to leading order
     with np.errstate(divide="ignore"):
@@ -545,7 +545,8 @@ def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
     element: the result is a float for two scalars and an array
     otherwise. The trend and look-ahead metrics take scalars only.
     """
-    if np.any(np.less(beta, 0.0)):
+    # np.less, not <: beta may also be a list
+    if np.count_nonzero(np.less(beta, 0.0)):
         raise DynamicsError("beta must be nonnegative")
     if metric in (MetricKind.PLAIN_VIEWCOUNT, MetricKind.TREND_TIMES_VIEWCOUNT):
         beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),

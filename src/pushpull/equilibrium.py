@@ -125,15 +125,16 @@ def classify_linear(belief: Belief, p: ModelParams) -> EquilibriumSet:
 
     The deviator utility is piecewise linear in beta, so everything is
     decided by two slope signs. When waiting is cheap for good relative
-    to bad content below the population threshold (pi_G/lam_G >=
+    to bad content below the population threshold (pi_G/lam_G >
     pi_B/lam_B) the unique equilibrium is immediate access; when the
     pulled rates also keep the upper branch non-increasing every
     threshold up to the cap (symmetric_cap) is a fixed point; otherwise
-    only the cap.
+    only the cap. At the tie pi_G/lam_G = pi_B/lam_B the lower branch
+    is flat, so every threshold up to the cap is a fixed point again.
     """
     cap = symmetric_cap(p, Scenario.LINEAR_FIXED_HORIZON)
     pig, pib = belief.pi_g, belief.pi_b
-    if pig / p.lambda_ps_g >= pib / p.lambda_ps_b:
+    if pig / p.lambda_ps_g > pib / p.lambda_ps_b:
         return EquilibriumSet(
             EquilibriumKind.FINITE_POINTS, points=(0.0,), point_labels=("0",),
             case="i", aux=(("beta_tau_b", cap),))

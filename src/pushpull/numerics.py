@@ -1,8 +1,11 @@
-"""Scalar special functions and root finding used by every other module.
+"""Lambert W and bracketed root finding used by every other module.
 
-Everything here is pure and deterministic. The Lambert solver is
-hand-rolled so its iteration scheme (and therefore every downstream
-crossing time) is reproducible bit-for-bit across platforms.
+Everything here is pure and deterministic. W0 has two implementations:
+`lambert_w0`, the scalar function on its full domain x >= -1/e, and
+`lambert_w0_log`, the one elementwise kernel, which takes ln x for
+positive x and runs a fixed number of steps, so every downstream
+crossing time is reproducible bit for bit. `find_root` bisects one
+bracket and `find_root_arr` an array of brackets with the same iterates.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ def lambert_w0(x: float) -> float:
 
     Accepts x >= -1/e (up to 1e-15 slack below, clipped to the branch
     point). Halley iteration from a regime-dependent seed; relative
-    residual is driven below 1e-12*max(1,|x|).
+    residual is driven below 1e-12*max(1,|x|). Below |x| = 1e-5, where
+    that stop test is met by the seed alone, a Taylor series.
     """
     x = float(x)
     if math.isnan(x):
@@ -46,6 +50,9 @@ def lambert_w0(x: float) -> float:
         x = _INV_E
     if x == 0.0:
         return 0.0
+    if abs(x) < 1e-5:
+        # the first omitted term is (125/24) x^5
+        return x * (1.0 - x * (1.0 - x * (1.5 - (8.0 / 3.0) * x)))
     w = _w0_seed(x)
     for _ in range(_MAX_ITER):
         ew = math.exp(w)
@@ -71,87 +78,35 @@ def lambert_w0(x: float) -> float:
     raise NumericsError(f"lambert_w0: no convergence at x={x}")
 
 
-def lambert_w0_log(log_x: float) -> float:
-    """W0(e^log_x), stable when e^log_x would overflow a double.
+def lambert_w0_log(log_x):
+    """W0(e^log_x) for positive arguments, elementwise.
 
-    Crossing times need W0 of exponentially large arguments when the
-    pull rate is tiny; for log_x > 600 we solve w + ln w = log_x by
-    Newton instead of forming e^log_x.
+    A float for a scalar, an array otherwise. Two fixed
+    Fritsch-Shafer-Crowley steps from ln(1 + e^log_x) (Fritsch, Shafer
+    & Crowley, CACM 16(2), 1973) reach double precision, also where
+    e^log_x would overflow. Below log_x = -40, W(x) = x in doubles.
+    Raises NumericsError on NaN or +inf.
     """
-    if log_x <= 600.0:
-        return lambert_w0(math.exp(log_x))
-    w = log_x - math.log(log_x)
-    for _ in range(_MAX_ITER):
-        g = w + math.log(w) - log_x
-        step = g / (1.0 + 1.0 / w)
-        w -= step
-        if abs(step) <= 1e-15 * w:
-            return w
-    raise NumericsError(f"lambert_w0_log: no convergence at log_x={log_x}")
-
-
-def lambert_w0_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized W0 for the bulk oracle paths. Same scheme as lambert_w0.
-
-    Raises NumericsError where lambert_w0 would: on NaN, below the branch
-    point, and when an element fails to converge (+inf never does, so it
-    is rejected up front rather than after the iteration cap).
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x) | np.isposinf(x)):
-        raise NumericsError("lambert_w0_arr: argument is NaN or +inf")
-    if np.any(x < _INV_E - 1e-15):
-        raise NumericsError("lambert_w0_arr: argument below branch point")
-    xc = np.maximum(x, _INV_E)
-    w = np.log1p(np.maximum(xc, 0.0))
-    neg = xc < 0.0
-    if neg.any():
-        p = np.sqrt(np.maximum(2.0 * (math.e * xc[neg] + 1.0), 0.0))
-        w[neg] = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
-    scale = np.maximum(1.0, np.abs(xc))
-    for _ in range(_MAX_ITER):
-        ew = np.exp(w)
-        f = w * ew - xc
-        if np.all(np.abs(f) <= 1e-13 * scale):
-            break
-        # Halley step; skipped exactly at the branch point, where w + 1 = 0
-        wp1 = w + 1.0
-        safe = np.abs(wp1) > 1e-300
-        wp1[~safe] = 1.0
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= np.where(safe, step, 0.0)
-        np.maximum(w, -1.0, out=w)
-    else:
-        if not np.all(np.abs(w * np.exp(w) - xc) <= 1e-12 * scale):
-            raise NumericsError("lambert_w0_arr: no convergence")
-    return w
-
-
-def lambert_w0_log_arr(log_x: np.ndarray) -> np.ndarray:
-    """Vectorized W0(e^log_x); array counterpart of lambert_w0_log.
-
-    Like lambert_w0_log, raises NumericsError on NaN or +inf and when the
-    large-argument Newton iteration does not converge.
-    """
-    log_x = np.asarray(log_x, dtype=float)
-    if np.any(np.isnan(log_x) | np.isposinf(log_x)):
-        raise NumericsError("lambert_w0_log_arr: argument is NaN or +inf")
-    out = np.empty_like(log_x)
-    small = log_x <= 600.0
-    if np.any(small):
-        out[small] = lambert_w0_arr(np.exp(log_x[small]))
-    if np.any(~small):
-        lx = log_x[~small]
-        w = lx - np.log(lx)
-        for _ in range(_MAX_ITER):
-            step = (w + np.log(w) - lx) / (1.0 + 1.0 / w)
-            w -= step
-            if np.all(np.abs(step) <= 1e-15 * w):
-                break
-        else:
-            raise NumericsError("lambert_w0_log_arr: no convergence")
-        out[~small] = w
-    return out
+    lx = np.asarray(log_x, dtype=float)
+    if np.count_nonzero(np.isnan(lx) | np.isposinf(lx)):
+        raise NumericsError("lambert_w0_log: argument is NaN or +inf")
+    lc = np.maximum(lx, -40.0)
+    # z = ln(x/w) - w. Below log_x = 1 it is formed from x itself: there
+    # w can be tiny and ln x - ln w would lose the digits of w to
+    # cancellation. Above, from log_x, as x may overflow.
+    small = lc < 1.0
+    x = np.exp(np.minimum(lc, 1.0))
+    w = np.logaddexp(0.0, lc)
+    for _ in range(2):
+        r = np.log(np.where(small, x / w, w))
+        z = np.where(small, r, lc - r) - w
+        # FSC's q = 2(1+w)(1+w+2z/3), divided through by 2(1+w) so that
+        # it cannot overflow for huge w
+        u = z / (1.0 + w)
+        q = 1.0 + w + (2.0 / 3.0) * z
+        w = w * (1.0 + u * (q - 0.5 * u) / (q - u))
+    w = np.where(lx < -40.0, np.exp(np.minimum(lx, -40.0)), w)
+    return float(w) if w.ndim == 0 else w
 
 
 @dataclass(frozen=True)

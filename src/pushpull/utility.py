@@ -45,7 +45,7 @@ from .dynamics import (
     _t_ps_inverse,
     _y_post,
 )
-from .numerics import BracketedFunction, find_root, lambert_w0_log
+from .numerics import BracketedFunction, find_root, lambert_w0
 
 INF = math.inf
 
@@ -288,9 +288,9 @@ def utility(alpha, beta, belief: Belief, p: ModelParams,
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if (alpha < 0.0).any():
+    if np.count_nonzero(alpha < 0.0):
         raise UtilityError("alpha must be nonnegative")
-    if (beta < 0.0).any():
+    if np.count_nonzero(beta < 0.0):
         raise UtilityError("beta must be nonnegative")
     p, s = reduce_scenario(p, s)
     if enforce_cap:
@@ -373,9 +373,10 @@ def best_response_linear(alpha: float, belief: Belief,
 
 
 def _exp_one_plus_w(beta, alpha, zeta, n):
-    # 1 + W(zeta (1-alpha/n) e^{zeta (1-beta/n)}), computed in log space
+    # 1 + W(zeta (1-alpha/n) e^{zeta (1-beta/n)}); the hypotheses make
+    # zeta <= 1, so the argument is at most e and exp cannot overflow
     log_arg = math.log(zeta) + math.log1p(-alpha / n) + zeta * (1.0 - beta / n)
-    return 1.0 + lambert_w0_log(log_arg)
+    return 1.0 + lambert_w0(math.exp(log_arg))
 
 
 def best_response_exponential(alpha: float, belief: Belief,

@@ -227,6 +227,26 @@ def test_variable_horizon_knife_edge_at_the_push_ratio(r):
         assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
 
 
+@pytest.mark.parametrize("scenario, rates, belief", [
+    # pi_G/lam_G = pi_B/lam_B, exact in binary: the lower branch is flat
+    ("LinearFixedHorizon", (0.375, 0.125, 0.0), (0.75, 0.25)),
+    ("LinearFixedHorizon", (0.375, 0.125, 0.5), (0.75, 0.25)),
+    ("LinearFixedHorizon", (0.375, 0.125, 1.0), (0.75, 0.25)),
+    ("LinearFixedHorizon", (0.875, 0.125, 0.125), (0.875, 0.125)),
+    ("TrendViewcountLinear", (0.5, 0.25, 1.0), (0.8, 0.2)),
+    # pi_G/(lam_G+lam_pu) = pi_B/(lam_B+lam_pu): the upper branch is flat
+    ("LinearFixedHorizon", (0.875, 0.125, 0.125), (0.8, 0.2)),
+])
+def test_linear_knife_edge_ties_are_the_whole_interval(scenario, rates, belief):
+    s = Scenario.from_tag(scenario)
+    p = ModelParams(*rates, 8.0)
+    b = Belief(*belief)
+    eq, _ = classify(s, b, p)
+    assert eq.case == "ii"
+    assert eq.intervals == ((0.0, symmetric_cap(p, s)),)
+    assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
+
+
 def test_classify_oracle_check_next_to_the_push_ratio(tmp_path, capsys):
     # rho is 1e-9 relative below lam_G/lam_B = 2
     params = {"lambda_ps_g": 0.2, "lambda_ps_b": 0.1, "lambda_pu": 260.0,

@@ -25,8 +25,10 @@ from pushpull import (
     grid_best_response,
     make_report,
     strategy_cap,
+    symmetric_cap,
     utility,
 )
+from pushpull.cli import _check_equilibrium_set
 
 INF = math.inf
 
@@ -78,9 +80,15 @@ def test_linear_last_case_is_the_cap():
 
 
 def test_linear_ratio_tie_goes_to_the_first_case():
-    # pi_g/lambda_g == pi_b/lambda_b lands in the inclusive first branch
-    es = classify_linear(Belief(0.5, 0.5), ModelParams(0.1, 0.1, 0.5, 10.0))
-    assert es.points == (0.0,)
+    # at pi_g/lambda_g == pi_b/lambda_b the utility is flat in beta (here
+    # it is 0 for every beta), so every threshold up to the cap is a
+    # fixed point: the tie is case ii, not the strict case i
+    b, p = Belief(0.5, 0.5), ModelParams(0.1, 0.1, 0.5, 10.0)
+    s = Scenario.LINEAR_FIXED_HORIZON
+    es = classify_linear(b, p)
+    assert es.case == "ii"
+    assert es.intervals == ((0.0, symmetric_cap(p, s)),)
+    assert _check_equilibrium_set(es, b, p, s, GridSpec()) is None
 
 
 @settings(max_examples=40, deadline=None)

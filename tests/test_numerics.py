@@ -1,6 +1,7 @@
 """Lambert W and bracketed root finding against independent references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pushpull import BracketedFunction, NumericsError, find_root, lambert_w0
-from pushpull.numerics import (
-    find_root_arr,
-    lambert_w0_arr,
-    lambert_w0_log,
-    lambert_w0_log_arr,
-)
+from pushpull.numerics import find_root_arr, lambert_w0_log
 
 BRANCH = -math.exp(-1.0)
 
@@ -71,30 +67,61 @@ def test_lambert_w0_log_agrees_with_plain_eval():
 
 
 def test_array_variants_match_scalar():
-    xs = np.array([0.0, 0.3, 2.0, 50.0, -0.2, BRANCH + 1e-9])
-    ws = lambert_w0_arr(xs)
+    xs = np.array([0.0, 0.3, 2.0, 50.0])
+    with np.errstate(divide="ignore"):
+        ws = lambert_w0_log(np.log(xs))
     assert ws.shape == xs.shape
     for x, w in zip(xs, ws):
         assert w == pytest.approx(lambert_w0(float(x)), rel=1e-12, abs=1e-12)
         assert residual(float(w), float(x)) <= 1e-12 * max(1.0, abs(float(x)))
 
-    logs = np.array([-2.0, 0.0, 10.0, 1e4])
-    wl = lambert_w0_log_arr(logs)
-    for lx, w in zip(logs, wl):
-        assert w == pytest.approx(lambert_w0_log(float(lx)), rel=1e-12)
+
+def test_lambert_w0_log_arrays_equal_scalar_calls():
+    logs = np.concatenate([np.linspace(-45.0, 720.0, 1531), [-np.inf, 1e300]])
+    ws = lambert_w0_log(logs)
+    assert isinstance(lambert_w0_log(1.0), float)
+    assert [lambert_w0_log(float(lx)) for lx in logs] == ws.tolist()
 
 
-@pytest.mark.parametrize("array_fn, scalar_fn", [
-    (lambert_w0_arr, lambert_w0),
-    (lambert_w0_log_arr, lambert_w0_log),
-])
+def test_lambert_w0_log_matches_scipy():
+    logs = np.linspace(-40.0, 700.0, 200001)
+    ref = scipy.special.lambertw(np.exp(logs), 0).real
+    assert np.max(np.abs(lambert_w0_log(logs) - ref) / ref) <= 1e-15
+
+
+def test_lambert_w0_log_identity_for_huge_arguments():
+    # e^log_x overflows here: w + ln w = log_x must hold without warnings
+    logs = np.geomspace(1e3, 1e300, 20001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ws = lambert_w0_log(logs)
+    assert np.all(np.abs(ws + np.log(ws) - logs) <= 1e-15 * logs)
+
+
+def test_lambert_w0_log_tiny_arguments():
+    # W(x) = x to double precision below x = e^-40
+    logs = np.array([-np.inf, -1e300, -745.0, -100.0, -40.5])
+    assert lambert_w0_log(logs).tolist() == np.exp(logs).tolist()
+    assert lambert_w0_log(-np.inf) == 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_lambert_w0_near_zero_matches_scipy(sign):
+    xs = sign * np.geomspace(1e-300, 1e-3, 4001)[:-1]
+    ref = scipy.special.lambertw(xs, 0).real
+    ws = np.array([lambert_w0(float(x)) for x in xs])
+    assert np.max(np.abs(ws - ref) / np.abs(ref)) <= 1e-15
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_array_variants_raise_where_scalar_ones_do(array_fn, scalar_fn, bad):
+def test_array_variants_raise_where_scalar_ones_do(bad):
     # one bad element must raise, not ride along as a silent NaN
     with pytest.raises(NumericsError):
-        scalar_fn(bad)
+        lambert_w0(bad)
     with pytest.raises(NumericsError):
-        array_fn(np.array([0.5, bad, 2.0]))
+        lambert_w0_log(bad)
+    with pytest.raises(NumericsError):
+        lambert_w0_log(np.array([0.5, bad, 2.0]))
 
 
 @settings(max_examples=300, deadline=None)
