@@ -113,15 +113,21 @@ def test_lambert_w0_near_zero_matches_scipy(sign):
     assert np.max(np.abs(ws - ref) / np.abs(ref)) <= 1e-15
 
 
+# each array route keeps the id of the array variant it replaced: W0 of an
+# array goes through lambert_w0_log on log x, and lambert_w0_log is elementwise
+@pytest.mark.parametrize("array_fn, scalar_fn", [
+    pytest.param(lambda xs: lambert_w0_log(np.log(xs)), lambert_w0,
+                 id="lambert_w0_arr-lambert_w0"),
+    pytest.param(lambert_w0_log, lambert_w0_log,
+                 id="lambert_w0_log_arr-lambert_w0_log"),
+])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_array_variants_raise_where_scalar_ones_do(bad):
+def test_array_variants_raise_where_scalar_ones_do(array_fn, scalar_fn, bad):
     # one bad element must raise, not ride along as a silent NaN
     with pytest.raises(NumericsError):
-        lambert_w0(bad)
+        scalar_fn(bad)
     with pytest.raises(NumericsError):
-        lambert_w0_log(bad)
-    with pytest.raises(NumericsError):
-        lambert_w0_log(np.array([0.5, bad, 2.0]))
+        array_fn(np.array([0.5, bad, 2.0]))
 
 
 @settings(max_examples=300, deadline=None)
