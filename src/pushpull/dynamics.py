@@ -4,8 +4,13 @@ A content of quality theta accumulates views from a push channel
 (provider seeding, rate lambda_ps(theta)) from t=0, and from a pull
 channel (strategic viewers, aggregate rate lambda_pu) once the
 population's access metric reaches its common threshold alpha. This
-module evaluates X(t), the four access metrics, metric crossing times,
+module evaluates X(t), the three access metrics, metric crossing times,
 and the trend window used by the variable-horizon game.
+
+The metrics are the viewcount X, the product Xdot*X of trend and
+viewcount, and the printed push-audience look-ahead value
+((lam tau)^2 - X^2)/2, which falls from (lam tau)^2/2 and is met on the
+way down; it is defined for linear push only.
 
 Time is in days, rates in views/day, viewcount in views.
 """
@@ -19,12 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import (
-    BracketedFunction,
-    find_root,
-    find_root_arr,
-    lambert_w0_log,
-)
+from .numerics import find_root_arr, lambert_w0_log
 
 INF = math.inf
 
@@ -49,7 +49,6 @@ class PushKind(enum.Enum):
 
 class MetricKind(enum.Enum):
     PLAIN_VIEWCOUNT = "plain"
-    TREND = "trend"
     TREND_TIMES_VIEWCOUNT = "trend_times_viewcount"
     SIDE_INFORMATION = "side_information"
 
@@ -130,9 +129,8 @@ class Trajectory:
 
 # -- push-only primitives ---------------------------------------------------
 #
-# Everything from here to beta_tau is elementwise in t and alpha, except
-# the look-ahead metric, which takes scalars only. The public functions
-# return a float for scalars and an array otherwise.
+# Everything from here to beta_tau is elementwise in t and alpha. The
+# public functions return a float for scalars and an array otherwise.
 
 def _float_or_array(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
@@ -153,7 +151,7 @@ def _xdot_ps(t, lam, push: PushKind, n: float):
 def _y_post(t, ta, lam, lpu: float, n: float):
     """Xdot*X under saturating push once the population pulls from ta.
 
-    Elementwise; for t >= ta the same operations as _xdot * viewcount,
+    Elementwise; for t >= ta the same operations as _xdot * _x,
     so the values at a trajectory's grid points agree bit for bit.
     """
     e = np.exp(-lam * t)
@@ -203,120 +201,94 @@ def _t_alpha_product(alpha, lam, push, n):
     return np.where(alpha <= 0.0, 0.0, t)
 
 
-def _t_alpha_side_info(alpha, lam, lpu, tau, push, n):
-    """Self-consistent activation for the look-ahead metric.
+def _rates(q: Quality, p: ModelParams, push: PushKind, metric: MetricKind):
+    """(lam, n): quality q's push rate and the pool, 0 under linear push.
 
-    y(t) = (X(tau)^2 - X(t)^2)/2 where X itself gains the pull term
-    after the activation we are solving for. Linear push reduces to a
-    quadratic in t_a; saturating push is solved by bisection.
+    Rejects the one (push, metric) pair no scenario uses: saturating
+    push on the look-ahead metric, whose crossing after activation has
+    no closed form.
     """
-    big = lam + lpu
     if push is PushKind.LINEAR:
-        y0_pushonly = 0.5 * (lam * tau) ** 2
-        # no-activation consistency: if even the push-only start value
-        # stays below alpha, the population never comes in
-        a2 = lpu * lpu - lam * lam
-        b = -2.0 * big * tau * lpu
-        c = big * big * tau * tau - 2.0 * alpha
-        if c <= 0.0:
-            return 0.0  # alpha at or above the activated start value
-        if a2 == 0.0:
-            if b == 0.0:
-                return 0.0 if alpha >= y0_pushonly else INF
-            t = -c / b
-            return t if 0.0 <= t <= tau else (INF if alpha < y0_pushonly else 0.0)
-        disc = b * b - 4.0 * a2 * c
-        roots = []
-        if disc >= 0.0:
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
-            for r in (q / a2, c / q if q != 0.0 else INF):
-                if 0.0 <= r <= tau:
-                    roots.append(r)
-        if roots:
-            return min(roots)
-        return INF if alpha < y0_pushonly else 0.0
-    # saturating push: f(ta) = y(0 given activation at ta) - alpha is
-    # monotone in ta with f(tau) = -alpha <= 0
-    def f(ta: float) -> float:
-        xtau = _x_ps(tau, lam, push, n) + lpu * (tau - ta)
-        xa = _x_ps(ta, lam, push, n)
-        return 0.5 * (xtau * xtau - xa * xa) - alpha
-
-    if f(0.0) <= 0.0:
-        return 0.0
-    if f(tau) > 0.0:
-        return INF
-    return find_root(BracketedFunction(f, 0.0, tau), 1e-13 * tau)
+        return p.lambda_ps(q), 0.0
+    if metric is MetricKind.SIDE_INFORMATION:
+        raise DynamicsError("the look-ahead metric applies to linear push only")
+    return p.lambda_ps(q), p.require_pool()
 
 
 def activation_time(alpha, q: Quality, p: ModelParams,
                     push: PushKind, metric: MetricKind):
     """Earliest time the population metric reaches alpha (INF if never).
 
-    Elementwise in alpha: a float for a scalar, an array otherwise. The
-    look-ahead metric (SIDE_INFORMATION) takes a scalar alpha only.
+    Elementwise in alpha: a float for a scalar, an array otherwise.
     """
     if np.count_nonzero(alpha < 0.0):
         raise DynamicsError("alpha must be nonnegative")
-    lam = p.lambda_ps(q)
-    n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
+    lam, n = _rates(q, p, push, metric)
     if metric is MetricKind.PLAIN_VIEWCOUNT:
         # pull cannot fire before activation, so only push drives X up to alpha
         ta = _t_ps_inverse(alpha, lam, push, n)
-    elif metric is MetricKind.TREND:
-        # push-only trend is nonincreasing; the gate opens at t=0 or never
-        ta = np.where(_xdot_ps(0.0, lam, push, n) >= alpha, 0.0, INF)
     elif metric is MetricKind.TREND_TIMES_VIEWCOUNT:
         ta = _t_alpha_product(alpha, lam, push, n)
     else:
-        ta = _t_alpha_side_info(alpha, lam, p.lambda_pu, p.tau, push, n)
+        # ((lam tau)^2 - (lam t)^2)/2 falls to alpha; a threshold above
+        # the start value is never met
+        x2 = (lam * p.tau) ** 2
+        ta = np.where(2.0 * alpha > x2, INF,
+                      np.sqrt(np.maximum(x2 - 2.0 * alpha, 0.0)) / lam)
     return _float_or_array(ta)
 
 
 # -- trajectory values ------------------------------------------------------
+
+def _x(t, ta, lam, lpu: float, push: PushKind, n: float):
+    """X(t) once the population pulls from ta, elementwise."""
+    # before ta (and for ta = INF) the pull term is lambda_pu * 0
+    return _x_ps(t, lam, push, n) + lpu * np.maximum(t - ta, 0.0)
+
+
+def _xdot(t, ta, lam, lpu: float, push: PushKind, n: float):
+    """Xdot(t), elementwise like _x; the right limit at the jump."""
+    return _xdot_ps(t, lam, push, n) + np.where(t >= ta, lpu, 0.0)
+
+
+def _metric_at(t, ta, lam, p: ModelParams, push: PushKind, n: float,
+               metric: MetricKind):
+    """The metric at t once the population pulls from ta, elementwise."""
+    x = _x(t, ta, lam, p.lambda_pu, push, n)
+    if metric is MetricKind.PLAIN_VIEWCOUNT:
+        return x
+    if metric is MetricKind.TREND_TIMES_VIEWCOUNT:
+        return _xdot(t, ta, lam, p.lambda_pu, push, n) * x
+    return 0.5 * ((lam * p.tau) ** 2 - x * x)
+
 
 def viewcount(t, q: Quality, alpha, p: ModelParams, push: PushKind,
               metric: MetricKind = MetricKind.PLAIN_VIEWCOUNT):
     """X(t): push views plus pull views accumulated since activation.
 
     Elementwise in t and alpha, which broadcast together: a float for
-    scalars, an array otherwise. The look-ahead metric takes a scalar
-    alpha only.
+    scalars, an array otherwise.
     """
     if np.count_nonzero(t < 0.0):
         raise DynamicsError("t must be nonnegative")
-    lam = p.lambda_ps(q)
-    n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
+    lam, n = _rates(q, p, push, metric)
     ta = activation_time(alpha, q, p, push, metric)
-    # before ta (and for ta = INF) the pull term is lambda_pu * 0
-    return _float_or_array(_x_ps(t, lam, push, n)
-                           + p.lambda_pu * np.maximum(t - ta, 0.0))
-
-
-def _xdot(t, q, alpha, p, push, metric):
-    """Xdot(t), elementwise like viewcount; the right limit at the jump."""
-    lam = p.lambda_ps(q)
-    n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
-    ta = activation_time(alpha, q, p, push, metric)
-    return _xdot_ps(t, lam, push, n) + np.where(t >= ta, p.lambda_pu, 0.0)
+    return _float_or_array(_x(t, ta, lam, p.lambda_pu, push, n))
 
 
 def metric_value(t: float, q: Quality, alpha, p: ModelParams,
                  push: PushKind, metric: MetricKind):
     """The access metric observed at time t under population threshold
-    alpha; elementwise in alpha like viewcount."""
+    alpha; elementwise in alpha like viewcount.
+
+    The look-ahead value ((lam tau)^2 - X(t)^2)/2 drops below 0 once
+    pull views carry X past lam*tau.
+    """
     if not 0.0 <= t <= p.tau:
         raise DynamicsError("metric_value is defined on [0, tau]")
-    if metric is MetricKind.PLAIN_VIEWCOUNT:
-        return viewcount(t, q, alpha, p, push, metric)
-    if metric is MetricKind.TREND:
-        return _float_or_array(_xdot(t, q, alpha, p, push, metric))
-    if metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-        return _float_or_array(_xdot(t, q, alpha, p, push, metric)
-                               * viewcount(t, q, alpha, p, push, metric))
-    xt = viewcount(p.tau, q, alpha, p, push, metric)
-    xnow = viewcount(t, q, alpha, p, push, metric)
-    return 0.5 * (xt * xt - xnow * xnow)
+    lam, n = _rates(q, p, push, metric)
+    ta = activation_time(alpha, q, p, push, metric)
+    return _float_or_array(_metric_at(t, ta, lam, p, push, n, metric))
 
 
 # -- crossing times ----------------------------------------------------------
@@ -487,33 +459,24 @@ def _cross_product_raw(beta, alpha, q, p, push):
     return np.where(beta <= 0.0, 0.0, np.where(pre <= ta, pre, boosted))
 
 
-def _cross_side_info_raw(beta, q, alpha, p, push):
-    """Unique t with y(t) = beta for the decreasing look-ahead metric."""
-    lam = p.lambda_ps(q)
+def _cross_side_info_raw(beta, alpha, q, p, push):
+    """Uncapped first passage of the look-ahead metric down to beta,
+    closed form, elementwise like _cross_plain_raw.
+
+    The metric falls from (lam*tau)^2/2, so larger thresholds are met
+    earlier; thresholds above the start value are never met. The
+    deviator crosses on the push-only branch when it moves first
+    (beta >= alpha) or the population never moves.
+    """
+    lam, _ = _rates(q, p, push, MetricKind.SIDE_INFORMATION)
     lpu = p.lambda_pu
-    n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
-    ta = _t_alpha_side_info(alpha, lam, lpu, p.tau, push, n)
-    xtau = _x_ps(p.tau, lam, push, n)
-    if ta < INF:
-        xtau += lpu * (p.tau - ta)
-    y0 = 0.5 * xtau * xtau
-    if beta >= y0:
-        return 0.0
-    target = math.sqrt(max(xtau * xtau - 2.0 * beta, 0.0))
-    xa = _x_ps(ta, lam, push, n) if ta < INF else INF
-    if ta == INF or target <= xa:
-        return _t_ps_inverse(target, lam, push, n)
-    if push is PushKind.LINEAR:
-        return ta + (target - xa) / (lam + lpu)
-    # invert the saturating-push-plus-pull segment; target <= X(tau)
-    # guarantees the bracket [ta, tau]
-    if lpu == 0.0:
-        return _t_ps_inverse(target, lam, push, n)
-
-    def f(t):
-        return _x_ps(t, lam, push, n) + lpu * (t - ta) - target
-
-    return find_root(BracketedFunction(f, ta, p.tau), 1e-13 * max(p.tau, 1.0))
+    x2 = (lam * p.tau) ** 2
+    s = np.sqrt(np.maximum(x2 - 2.0 * beta, 0.0))
+    pure = s / lam
+    ax = np.sqrt(np.maximum(x2 - 2.0 * alpha, 0.0))
+    mixed = (ax * lpu / lam + s) / (lam + lpu)
+    t = np.where((beta >= alpha) | (2.0 * alpha > x2), pure, mixed)
+    return np.where(beta > 0.5 * x2, INF, t)
 
 
 def crossing_time(beta: float, q: Quality, alpha: float, p: ModelParams,
@@ -521,8 +484,9 @@ def crossing_time(beta: float, q: Quality, alpha: float, p: ModelParams,
     """t_beta, the earliest time the metric attains beta; INF beyond tau.
 
     Increasing metrics use inf{t : metric >= beta} (jumps land on the
-    jump time); the decreasing look-ahead metric uses inf{t : y <= beta}.
-    Crossings later than the lifetime report INF.
+    jump time). On the decreasing look-ahead metric t_beta is the first
+    passage down to beta, and a beta above the start value y(0) is
+    never met. Crossings later than the lifetime report INF.
     """
     if beta < 0.0:
         raise DynamicsError("beta must be nonnegative")
@@ -540,47 +504,45 @@ def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
                       push: PushKind, metric: MetricKind):
     """Crossing time without the lifetime cap (utility algebra needs it).
 
-    For the plain viewcount and trend*viewcount, beta and alpha may be
-    arrays that broadcast together, one population threshold per
-    element: the result is a float for two scalars and an array
-    otherwise. The trend and look-ahead metrics take scalars only.
+    beta and alpha may be arrays that broadcast together, one population
+    threshold per element: the result is a float for two scalars and an
+    array otherwise.
     """
     # np.less, not <: beta may also be a list
     if np.count_nonzero(np.less(beta, 0.0)):
         raise DynamicsError("beta must be nonnegative")
-    if metric in (MetricKind.PLAIN_VIEWCOUNT, MetricKind.TREND_TIMES_VIEWCOUNT):
-        beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),
-                                          np.asarray(alpha, dtype=float))
-        cross = (_cross_plain_raw if metric is MetricKind.PLAIN_VIEWCOUNT
-                 else _cross_product_raw)
-        return _float_or_array(cross(beta, alpha, q, p, push))
-    if metric is MetricKind.TREND:
-        # the trend is largest at t = 0, where any activation happens too
-        return 0.0 if beta <= beta_tau(q, alpha, p, push, metric) else INF
-    return _cross_side_info_raw(beta, q, alpha, p, push)
+    beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),
+                                      np.asarray(alpha, dtype=float))
+    cross = {MetricKind.PLAIN_VIEWCOUNT: _cross_plain_raw,
+             MetricKind.TREND_TIMES_VIEWCOUNT: _cross_product_raw,
+             MetricKind.SIDE_INFORMATION: _cross_side_info_raw}[metric]
+    return _float_or_array(cross(beta, alpha, q, p, push))
 
 
 def beta_tau(q: Quality, alpha, p: ModelParams,
              push: PushKind, metric: MetricKind):
     """Largest threshold quality q can meet within the lifetime.
 
-    Plain viewcount peaks at tau, the look-ahead metric at 0. The trend
-    is largest at 0, and trend*viewcount at one of its breakpoints: the
-    push-only peak, the activation jump, the local maximum of the
-    post-activation curve (see _product_pieces) or tau.
+    Plain viewcount peaks at tau, the look-ahead metric at 0, and
+    trend*viewcount at one of its breakpoints: the push-only peak, the
+    activation jump, the local maximum of the post-activation curve
+    (see _product_pieces) or tau.
 
-    Elementwise in alpha: a float for a scalar, an array otherwise. The
-    look-ahead metric takes a scalar alpha only.
+    Elementwise in alpha: a float for a scalar, an array otherwise.
     """
-    if metric in (MetricKind.TREND, MetricKind.SIDE_INFORMATION):
-        return metric_value(0.0, q, alpha, p, push, metric)  # decreasing
-    lam, lpu, tau = p.lambda_ps(q), p.lambda_pu, p.tau
-    n = p.require_pool() if push is PushKind.EXPONENTIAL_SATURATING else 0.0
-    y_tau = metric_value(tau, q, alpha, p, push, metric)
+    lam, n = _rates(q, p, push, metric)
+    lpu, tau = p.lambda_pu, p.tau
+    if metric is MetricKind.SIDE_INFORMATION:
+        # decreasing from y(0): X(0) = 0 whatever the activation time
+        shape = np.shape(alpha)
+        y0 = 0.5 * (lam * tau) ** 2
+        return np.full(shape, y0) if shape else y0
+    ta = activation_time(alpha, q, p, push, metric)
+    y_tau = _metric_at(tau, ta, lam, p, push, n, metric)
     if metric is MetricKind.PLAIN_VIEWCOUNT or push is PushKind.LINEAR:
-        return y_tau  # increasing
+        return _float_or_array(y_tau)  # increasing
     # without pull the push-only curve is the whole path
-    ta = activation_time(alpha, q, p, push, metric) if lpu > 0.0 else INF
+    ta = ta if lpu > 0.0 else INF
     # push-only, y rises to lam n^2/4 at ln 2/lam and falls after it
     y = np.maximum(y_tau, np.where(math.log(2.0) / lam <= np.minimum(ta, tau),
                                    lam * n * n / 4.0, -INF))
@@ -621,14 +583,14 @@ def sample_trajectory(q: Quality, alpha: float, p: ModelParams,
                       push: PushKind, metric: MetricKind = MetricKind.PLAIN_VIEWCOUNT,
                       n_samples: int = 10_000) -> Trajectory:
     """Sample (t, X, Xdot) on [0, tau]: uniform grid plus exact breakpoints."""
-    pts = [np.linspace(0.0, p.tau, n_samples)]
-    for quality in (Quality.GOOD, Quality.BAD):
-        pts.append([activation_time(alpha, quality, p, push, metric)])
+    lam, n = _rates(q, p, push, metric)
+    ta = {qq: activation_time(alpha, qq, p, push, metric) for qq in Quality}
+    pts = [np.linspace(0.0, p.tau, n_samples), list(ta.values())]
     if p.gamma_th is not None and push is PushKind.EXPONENTIAL_SATURATING \
             and p.gamma_th > p.lambda_pu:
         pts.append(horizon_window(q, p, push)[:2])
     t = np.concatenate(pts)
     t = np.unique(t[(t >= 0.0) & (t <= p.tau)])
     return Trajectory(quality=q, alpha=alpha, t=t,
-                      x=viewcount(t, q, alpha, p, push, metric),
-                      xdot=_xdot(t, q, alpha, p, push, metric))
+                      x=_x(t, ta[q], lam, p.lambda_pu, push, n),
+                      xdot=_xdot(t, ta[q], lam, p.lambda_pu, push, n))

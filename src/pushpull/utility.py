@@ -7,10 +7,10 @@ reaches the threshold alpha; a single deviator picks beta and collects
 
 in the fixed-horizon variants, where t_beta is the deviator's access
 time on the trajectory the population induces. The variable-horizon
-variant replaces tau by trend-gated windows, and the look-ahead variant
-rewards the remaining viewing value instead. Thresholds live in
-[0, beta_tau(Bad, alpha)]: no rational deviator waits for a level the
-bad content cannot reach.
+variant replaces tau by trend-gated windows; the look-ahead variant
+keeps the fixed-horizon form on the crossings of its falling metric.
+Thresholds live in [0, beta_tau(Bad, alpha)]: no rational deviator
+waits for a level the bad content cannot reach.
 
 utility is the one implementation of U. It is elementwise: alpha and
 beta broadcast together, so the grid oracle evaluates many population
@@ -41,6 +41,7 @@ from .dynamics import (
     viewcount,
     _cross_plain_raw,
     _cross_product_sat,
+    _cross_side_info_raw,
     _float_or_array,
     _t_ps_inverse,
     _y_post,
@@ -163,10 +164,6 @@ def strategy_cap(alpha, p: ModelParams, s: Scenario):
     array otherwise.
     """
     p, s = reduce_scenario(p, s)
-    if s is Scenario.SIDE_INFORMATION:
-        # look-ahead value of the bad content at t=0, push audience only
-        return _float_or_array(
-            np.full(np.shape(alpha), 0.5 * (p.lambda_ps_b * p.tau) ** 2))
     return beta_tau(Quality.BAD, alpha, p, s.push, s.metric)
 
 
@@ -203,9 +200,9 @@ def _window_term(w, t):
     return np.where(np.isfinite(t), w - t, 0.0)
 
 
-def _fixed_horizon_utility(alpha, beta, belief, p, push):
-    tb_g = _cross_plain_raw(beta, alpha, Quality.GOOD, p, push)
-    tb_b = _cross_plain_raw(beta, alpha, Quality.BAD, p, push)
+def _fixed_horizon_utility(alpha, beta, belief, p, push, cross):
+    tb_g = cross(beta, alpha, Quality.GOOD, p, push)
+    tb_b = cross(beta, alpha, Quality.BAD, p, push)
     # a crossing that never happens (t = inf) collects nothing
     return belief.pi_g * _pos(p.tau - tb_g) - belief.pi_b * _pos(p.tau - tb_b)
 
@@ -246,29 +243,6 @@ def _variable_horizon_utility(alpha, beta, belief, p):
     return u
 
 
-def _t_side_paper(beta, alpha, lam, lpu, tau):
-    """Access time on the look-ahead metric, push-audience value only.
-
-    The metric decreases from (lam*tau)^2/2, so larger thresholds are
-    met earlier; thresholds above the initial value are never met. The
-    deviator crosses on the push-only branch when it moves first
-    (beta >= alpha) or the population never moves.
-    """
-    x2 = (lam * tau) ** 2
-    s = np.sqrt(_pos(x2 - 2.0 * beta))
-    pure = s / lam
-    ax = np.sqrt(_pos(x2 - 2.0 * alpha))
-    mixed = (ax * lpu / lam + s) / (lam + lpu)
-    t = np.where((beta >= alpha) | (2.0 * alpha > x2), pure, mixed)
-    return np.where(beta > 0.5 * x2, INF, t)
-
-
-def _side_info_utility(alpha, beta, belief, p):
-    tb_g = _t_side_paper(beta, alpha, p.lambda_ps_g, p.lambda_pu, p.tau)
-    tb_b = _t_side_paper(beta, alpha, p.lambda_ps_b, p.lambda_pu, p.tau)
-    return belief.pi_g * _pos(p.tau - tb_g) - belief.pi_b * _pos(p.tau - tb_b)
-
-
 def _trend_exp_utility(alpha, beta, belief, p):
     # the strict passage, so a threshold inside the activation jump is met
     # only when the curve comes back down to it; both qualities at once
@@ -304,14 +278,14 @@ def utility(alpha, beta, belief: Belief, p: ModelParams,
                 "the bad-content cap beta_tau(Bad)="
                 f"{np.broadcast_to(caps, over.shape).flat[k]}")
     alpha, beta = np.broadcast_arrays(alpha, beta)
-    if s in (Scenario.LINEAR_FIXED_HORIZON, Scenario.EXPONENTIAL_FIXED_HORIZON):
-        u = _fixed_horizon_utility(alpha, beta, belief, p, s.push)
-    elif s is Scenario.VARIABLE_HORIZON:
+    if s is Scenario.VARIABLE_HORIZON:
         u = _variable_horizon_utility(alpha, beta, belief, p)
     elif s is Scenario.TREND_VIEWCOUNT_EXPONENTIAL:
         u = _trend_exp_utility(alpha, beta, belief, p)
     else:
-        u = _side_info_utility(alpha, beta, belief, p)
+        cross = (_cross_side_info_raw if s is Scenario.SIDE_INFORMATION
+                 else _cross_plain_raw)
+        u = _fixed_horizon_utility(alpha, beta, belief, p, s.push, cross)
     return _float_or_array(u)
 
 

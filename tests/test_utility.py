@@ -298,6 +298,22 @@ def test_variable_horizon_rewards_only_inside_windows():
     assert utility(alpha, beta_in, b, p, s) == pytest.approx(0.5, rel=1e-9)
 
 
+@pytest.mark.parametrize("s", [LIN_S, EXP_S, Scenario.SIDE_INFORMATION])
+def test_utility_is_built_from_the_dynamics_crossings(s):
+    # pi_G (tau - t_G)+ - pi_B (tau - t_B)+ with the public crossing time
+    # of each quality, over a grid of the whole strategy space
+    p = FIG_PARAMS if s is EXP_S else ModelParams(0.2, 0.1, 1.0, 10.0)
+    b = Belief(0.6, 0.4)
+    for alpha in np.linspace(0.0, symmetric_cap(p, s), 7).tolist():
+        for beta in np.linspace(0.0, strategy_cap(alpha, p, s), 9).tolist():
+            want = 0.0
+            for q, weight in ((Quality.GOOD, b.pi_g), (Quality.BAD, -b.pi_b)):
+                t = crossing_time(beta, q, alpha, p, s.push, s.metric)
+                want += weight * max(p.tau - t, 0.0)
+            got = utility(alpha, beta, b, p, s)
+            assert abs(got - want) <= 1e-12 * p.tau, (alpha, beta, got, want)
+
+
 def test_variable_horizon_four_case_agreement_above_alpha():
     # above alpha the utility is the windowed payoff of each quality,
     # with the window end tau1 used as printed (no lifetime clamp)
