@@ -597,14 +597,14 @@ FRONT_CASES = [
 ]
 
 
-def _front_params():
+def _front_params(with_rejected=False):
     """(metric, p, push) for every metric on every FRONT_CASES entry, the
-    look-ahead metric on linear push only; ids as stacked parametrize
-    decorators over the two lists name them."""
+    look-ahead metric on linear push only unless ``with_rejected``; ids as
+    stacked parametrize decorators over the two lists name them."""
     return [pytest.param(metric, p, push, id=f"{metric}-p{k}-{push}")
             for metric in MetricKind
             for k, (p, push) in enumerate(FRONT_CASES)
-            if not (metric is SI and push is EXP)]
+            if with_rejected or not (metric is SI and push is EXP)]
 
 
 def _front_alphas(p, push, metric):
@@ -693,8 +693,14 @@ def _inline_trajectory(q, alpha, p, push, metric, t):
     return x, xd
 
 
-@pytest.mark.parametrize("metric, p, push", _front_params())
+@pytest.mark.parametrize("metric, p, push", _front_params(with_rejected=True))
 def test_trajectory_equals_inline_formulas(metric, p, push):
+    if metric is SI and push is EXP:
+        # the pair has no trajectory to sample
+        for q in Quality:
+            with pytest.raises(DynamicsError):
+                sample_trajectory(q, 1.0, p, push, metric, n_samples=101)
+        return
     for q in Quality:
         for alpha in _front_alphas(p, push, metric).tolist():
             tr = sample_trajectory(q, alpha, p, push, metric, n_samples=101)
