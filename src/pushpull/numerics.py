@@ -1,11 +1,12 @@
 """Lambert W and bracketed root finding used by every other module.
 
-Everything here is pure and deterministic. W0 has two implementations:
-`lambert_w0`, the scalar function on its full domain x >= -1/e, and
-`lambert_w0_log`, the one elementwise kernel, which takes ln x for
-positive x and runs a fixed number of steps, so every downstream
-crossing time is reproducible bit for bit. `find_root` bisects one
-bracket and `find_root_arr` an array of brackets with the same iterates.
+Everything here is pure and deterministic. W0 is computed by one
+elementwise kernel, `lambert_w0_log`, which takes ln x for positive x
+and runs a fixed number of steps, so every downstream crossing time is
+reproducible bit for bit. `lambert_w0`, the scalar on the full domain
+x >= -1/e, is kept as public API and the tests' reference only.
+`find_root` bisects one bracket and `find_root_arr` an array of
+brackets with the same iterates.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def _w0_seed(x: float) -> float:
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert function: w with w*e^w = x.
 
-    Accepts x >= -1/e (up to 1e-15 slack below, clipped to the branch
+    A reference only: the package computes with lambert_w0_log. Accepts
+    x >= -1/e (up to 1e-15 slack below, clipped to the branch
     point). Halley iteration from a regime-dependent seed; relative
     residual is driven below 1e-12*max(1,|x|). Below |x| = 1e-5, where
     that stop test is met by the seed alone, a Taylor series.
@@ -122,8 +124,8 @@ def find_root(bf: BracketedFunction, tol: float) -> float:
     """Deterministic bisection on a bracketing interval.
 
     Stops when |f(mid)| <= tol or the bracket width drops below tol.
-    Bisection over Brent on purpose: the callers invert monotone
-    trajectories where bit-stable determinism matters and speed does not.
+    Bisection over Brent on purpose: its caller, the saturating-push
+    best response, needs bit-stable determinism more than speed.
     """
     if tol <= 0.0:
         raise NumericsError("find_root: tol must be positive")

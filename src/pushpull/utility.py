@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .dynamics import (
     _t_ps_inverse,
     _y_post,
 )
-from .numerics import BracketedFunction, find_root, lambert_w0
+from .numerics import BracketedFunction, find_root, lambert_w0_log
 
 INF = math.inf
 
@@ -56,31 +56,33 @@ class UtilityError(ValueError):
 
 
 class Scenario(enum.Enum):
-    """Game variant: fixes the push mechanism and the access metric."""
+    """Game variant: fixes the push mechanism and the access metric.
 
-    LINEAR_FIXED_HORIZON = "LinearFixedHorizon"
-    EXPONENTIAL_FIXED_HORIZON = "ExponentialFixedHorizon"
-    VARIABLE_HORIZON = "VariableHorizon"
-    TREND_VIEWCOUNT_LINEAR = "TrendViewcountLinear"
-    TREND_VIEWCOUNT_EXPONENTIAL = "TrendViewcountExponential"
-    SIDE_INFORMATION = "SideInformation"
+    value is the tag; push (PushKind) and metric (MetricKind) are
+    member attributes, set once when the class is created.
+    """
 
-    @property
-    def push(self) -> PushKind:
-        if self in (Scenario.LINEAR_FIXED_HORIZON,
-                    Scenario.TREND_VIEWCOUNT_LINEAR,
-                    Scenario.SIDE_INFORMATION):
-            return PushKind.LINEAR
-        return PushKind.EXPONENTIAL_SATURATING
+    LINEAR_FIXED_HORIZON = ("LinearFixedHorizon", PushKind.LINEAR,
+                            MetricKind.PLAIN_VIEWCOUNT)
+    EXPONENTIAL_FIXED_HORIZON = ("ExponentialFixedHorizon",
+                                 PushKind.EXPONENTIAL_SATURATING,
+                                 MetricKind.PLAIN_VIEWCOUNT)
+    VARIABLE_HORIZON = ("VariableHorizon", PushKind.EXPONENTIAL_SATURATING,
+                        MetricKind.PLAIN_VIEWCOUNT)
+    TREND_VIEWCOUNT_LINEAR = ("TrendViewcountLinear", PushKind.LINEAR,
+                              MetricKind.TREND_TIMES_VIEWCOUNT)
+    TREND_VIEWCOUNT_EXPONENTIAL = ("TrendViewcountExponential",
+                                   PushKind.EXPONENTIAL_SATURATING,
+                                   MetricKind.TREND_TIMES_VIEWCOUNT)
+    SIDE_INFORMATION = ("SideInformation", PushKind.LINEAR,
+                        MetricKind.SIDE_INFORMATION)
 
-    @property
-    def metric(self) -> MetricKind:
-        if self in (Scenario.TREND_VIEWCOUNT_LINEAR,
-                    Scenario.TREND_VIEWCOUNT_EXPONENTIAL):
-            return MetricKind.TREND_TIMES_VIEWCOUNT
-        if self is Scenario.SIDE_INFORMATION:
-            return MetricKind.SIDE_INFORMATION
-        return MetricKind.PLAIN_VIEWCOUNT
+    def __new__(cls, tag: str, push: PushKind, metric: MetricKind):
+        member = object.__new__(cls)
+        member._value_ = tag
+        member.push = push
+        member.metric = metric
+        return member
 
     @classmethod
     def from_tag(cls, tag: str) -> "Scenario":
@@ -316,16 +318,29 @@ def _assemble(cands: List[float], us: List[float], tol: float,
             else:
                 segs.append((cands[i], cands[i + 1]))
     pts = _dedup([c for c, k in zip(cands, keep) if k], cap)
-    if segs:
-        return BestResponse(BestResponseKind.INTERVAL_OF_OPTIMA,
-                            tuple(pts), tuple(segs), umax)
-    if len(pts) == 1:
-        return BestResponse(BestResponseKind.POINT, (pts[0],), (), umax)
-    if len(pts) == 2:
-        return BestResponse(BestResponseKind.EXTREMAL_PAIR,
-                            tuple(pts), (), umax)
-    return BestResponse(BestResponseKind.INTERVAL_OF_OPTIMA,
-                        tuple(pts), (), umax)
+    if segs or len(pts) > 2:
+        kind = BestResponseKind.INTERVAL_OF_OPTIMA
+    elif len(pts) == 2:
+        kind = BestResponseKind.EXTREMAL_PAIR
+    else:
+        kind = BestResponseKind.POINT
+    return BestResponse(kind, tuple(pts), tuple(segs), umax)
+
+
+def _argmax(alpha: float, belief: Belief, p: ModelParams, s: Scenario,
+            extras: Callable[..., Sequence[float]]) -> BestResponse:
+    """Closed-form argmax set over [0, cap].
+
+    Candidates are 0, the knee min(alpha, cap), the cap and
+    extras(cap, knee), clamped to [0, cap]; the extras make U monotone
+    between adjacent candidates.
+    """
+    cap = strategy_cap(alpha, p, s)
+    knee = min(alpha, cap)
+    cands = _dedup([min(max(c, 0.0), cap)
+                    for c in (0.0, knee, cap, *extras(cap, knee))], cap)
+    us = utility(alpha, np.array(cands), belief, p, s).tolist()
+    return _assemble(cands, us, 1e-9 * p.tau, cap)
 
 
 def best_response_linear(alpha: float, belief: Belief,
@@ -338,79 +353,90 @@ def best_response_linear(alpha: float, belief: Belief,
     pi_B/lam_B - pi_G/lam_G per unit, above it the pull rate shifts
     both denominators.
     """
-    s = Scenario.LINEAR_FIXED_HORIZON
-    cap = strategy_cap(alpha, p, s)
-    knee = min(alpha, cap)
-    cands = _dedup([0.0, knee, cap], cap)
-    us = utility(alpha, np.array(cands), belief, p, s).tolist()
-    return _assemble(cands, us, 1e-9 * p.tau, cap)
-
-
-def _exp_one_plus_w(beta, alpha, zeta, n):
-    # 1 + W(zeta (1-alpha/n) e^{zeta (1-beta/n)}); the hypotheses make
-    # zeta <= 1, so the argument is at most e and exp cannot overflow
-    log_arg = math.log(zeta) + math.log1p(-alpha / n) + zeta * (1.0 - beta / n)
-    return 1.0 + lambert_w0(math.exp(log_arg))
+    return _argmax(alpha, belief, p, Scenario.LINEAR_FIXED_HORIZON,
+                   lambda cap, knee: ())
 
 
 def best_response_exponential(alpha: float, belief: Belief,
                               p: ModelParams) -> BestResponse:
     """Argmax under saturating push and plain viewcount.
 
-    Below alpha the utility is monotone with the sign of
-    pi_B/lam_B - pi_G/lam_G. Above alpha its derivative is positive
-    while (1+W_G)/(1+W_B) exceeds pi_G/pi_B; that ratio decreases in
-    beta, so the branch is unimodal and the interior optimum is the
-    bisection root of the ratio condition.
+    Below alpha U is monotone with the sign of pi_B/lam_B - pi_G/lam_G.
+    Above it quality q crosses beta at speed lam_pu (1 + w_q), where
+    h_q(w_q) = zeta_q (1 - beta/n), h_q(w) = ln w + w - ln zeta_q - l,
+    zeta_q = lam_q n/lam_pu and l = ln(1 - alpha/n). So U' > 0 iff
+    (1 + w_G)/(1 + w_B) > rho = pi_G/pi_B, a ratio that falls in beta.
+    At the optimum w_G = rho (1 + w_B) - 1; eliminating beta leaves
+
+        g(w_B) = zeta_B h_G(rho (1 + w_B) - 1) - zeta_G h_B(w_B) = 0,
+
+    with h_G = -inf for w_G <= 0, so g < 0 while U rises. As w_B falls
+    in beta, an interior optimum exists iff g(w_B(knee)) < 0 <
+    g(w_B(cap)); it is bisected in w_B, free of Lambert calls, and
+    mapped back by beta = n (1 - h_B(w_B)/zeta_B).
     """
     n = require_exp_hypotheses(p, UtilityError)
-    s = Scenario.EXPONENTIAL_FIXED_HORIZON
-    cap = strategy_cap(alpha, p, s)
-    knee = min(alpha, cap)
-    cands = [0.0, knee, cap]
-    if knee < cap and alpha < n and belief.pi_b > 0.0 and belief.pi_g > 0.0:
+
+    def interior(cap, knee):
+        # knee < cap puts alpha below cap < n, so l is finite
+        if not (knee < cap and belief.pi_b > 0.0):
+            return ()
         rho = belief.pi_g / belief.pi_b
         zg = p.lambda_ps_g * n / p.lambda_pu
         zb = p.lambda_ps_b * n / p.lambda_pu
+        ell = math.log1p(-alpha / n)
 
-        def ratio_gap(b):
-            return (_exp_one_plus_w(b, alpha, zg, n)
-                    / _exp_one_plus_w(b, alpha, zb, n)) - rho
+        def h(w, z):
+            return math.log(w) + w - math.log(z) - ell if w > 0.0 else -INF
 
-        if ratio_gap(knee) > 0.0 > ratio_gap(cap):
-            root = find_root(BracketedFunction(ratio_gap, knee, cap),
-                             1e-13 * max(cap, 1.0))
-            cands.append(min(max(root, knee), cap))
-    cands = _dedup(cands, cap)
-    us = utility(alpha, np.array(cands), belief, p, s).tolist()
-    return _assemble(cands, us, 1e-9 * p.tau, cap)
+        def g(wb):
+            return zb * h(rho * (1.0 + wb) - 1.0, zg) - zg * h(wb, zb)
+
+        log_x = math.log(zb) + ell + zb * (1.0 - np.array([cap, knee]) / n)
+        w_cap, w_knee = lambert_w0_log(log_x).tolist()
+        if not g(w_knee) < 0.0 < g(w_cap):
+            return ()
+        wb = find_root(BracketedFunction(g, w_cap, w_knee),
+                       1e-15 * max(w_knee, 1.0))
+        return (n * (1.0 - h(wb, zb) / zb),)
+
+    return _argmax(alpha, belief, p, Scenario.EXPONENTIAL_FIXED_HORIZON,
+                   interior)
 
 
 # -- side information: branch peaks ------------------------------------------
+
+def _branch_peak(belief: Belief, p: ModelParams, d_g: float,
+                 d_b: float) -> float:
+    """Stationary threshold of a look-ahead utility branch.
+
+    On the branch quality q meets beta at t = (s_q + c_q)/d_q with
+    s_q = sqrt((lam_q tau)^2 - 2 beta), so U' = 0 where
+    pi_G/(d_G s_G) = pi_B/(d_B s_B). When the branch weights tie, the
+    stationary point escapes to +-inf with the sign of the remaining
+    numerator.
+    """
+    x_g = p.lambda_ps_g * p.tau
+    x_b = p.lambda_ps_b * p.tau
+    a = (belief.pi_g / d_g) ** 2
+    b = (belief.pi_b / d_b) ** 2
+    num = x_b * x_b * a - x_g * x_g * b
+    den = a - b
+    if den == 0.0:
+        return INF if num < 0.0 else -INF
+    return 0.5 * num / den
+
 
 def side_info_peaks(belief: Belief, p: ModelParams) -> Tuple[float, float]:
     """Stationary thresholds (beta1, beta2) of the two utility branches.
 
     beta1 comes from the late branch, where the pull rate adds to both
     push rates; beta2 from the early push-only branch. beta1 equals
-    beta2 at lambda_pu = 0. When the branch weights tie, the stationary
-    point escapes to +-inf with the sign of the remaining numerator.
+    beta2 at lambda_pu = 0.
     """
-    x_g = p.lambda_ps_g * p.tau
-    x_b = p.lambda_ps_b * p.tau
-
-    def peak(d_g, d_b):
-        a = (belief.pi_g / d_g) ** 2
-        b = (belief.pi_b / d_b) ** 2
-        num = x_b * x_b * a - x_g * x_g * b
-        den = a - b
-        if den == 0.0:
-            return INF if num < 0.0 else -INF
-        return 0.5 * num / den
-
-    beta1 = peak(p.lambda_ps_g + p.lambda_pu, p.lambda_ps_b + p.lambda_pu)
-    beta2 = peak(p.lambda_ps_g, p.lambda_ps_b)
-    return beta1, beta2
+    lam_g, lam_b, lpu = p.lambda_ps_g, p.lambda_ps_b, p.lambda_pu
+    return (_branch_peak(belief, p, lam_g + lpu, lam_b + lpu),
+            _branch_peak(belief, p, lam_g, lam_b))
 
 
 def side_info_lambda_pu_s(belief: Belief, p: ModelParams) -> float:
@@ -425,66 +451,38 @@ def side_info_lambda_pu_s(belief: Belief, p: ModelParams) -> float:
             / (belief.pi_g - belief.pi_b)) - p.lambda_ps_b
 
 
-def _side_info_eff_peaks(belief: Belief, p: ModelParams) -> Tuple[float, float]:
-    """Branch stationary points, demoted to -inf when they are minima.
-
-    On each branch U' > 0 iff pi_G/(d_G s_G) > pi_B/(d_B s_B) with
-    s_q = sqrt(X_q^2 - 2 beta). When pi_G d_B <= pi_B d_G the branch
-    decreases on the whole strategy space (its stationary point sits at
-    or beyond the cap and is a minimum), so the effective peak is -inf.
-    """
-    beta1, beta2 = side_info_peaks(belief, p)
-    pig, pib = belief.pi_g, belief.pi_b
-    b2e = beta2 if pig * p.lambda_ps_b > pib * p.lambda_ps_g else -INF
-    d_g = p.lambda_ps_g + p.lambda_pu
-    d_b = p.lambda_ps_b + p.lambda_pu
-    b1e = beta1 if pig * d_b > pib * d_g else -INF
-    return b1e, b2e
-
-
 def side_info_branch_candidates(alpha: float, belief: Belief,
                                 p: ModelParams) -> Tuple[float, float]:
     """(late-branch, early-branch) candidate thresholds, peak clamped.
 
     The late branch covers beta <= alpha (small thresholds are met
-    late, after the population pulls); the early branch covers
-    beta >= alpha.
+    late, after the population pulls, if quality q's population pulls
+    at all: 2 alpha <= (lam_q tau)^2); the early branch covers
+    beta >= alpha. A branch with pi_G d_B <= pi_B d_G falls on the
+    whole strategy space, so its candidate is its lower edge.
     """
-    b1e, b2e = _side_info_eff_peaks(belief, p)
     cap = strategy_cap(alpha, p, Scenario.SIDE_INFORMATION)
     knee = min(alpha, cap)
-    down = min(max(b1e, 0.0), knee)
-    up = min(max(b2e, knee), cap)
-    return down, up
+    peaks = []
+    for pull in (p.lambda_pu, 0.0):
+        d_g, d_b = (lam + pull * (2.0 * alpha <= (lam * p.tau) ** 2)
+                    for lam in (p.lambda_ps_g, p.lambda_ps_b))
+        peaks.append(_branch_peak(belief, p, d_g, d_b)
+                     if belief.pi_g * d_b > belief.pi_b * d_g else -INF)
+    return min(max(peaks[0], 0.0), knee), min(max(peaks[1], knee), cap)
 
 
 def best_response_side_info(alpha: float, belief: Belief,
                             p: ModelParams) -> BestResponse:
     """Argmax under linear push and the look-ahead value metric.
 
-    Each branch is unimodal, so its clamped stationary point is the
-    branch winner; branches are then compared by utility. Equal-ratio
-    degeneracies leave a branch without interior peak and the clamp
-    lands on the branch edge.
+    Each branch is unimodal, so U is monotone between 0, the late
+    peak, the knee min(alpha, cap), the early peak and the cap (peaks
+    clamped to their branch), and continuous at beta = alpha.
     """
-    s = Scenario.SIDE_INFORMATION
-    cap = strategy_cap(alpha, p, s)
-    down, up = side_info_branch_candidates(alpha, belief, p)
-    # the midpoint decides between a flat segment and a pair on a tie
-    u_down, u_up, u_mid = utility(
-        alpha, np.array([down, up, 0.5 * (down + up)]), belief, p, s).tolist()
-    tol = 1e-9 * p.tau
-    if abs(u_down - u_up) > tol:
-        win, u_win = (down, u_down) if u_down > u_up else (up, u_up)
-        return BestResponse(BestResponseKind.POINT, (win,), (), u_win)
-    umax = max(u_down, u_up)
-    pts = _dedup([down, up], cap)
-    if len(pts) == 1:
-        return BestResponse(BestResponseKind.POINT, (pts[0],), (), umax)
-    if u_mid >= umax - tol:
-        return BestResponse(BestResponseKind.INTERVAL_OF_OPTIMA, tuple(pts),
-                            ((pts[0], pts[1]),), umax)
-    return BestResponse(BestResponseKind.EXTREMAL_PAIR, tuple(pts), (), umax)
+    return _argmax(alpha, belief, p, Scenario.SIDE_INFORMATION,
+                   lambda cap, knee: side_info_branch_candidates(
+                       alpha, belief, p))
 
 
 def closed_form_best_response(alpha: float, belief: Belief, p: ModelParams,
@@ -495,13 +493,10 @@ def closed_form_best_response(alpha: float, belief: Belief, p: ModelParams,
     callers fall back to the grid oracle or report the gap.
     """
     p, s = reduce_scenario(p, s)
-    if s is Scenario.LINEAR_FIXED_HORIZON:
-        return best_response_linear(alpha, belief, p)
-    if s is Scenario.EXPONENTIAL_FIXED_HORIZON:
-        return best_response_exponential(alpha, belief, p)
-    if s is Scenario.SIDE_INFORMATION:
-        return best_response_side_info(alpha, belief, p)
-    return None
+    solve = {Scenario.LINEAR_FIXED_HORIZON: best_response_linear,
+             Scenario.EXPONENTIAL_FIXED_HORIZON: best_response_exponential,
+             Scenario.SIDE_INFORMATION: best_response_side_info}.get(s)
+    return None if solve is None else solve(alpha, belief, p)
 
 
 # -- utility surface ----------------------------------------------------------
