@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ from .dynamics import (
     PushKind,
     Quality,
     sample_trajectory,
+    write_csv,
 )
 from .equilibrium import (
     EquilibriumError,
@@ -188,10 +190,6 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 # -- commands ------------------------------------------------------------------
 
 def cmd_trajectory(cfg: dict) -> int:
@@ -213,11 +211,8 @@ def cmd_surface(cfg: dict) -> int:
     alpha = _alpha_from(cfg)
     n_grid = _int_field(cfg, "n_grid", 512, 2)
     rows = utility_surface(alpha, belief, p, s, n_grid)
-    out = str(cfg["out"])
-    with open(out, "w", newline="") as fh:
-        fh.write("beta,utility,branch\n")
-        for beta, u, branch in rows:
-            fh.write(f"{_fmt(beta)},{_fmt(u)},{branch}\n")
+    write_csv(str(cfg["out"]), "beta,utility,branch", "%.12g,%.12g,%s\n",
+              *zip(*rows))
     return EXIT_OK
 
 
@@ -257,6 +252,12 @@ def _soundness_points(eq: EquilibriumSet) -> list:
     return pts
 
 
+# golden-section steps per row in the strict completeness re-test; 4
+# reach the peaks the grid steps over at the VariableHorizon seeds 1045
+# and 937818
+_REFINE_STEPS = 4
+
+
 def _check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
                            s: Scenario, g: GridSpec) -> Optional[str]:
     """None when the set is sound and complete, else a reason string."""
@@ -277,8 +278,10 @@ def _check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
     found = find_symmetric_equilibria(belief, p, s, g)
     missing = [float(a) for a in found if not eq.contains(float(a), tol=tol_edge)]
     # near an interval edge the grid tolerance admits near-fixed points;
-    # only a strict re-test makes it a completeness failure
-    for a, u_best, u_own in zip(missing, *deviation_sweep(missing, belief, p, s, g)):
+    # only a strict re-test makes it a completeness failure, on rows
+    # refined past the grid, which can step over a smooth peak
+    for a, u_best, u_own in zip(missing, *deviation_sweep(
+            missing, belief, p, s, g, refine_steps=_REFINE_STEPS)):
         if u_own >= u_best - 0.01 * tol_sound:
             return f"oracle equilibrium {a:.6g} missing from the set"
     return None
@@ -479,7 +482,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and reused after it:
+    # parse_args does not change the parser
     parser = argparse.ArgumentParser(
         prog="pushpull",
         description="Numerical toolkit for push/pull content diffusion games.",

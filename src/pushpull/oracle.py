@@ -16,6 +16,11 @@ and flattened with row offsets. U(alpha_i, beta) is then evaluated over
 the flat array with alpha given per element; each row's maximum comes
 from a segmented reduction and its own-threshold utility by index.
 
+A sweep can also refine each row's maximum past the grid with a few
+golden-section steps around its best grid point, which finds a smooth
+peak that the grid steps over; the strict completeness re-test of the
+CLI uses it.
+
 The utilities come from utility.utility, the same elementwise kernel
 the closed forms use, called with alpha per element and without the
 strategy-cap check (every row already stops at its cap). The oracle
@@ -151,13 +156,20 @@ def grid_best_response(alpha: float, belief: Belief, p: ModelParams,
 
 
 def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
-                    g: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+                    g: GridSpec, refine_steps: int = 0
+                    ) -> Tuple[np.ndarray, np.ndarray]:
     """(best, own) utility per population threshold, in one evaluation.
 
     best[i] is the largest U(alphas[i], beta) over the deviation grid
     of alphas[i]; own[i] is U(alphas[i], min(alphas[i], cap)), the
     payoff of following the population. All rows share one flattened
     grid and one bulk utility pass.
+
+    With refine_steps > 0, best[i] is also the largest U met by that
+    many golden-section steps on the grid neighbours of the row's best
+    grid point (_refine_rows). Every point evaluated is a real
+    threshold, so refining can only raise best, towards a peak the
+    grid stepped over.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
@@ -171,7 +183,49 @@ def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
     # last), so its index is the number of row points below it
     own = np.minimum(alphas, betas[starts + counts - 1])
     below = betas < np.repeat(own, counts)
-    return best, us[starts + np.add.reduceat(below.astype(np.intp), starts)]
+    own_u = us[starts + np.add.reduceat(below.astype(np.intp), starts)]
+    if refine_steps > 0:
+        best = _refine_rows(alphas, betas, starts, counts, us, best, belief,
+                            p, s, refine_steps)
+    return best, own_u
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _refine_rows(alphas, betas, starts, counts, us, best, belief: Belief,
+                 p: ModelParams, s: Scenario, steps: int) -> np.ndarray:
+    """Row maxima raised by golden-section steps around the grid argmax.
+
+    Each row's bracket is [beta_{k-1}, beta_{k+1}] around its best grid
+    point k (clipped to the row). Two interior points, then one per
+    step, are evaluated for all rows in one utility call each; the
+    largest utility seen, grid best included, is returned per row.
+    """
+    # every row holds its maximum, so the first hit at or after a row's
+    # start is that row's first best point (a NaN row hits everywhere)
+    hit = np.flatnonzero(~(us < np.repeat(best, counts)))
+    k = hit[np.searchsorted(hit, starts)]
+    a = betas[np.maximum(k - 1, starts)]
+    b = betas[np.minimum(k + 1, starts + counts - 1)]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = np.split(utility(np.concatenate([alphas, alphas]),
+                              np.concatenate([c, d]), belief, p, s,
+                              enforce_cap=False), 2)
+    best = np.maximum(best, np.maximum(fc, fd))
+    for _ in range(steps):
+        # keep the bracket side of the larger interior value
+        left = fc >= fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        c, d = (np.where(left, b - _INV_PHI * (b - a), d),
+                np.where(left, c, a + _INV_PHI * (b - a)))
+        fx = utility(alphas, np.where(left, c, d), belief, p, s,
+                     enforce_cap=False)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        best = np.maximum(best, fx)
+    return best
 
 
 def find_symmetric_equilibria(belief: Belief, p: ModelParams,

@@ -19,7 +19,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dynamics import Belief, ModelParams, PushKind, Quality, Trajectory
+from .dynamics import (
+    Belief,
+    ModelParams,
+    PushKind,
+    Quality,
+    Trajectory,
+    write_csv,
+)
 from .utility import (
     Scenario,
     UtilityError,
@@ -127,11 +134,12 @@ class DynamicsResult:
         }
 
     def write_snapshots(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("round,agent_id,threshold\n")
-            for r, snap in enumerate(self.snapshots):
-                for i, v in enumerate(snap):
-                    fh.write(f"{r},{i},{v:.12g}\n")
+        """One "round,agent_id,threshold" row per agent and round."""
+        sizes = [len(snap) for snap in self.snapshots]
+        write_csv(path, "round,agent_id,threshold", "%d,%d,%.12g\n",
+                  np.repeat(np.arange(len(sizes)), sizes),
+                  np.concatenate([np.arange(n) for n in sizes]),
+                  np.concatenate(self.snapshots))
 
 
 def _initial_thresholds(c: SimConfig, scale: float,

@@ -9,9 +9,12 @@ import pytest
 
 from pushpull import (
     Belief,
+    DynamicsResult,
     GridSpec,
     ModelParams,
+    Quality,
     Scenario,
+    Trajectory,
     best_response_linear,
     classify,
     grid_best_response,
@@ -19,7 +22,9 @@ from pushpull import (
     strategy_cap,
     symmetric_cap,
     utility,
+    utility_surface,
 )
+from pushpull import dynamics
 from pushpull.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -201,13 +206,12 @@ def test_verify_refuses_the_scenario_without_closed_form(tmp_path, capsys):
     assert "TrendViewcountExponential" in err
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known oracle gap: row maxima step over a smooth peak of U(alpha, .), "
-    "so the oracle reports equilibria the printed VariableHorizon set "
-    "rightly omits: 793.223 at seed 1045 (grid gap 2.7e-11, true gap "
-    "2.1e-5), 112.966 at seed 937818; both draws pass with n_beta 4001"))
 @pytest.mark.parametrize("seed", [1045, 937818])
 def test_verify_variable_horizon_seed_1045(tmp_path, capsys, seed):
+    # the grid rows of the oracle's equilibria 793.223 (seed 1045, grid
+    # gap 2.7e-11, true gap 2.1e-5) and 112.966 (seed 937818) step over
+    # a smooth peak of U(alpha, .); the refined re-test finds it, so the
+    # printed VariableHorizon set rightly omits them
     rc, out, _ = run_cli("verify", tmp_path, capsys,
                          scenario="VariableHorizon", n_draws=1, seed=seed)
     assert out.splitlines()[0].startswith("draw 000: PASS ")
@@ -332,3 +336,69 @@ def test_malformed_numeric_field_is_a_config_error(command, cfg, flags,
     assert rc == EXIT_CONFIG
     assert out == ""
     assert err.startswith("config error: ")
+
+
+# -- CSV bytes -------------------------------------------------------------------
+#
+# The writers format rows in blocks; each test compares the file with a
+# reference that formats one row at a time with f-strings.
+
+AWKWARD = [0.0, -0.0, 1e-300, 5e-324, 1e17, 123456789012345.0, 2.5,
+           1.0 / 3.0, -7.25, float("inf"), float("nan")]
+
+
+def test_trajectory_csv_bytes_match_per_row_format(tmp_path):
+    # longer than two write blocks, with values %g prints in every style
+    n = 2 * dynamics._CSV_BLOCK + 37
+    rng = np.random.default_rng(0)
+    cols = [rng.uniform(0.0, 1e6, n),
+            np.floor(rng.uniform(0.0, 1e5, n)) + 0.5,   # non-integral counts
+            rng.uniform(-1e6, 1e6, n)]
+    for col in cols:
+        col[:len(AWKWARD)] = AWKWARD
+        col[-len(AWKWARD):] = AWKWARD[::-1]
+    tr = Trajectory(Quality.GOOD, 1.0, *cols)
+    tr.to_csv(tmp_path / "traj.csv")
+    ref = "t,x,xdot\n" + "".join(f"{t:.12g},{x:.12g},{xd:.12g}\n"
+                                  for t, x, xd in zip(*cols))
+    assert (tmp_path / "traj.csv").read_bytes() == ref.encode()
+
+
+def test_snapshot_csv_bytes_match_per_row_format(tmp_path):
+    snaps = (np.array(AWKWARD), np.array(AWKWARD[::-1]),
+             np.linspace(0.0, 1e3, len(AWKWARD)))
+    res = DynamicsResult(snaps, "converged", 2, 1.0, 1.0)
+    res.write_snapshots(tmp_path / "snap.csv")
+    ref = "round,agent_id,threshold\n" + "".join(
+        f"{r},{i},{v:.12g}\n" for r, snap in enumerate(snaps)
+        for i, v in enumerate(snap))
+    assert (tmp_path / "snap.csv").read_bytes() == ref.encode()
+
+
+def test_surface_csv_bytes_match_per_row_format(tmp_path, capsys):
+    # a TrendViewcountExponential surface with left/right limit rows
+    params = {"lambda_ps_g": 0.1, "lambda_ps_b": 0.05, "lambda_pu": 150.0,
+              "tau": 10.0, "n_pool": 1000.0}
+    belief = {"pi_g": 0.5, "pi_b": 0.5}
+    s, p = Scenario.TREND_VIEWCOUNT_EXPONENTIAL, ModelParams(**params)
+    rows = utility_surface(1.0, Belief(**belief), p, s, 64)
+    assert {"left_limit", "right_limit"} <= {r[2] for r in rows}
+    text = run_twice("surface", tmp_path, capsys, scenario=s.value,
+                     params=params, belief=belief, alpha=1.0,
+                     n_grid=64)["out"]
+    assert text == "beta,utility,branch\n" + "".join(
+        f"{beta:.12g},{u:.12g},{branch}\n" for beta, u, branch in rows)
+
+
+def test_repeated_usage_error_prints_the_same_message(tmp_path, capsys):
+    # the argument parser is built once per process: a usage error must
+    # leave nothing behind for the next call
+    bad = ["verify", "--seed", "abc"]
+    assert main(bad) == EXIT_CONFIG
+    first = capsys.readouterr()
+    rc, out, _ = run_cli("verify", tmp_path, capsys,
+                         scenario="LinearFixedHorizon", n_draws=2)
+    assert rc == EXIT_OK and out.endswith("2/2 draws passed\n")
+    assert main(bad) == EXIT_CONFIG
+    again = capsys.readouterr()
+    assert first.err and again.err == first.err and again.out == first.out

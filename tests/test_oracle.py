@@ -15,6 +15,7 @@ from pushpull import (
     activation_time,
     classify_exponential,
     classify_linear,
+    deviation_sweep,
     find_symmetric_equilibria,
     grid_best_response,
     strategy_cap,
@@ -79,6 +80,18 @@ def test_batched_sweep_matches_per_alpha_reference(s, belief):
     found = find_symmetric_equilibria(belief, p, s, g)
     assert len(ref) > 0
     assert np.array_equal(found, ref)
+
+
+@pytest.mark.parametrize("s", ALL_SCENARIOS)
+def test_refined_sweep_only_raises_the_row_maxima(s):
+    # golden-section steps evaluate real thresholds inside each row, so a
+    # row maximum can only rise; the own-threshold payoff is untouched
+    p, b, g = params_for(s), Belief(0.6, 0.4), GridSpec()
+    alphas = np.linspace(0.0, symmetric_cap(p, s), 37)
+    best, own = deviation_sweep(alphas, b, p, s, g)
+    best_r, own_r = deviation_sweep(alphas, b, p, s, g, refine_steps=4)
+    assert np.array_equal(own_r, own)
+    assert np.all(best_r >= best)
 
 
 @pytest.mark.parametrize("s", ALL_SCENARIOS)
