@@ -438,7 +438,7 @@ def cmd_simulate(cfg: dict) -> int:
         if qtag not in ("good", "bad"):
             raise ConfigError("quality must be 'good' or 'bad'")
         q = Quality.GOOD if qtag == "good" else Quality.BAD
-        traj = simulate_views(q, _alpha_from(cfg), p, s.push, sim)
+        traj = simulate_views(q, _alpha_from(cfg), p, s, sim)
         out = str(cfg["out"])
         traj.to_csv(out if out.endswith(".csv") else out + ".csv")
         return EXIT_OK

@@ -194,9 +194,9 @@ def _y_post_slope(t, ta, lam, lpu: float, n: float):
     with push = lam n e^{-lam t}.
 
     The sign of y' on a scale of order one: y' itself fades like
-    e^{-lam t} and would meet find_root's |f| <= tol stop far from its
-    roots. X/Xdot overflows only at subnormal pull rates, to -inf, which
-    keeps the sign.
+    e^{-lam t}, so find_root_arr's |f| <= tol stop would end on it far
+    from its roots. X/Xdot overflows only at subnormal pull rates, to
+    -inf, which keeps the sign.
     """
     e = np.exp(-lam * t)
     push = lam * n * e
@@ -367,8 +367,9 @@ def _product_pieces(ta, lam, p):
     after f, each piece possibly empty: r is the local maximum c1 < t*,
     ta when y falls from the start and INF when it never falls; f is the
     local minimum c2 > t*, or tau when y still falls there (the falling
-    piece matters only within the lifetime). Both come from one
-    find_root_arr pass on the sign of y'. Needs lambda_pu > 0.
+    piece matters only within the lifetime). Both are roots of
+    _y_post_slope, bracketed by [ta, t*] and [max(t*, ta), tau], from one
+    find_root_arr pass. Needs lambda_pu > 0.
     """
     lpu, n, tau = p.lambda_pu, p.require_pool(), p.tau
     ta, lam = np.broadcast_arrays(np.asarray(ta, dtype=float), lam)
@@ -408,8 +409,8 @@ def _cross_product_sat(beta, alpha, lams, p, strict: bool):
     lams (the utility passes both qualities at once). Before activation
     the push-only parabola is inverted in closed form. After it the
     passage lies in one monotone piece of y (_product_pieces, computed
-    once per alpha and rate), and every element is bisected there in
-    one find_root_arr pass.
+    once per alpha and rate), which brackets it for one find_root_arr
+    pass over every element.
 
     strict=False gives the raw inf{t : y >= beta}: a beta inside the
     activation jump (y(ta-), y(ta+)] lands on ta. With strict=True a

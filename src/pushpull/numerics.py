@@ -5,8 +5,8 @@ elementwise kernel, `lambert_w0_log`, which takes ln x for positive x
 and runs a fixed number of steps, so every downstream crossing time is
 reproducible bit for bit. `lambert_w0`, the scalar on the full domain
 x >= -1/e, is kept as public API and the tests' reference only.
-`find_root` bisects one bracket and `find_root_arr` an array of
-brackets with the same iterates.
+`find_root` solves one bracket by Chandrupatla's method and
+`find_root_arr` an array of brackets with the same iterates.
 """
 
 from __future__ import annotations
@@ -120,32 +120,72 @@ class BracketedFunction:
     b: float
 
 
-def find_root(bf: BracketedFunction, tol: float) -> float:
-    """Deterministic bisection on a bracketing interval.
+def _interpolation_safe(x1, x2, x3, f1, f2, f3):
+    """Chandrupatla's test that inverse-quadratic interpolation through
+    the three points is monotone over the bracket [x1, x2].
 
-    Stops when |f(mid)| <= tol or the bracket width drops below tol.
-    Bisection over Brent on purpose: its caller, the saturating-push
-    best response, needs bit-stable determinism more than speed.
+    x1 is the newest point, x2 the bracket's other end (f2 of the other
+    sign) and x3 the point just dropped, on x1's side. Works on floats
+    and arrays alike.
+    """
+    xi = (x1 - x2) / (x3 - x2)
+    phi = (f1 - f2) / (f3 - f2)
+    return (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+
+
+def _interpolated_t(x1, x2, x3, f1, f2, f3):
+    """Inverse-quadratic root of the three points, as the fraction t of
+    the way from x1 to x2. Meaningful where _interpolation_safe holds."""
+    return (f1 / (f2 - f1) * f3 / (f2 - f3)
+            + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+
+
+def find_root(bf: BracketedFunction, tol: float) -> float:
+    """Chandrupatla's bracketed root finder (Chandrupatla, Adv. Eng.
+    Softw. 28(3), 1997): inverse-quadratic interpolation with a
+    bisection fallback.
+
+    Each step evaluates f at x = x1 + t (x2 - x1) strictly inside the
+    bracket [x1, x2] and keeps the part whose ends differ in sign,
+    judged by comparing signs (a product f1*f(x) can underflow). t is
+    the interpolated root of the last three points where
+    _interpolation_safe holds, else 1/2, and at least tol/2 from either
+    end. Stops when |f(x)| <= tol, returning x, or when the bracket left
+    is at most tol wide, returning its end with the smaller |f|; so the
+    result has |f| <= tol or lies within tol of a root. Superlinear near
+    a simple root of a smooth f, and deterministic: find_root_arr takes
+    the same iterates.
     """
     if tol <= 0.0:
         raise NumericsError("find_root: tol must be positive")
-    a, b = float(bf.a), float(bf.b)
-    fa, fb = bf.f(a), bf.f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise NumericsError(f"find_root: no sign change on [{a}, {b}]")
+    x1, x2 = float(bf.a), float(bf.b)
+    f1, f2 = bf.f(x1), bf.f(x2)
+    if f1 == 0.0:
+        return x1
+    if f2 == 0.0:
+        return x2
+    if f1 * f2 > 0.0:
+        raise NumericsError(f"find_root: no sign change on [{x1}, {x2}]")
+    t = 0.5
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = bf.f(mid)
-        if abs(fm) <= tol or (b - a) <= tol:
-            return mid
-        if fa * fm <= 0.0:
-            b, fb = mid, fm
+        x = x1 + t * (x2 - x1)
+        fx = bf.f(x)
+        # the sign test, not f1*fx, which can underflow
+        if (fx < 0.0) == (f1 < 0.0):
+            x3, f3 = x1, f1
         else:
-            a, fa = mid, fm
+            x3, f3 = x2, f2
+            x2, f2 = x1, f1
+        x1, f1 = x, fx
+        if abs(fx) <= tol:
+            return x
+        width = abs(x2 - x1)
+        if width <= tol:
+            return x2 if abs(f2) < abs(fx) else x
+        t = (_interpolated_t(x1, x2, x3, f1, f2, f3)
+             if _interpolation_safe(x1, x2, x3, f1, f2, f3) else 0.5)
+        tl = 0.5 * tol / width
+        t = min(max(t, tl), 1.0 - tl)
     raise NumericsError("find_root: iteration cap reached (malformed input?)")
 
 
@@ -155,38 +195,47 @@ def find_root_arr(f: Callable[[np.ndarray], np.ndarray], a, b,
 
     f maps an array of points, one per bracket, to their values. Every
     element takes find_root's iterates and stops by its rule; the loop
-    runs until the last element has stopped. The half kept is the one
-    whose ends differ in sign, judged by sign(f(a)), which bisection
-    never changes (find_root forms f(a)*f(mid), which can underflow).
-    Each step is a few numpy passes over all elements, so this pays off
-    from a handful of brackets on; scalar callers keep find_root.
+    runs until the last element has stopped. Each step is a few dozen
+    numpy passes over all elements, so this pays off from a handful of
+    brackets on; scalar callers keep find_root. The interpolation's
+    divisions by zero (stopped elements) stay inside np.errstate.
     """
     if tol <= 0.0:
         raise NumericsError("find_root_arr: tol must be positive")
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    fa, fb = f(a), f(b)
-    if np.any(fa * fb > 0.0):
+    x1 = np.array(a, dtype=float)
+    x2 = np.array(b, dtype=float)
+    f1, f2 = f(x1), f(x2)
+    if np.any(f1 * f2 > 0.0):
         raise NumericsError("find_root_arr: no sign change on some bracket")
-    out = np.where(fa == 0.0, a, b)
-    todo = (fa != 0.0) & (fb != 0.0)
-    sign_a = np.sign(fa)
-    # in-place updates and count_nonzero: on the few elements of a
-    # utility surface numpy's per-call cost is most of each step
+    out = np.where(f1 == 0.0, x1, x2)
+    todo = (f1 != 0.0) & (f2 != 0.0)
+    if not todo.any():
+        return out
+    t = np.full(x1.shape, 0.5)
+    # stopped elements keep iterating, but their result is kept; their t
+    # is 1/2, so their points stay inside their brackets
     for _ in range(200):
-        if not np.count_nonzero(todo):
-            return out
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        # stopped elements keep bisecting, but their result is kept
-        stop = (np.abs(fm) <= tol) | (b - a <= tol)
+        x = x1 + t * (x2 - x1)
+        fx = f(x)
+        # find_root's sign test, and its stop with the end it returns
+        same = (fx < 0.0) == (f1 < 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+        width = np.abs(x2 - x1)
+        size = np.abs(fx)
+        stop = (size <= tol) | (width <= tol)
         stop &= todo
-        np.copyto(out, mid, where=stop)
-        todo ^= stop
-        left = sign_a * fm <= 0.0
-        np.copyto(b, mid, where=left)
-        np.copyto(a, mid, where=~left)
-    if todo.any():
-        raise NumericsError(
-            "find_root_arr: iteration cap reached (malformed input?)")
-    return out
+        if stop.any():
+            np.copyto(out, np.where((size > tol) & (np.abs(f2) < size), x2, x),
+                      where=stop)
+            todo ^= stop
+            if not todo.any():
+                return out
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            safe = _interpolation_safe(x1, x2, x3, f1, f2, f3) & todo
+            t = np.where(safe, _interpolated_t(x1, x2, x3, f1, f2, f3), 0.5)
+            tl = np.minimum(0.5 * tol / width, 0.5)
+        t = np.minimum(np.maximum(t, tl), 1.0 - tl)
+    raise NumericsError(
+        "find_root_arr: iteration cap reached (malformed input?)")

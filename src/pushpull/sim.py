@@ -21,6 +21,7 @@ import numpy as np
 
 from .dynamics import (
     Belief,
+    MetricKind,
     ModelParams,
     PushKind,
     Quality,
@@ -64,30 +65,40 @@ class SimConfig:
         return np.random.Generator(np.random.PCG64(self.seed))
 
 
-def simulate_views(q: Quality, alpha: float, p: ModelParams,
-                   push: PushKind, c: SimConfig) -> Trajectory:
+def simulate_views(q: Quality, alpha: float, p: ModelParams, s: Scenario,
+                   c: SimConfig) -> Trajectory:
     """One sampled viewcount path as an event-time step function.
 
     Saturating push draws an independent Exp(lambda_ps) access time per
     pool viewer; linear push is a Poisson stream of rate lambda_ps.
     Pull is a Poisson stream of rate lambda_pu that switches on at the
-    first event taking the count to alpha or above and stays on. The
-    returned xdot is the empirical inter-event rate, zero at t=0.
+    first event taking the count to the gate level and stays on. The
+    gate is the population's, read off the count: alpha for the
+    viewcount metric, and sqrt((lam tau)^2 - 2 alpha) for the
+    look-ahead metric ((lam tau)^2 - X^2)/2, which never opens when
+    2 alpha > (lam tau)^2 (as in activation_time). The trend x
+    viewcount scenarios still gate on the raw count reaching alpha, not
+    on Xdot*X. The returned xdot is the empirical inter-event rate, zero
+    at t=0.
     """
     rng = c.generator()
     lam = p.lambda_ps(q)
     tau = p.tau
-    if push is PushKind.EXPONENTIAL_SATURATING:
+    if s.push is PushKind.EXPONENTIAL_SATURATING:
         access = rng.exponential(1.0 / lam, size=c.n_push_pool)
         push_times = np.sort(access[access <= tau])
     else:
         k = rng.poisson(lam * tau)
         push_times = np.sort(rng.uniform(0.0, tau, size=k))
 
+    gate = alpha
+    if s.metric is MetricKind.SIDE_INFORMATION:
+        x2 = (lam * tau) ** 2
+        gate = math.sqrt(x2 - 2.0 * alpha) if 2.0 * alpha <= x2 else math.inf
     pull_times = np.empty(0)
-    if p.lambda_pu > 0.0 and alpha <= push_times.size:
-        t_gate = 0.0 if alpha <= 0.0 else float(
-            push_times[int(math.ceil(alpha)) - 1])
+    if p.lambda_pu > 0.0 and gate <= push_times.size:
+        t_gate = 0.0 if gate <= 0.0 else float(
+            push_times[int(math.ceil(gate)) - 1])
         k_pull = rng.poisson(p.lambda_pu * (tau - t_gate))
         pull_times = np.sort(rng.uniform(t_gate, tau, size=k_pull))
 

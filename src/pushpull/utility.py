@@ -16,8 +16,8 @@ utility is the one implementation of U. It is elementwise: alpha and
 beta broadcast together, so the grid oracle evaluates many population
 thresholds and deviations in one call and the best responses evaluate
 all their candidates at once. TrendViewcountExponential, which has no
-closed-form passage after activation, bisects every element and both
-qualities in one array pass.
+closed-form passage after activation, solves every element and both
+qualities in one pass of the bracketed root finder find_root_arr.
 """
 
 from __future__ import annotations
@@ -372,8 +372,8 @@ def best_response_exponential(alpha: float, belief: Belief,
 
     with h_G = -inf for w_G <= 0, so g < 0 while U rises. As w_B falls
     in beta, an interior optimum exists iff g(w_B(knee)) < 0 <
-    g(w_B(cap)); it is bisected in w_B, free of Lambert calls, and
-    mapped back by beta = n (1 - h_B(w_B)/zeta_B).
+    g(w_B(cap)); find_root solves it in w_B, free of Lambert calls, and
+    it is mapped back by beta = n (1 - h_B(w_B)/zeta_B).
     """
     n = require_exp_hypotheses(p, UtilityError)
 

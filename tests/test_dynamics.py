@@ -1,8 +1,10 @@
 """Viewcount dynamics, crossing times and trend windows.
 
 The closed forms are checked against independent oracles: an ODE
-integrator for the trajectory, bisection on the forward map for the
-crossing times, and finite differences for the trend.
+integrator for the trajectory, bracketed root finding on the forward map
+for the crossing times, and finite differences for the trend. The
+crossings that TrendViewcountExponential solves numerically are checked
+against scipy's brentq on the same functions.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.optimize
 from scipy.integrate import solve_ivp
 
 from pushpull import (
@@ -33,7 +36,12 @@ from pushpull import (
     sample_trajectory,
     viewcount,
 )
-from pushpull.dynamics import _cross_product_sat
+from pushpull.dynamics import (
+    _cross_product_sat,
+    _product_pieces,
+    _y_post,
+    _y_post_slope,
+)
 
 INF = math.inf
 PLAIN = MetricKind.PLAIN_VIEWCOUNT
@@ -584,6 +592,121 @@ def test_product_passage_at_vanishing_pull(lpu):
         assert t == pytest.approx(push_only, rel=1e-6)
         assert beta_tau(q, 5000.0, p, EXP, TV) == pytest.approx(
             beta_tau(q, INF, p, EXP, TV), rel=1e-12)
+
+
+def _tve_surface_draws(count, seed):
+    # the families of a TrendViewcountExponential surface: rates
+    # 0.05-0.4, pool 200-3000, pull 1-1.6 x lam_G n, tau 2-40, alpha a
+    # share of the push-only peak of y for the bad content
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lg = rng.uniform(0.05, 0.4)
+        lb = lg * rng.uniform(0.2, 0.9)
+        n = rng.uniform(200.0, 3000.0)
+        p = ModelParams(lg, lb, lg * n * rng.uniform(1.0, 1.6),
+                        rng.uniform(2.0, 40.0), n_pool=n)
+        u = max(math.exp(-lb * p.tau), 0.5)
+        yield p, rng.uniform(0.05, 0.95) * lb * n * n * u * (1.0 - u)
+
+
+def _brentq(g, lo, hi):
+    return scipy.optimize.brentq(g, lo, hi, xtol=1e-300,
+                                 rtol=4.0 * np.finfo(float).eps)
+
+
+def _reference_pieces(ta, lam, p):
+    """(r, f, shape) of _product_pieces, the ends found by brentq on the
+    sign of y' (_y_post_slope) in the brackets its docstring derives."""
+    lpu, n, tau = p.lambda_pu, p.n_pool, p.tau
+    slope = lambda t: float(_y_post_slope(t, ta, lam, lpu, n))
+    t_star = math.log(2.0 * lam * n / lpu) / lam
+    s0 = max(t_star, ta)
+    if slope(ta) <= 0.0:
+        r, shape = ta, "falls-first"
+    elif t_star > ta and slope(t_star) < 0.0:
+        r, shape = _brentq(slope, ta, t_star), "peak"
+    else:
+        return INF, tau, "rises"
+    if s0 < tau and slope(tau) > 0.0:
+        return r, _brentq(slope, s0, tau), shape + "+trough"
+    return r, tau, shape
+
+
+def _reference_passage(beta, alpha, ta, lam, p, r, f, strict):
+    """First passage of y = Xdot*X through beta > alpha after ta, by
+    brentq on _y_post - beta inside one monotone piece of y."""
+    lpu, n, tau = p.lambda_pu, p.n_pool, p.tau
+    y = lambda t: float(_y_post(t, ta, lam, lpu, n)) - beta
+    if y(ta) >= 0.0:
+        # inside the activation jump: met at ta, or with strict=True only
+        # if y comes back down to beta on its falling piece before tau
+        if not strict:
+            return ta
+        if r < tau and y(f) <= 0.0:
+            return _brentq(y, r, f)
+        return INF
+    # up: within the first rising piece if y gets to beta there; else y
+    # stays below beta up to the trough and rises past it for good, and
+    # y >= lpu^2 (t - ta) puts the passage before ta + beta/lpu^2.
+    # Passages later than 1e9 tau count as never
+    if r < INF and y(r) >= 0.0:
+        return _brentq(y, ta, r)
+    t_hi = min(ta + beta / (lpu * lpu), 1e9 * tau)
+    return _brentq(y, ta, t_hi) if y(t_hi) >= 0.0 else INF
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["raw", "strict"])
+def test_product_crossings_match_brentq(strict):
+    # 30 surface families plus the TrendViewcountExponential surface smoke
+    # case, and weak-pull cases for the other shapes of y: every
+    # passage that find_root_arr solves, and every piece end, within the
+    # solver's tol of brentq on the same function
+    cases = list(_tve_surface_draws(30, 1515))
+    cases.append((ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0), 1000.0))
+    cases += list(_weak_pull_draws(6, 99))
+    # alpha at the bad content's push-only peak lam n^2/4 and a pull too
+    # weak to register: y falls from the activation on
+    cases.append((ModelParams(0.125, 0.0625, 1e-15, 40.0, n_pool=1024.0),
+                  0.0625 * 1024.0 ** 2 / 4.0))
+    shapes = set()
+    solved = 0
+    for p, alpha in cases:
+        tol = 1e-13 * max(p.tau, 1.0)
+        lams = [p.lambda_ps_g, p.lambda_ps_b]
+        ta = np.array([activation_time(alpha, q, p, EXP, TV) for q in Quality])
+        if not np.all(np.isfinite(ta)):
+            continue
+        r, f = _product_pieces(ta[:, None], np.array(lams)[:, None], p)
+        cap = beta_tau(Quality.GOOD, alpha, p, EXP, TV)
+        y_top = [float(_y_post(t, t, lam, p.lambda_pu, p.n_pool))
+                 for t, lam in zip(ta, lams)]
+        # surface levels past alpha, and levels inside each jump
+        betas = np.concatenate([np.linspace(alpha, 1.5 * cap, 41)[1:]]
+                               + [np.linspace(alpha, top, 13)[1:-1]
+                                  for top in y_top])
+        got = _cross_product_sat(betas, np.full(betas.shape, alpha), lams,
+                                 p, strict)
+        for k, lam in enumerate(lams):
+            r_ref, f_ref, shape = _reference_pieces(ta[k], lam, p)
+            shapes.add(shape)
+            # find_root_arr's stop rule: within tol of the root, or
+            # |y'/Xdot^2| <= tol where that slope is flat
+            slope = lambda t: abs(_y_post_slope(t, ta[k], lam, p.lambda_pu,
+                                                p.n_pool))
+            for end, end_ref in ((r[k, 0], r_ref), (f[k, 0], f_ref)):
+                assert (end == end_ref or abs(end - end_ref) <= tol
+                        or slope(end) <= tol)
+            for beta, t in zip(betas, got[k]):
+                ref = _reference_passage(beta, alpha, ta[k], lam, p,
+                                         r_ref, f_ref, strict)
+                if ref == INF:
+                    assert t == INF
+                else:
+                    assert (abs(t - ref) <= tol or abs(_y_post(
+                        t, ta[k], lam, p.lambda_pu, p.n_pool) - beta) <= tol)
+                    solved += ref > ta[k]
+    assert {"falls-first", "peak", "peak+trough", "rises"} <= shapes
+    assert solved >= 1000
 
 
 # -- elementwise front: arrays against loops of scalar calls ------------------

@@ -197,7 +197,65 @@ def test_find_root_arr_takes_find_root_iterates():
         f = lambda t: sign[k] * (t * t - shift[k])
         assert got[k] == find_root(BracketedFunction(f, a[k], b[k]), tol)
     assert got[3] == 1.0 and got[4] == 2.0
-    assert got[5] > 1e-7  # stopped by |f| <= tol, long before the width
+    # stopped by |f| <= tol, long before the width: any point of the
+    # bracket with |f| <= tol meets the rule
+    assert abs(got[5] * got[5] - shift[5]) <= tol
+    assert a[5] <= got[5] <= b[5]
+
+
+# monotone families f(t; r) with f(r) = 0, in numpy so that one definition
+# serves the scalar and the array solver
+MONOTONE = {
+    # slope fading like e^{-lam t}, as y(t) does under saturating push
+    "fading": lambda t, r, lam: np.exp(-lam * r) - np.exp(-lam * t),
+    "cubic": lambda t, r, lam: t * t * t + t - (r * r * r + r),
+    "log": lambda t, r, lam: np.log1p(t) - np.log1p(r),
+    "tanh": lambda t, r, lam: np.tanh(lam * (t - r)),
+}
+
+
+def _draw_brackets(seed, count):
+    # roots anywhere inside, and within 1e-9 of the width from either
+    # end; the scale of f spans 8 decades and both directions
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 5.0, count)
+    width = rng.uniform(0.1, 20.0, count)
+    u = np.concatenate([rng.uniform(0.0, 1.0, count - count // 2),
+                        rng.uniform(0.0, 1e-9, count // 4),
+                        1.0 - rng.uniform(1e-12, 1e-9, count // 4)])
+    lam = rng.uniform(0.05, 1.0, count) * 20.0 / width
+    scale = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-2, 6, count)
+    return a, a + width, a + u * width, lam, scale
+
+
+@pytest.mark.parametrize("family", sorted(MONOTONE))
+def test_find_root_matches_brentq_on_monotone_brackets(family):
+    g = MONOTONE[family]
+    a, b, r, lam, scale = _draw_brackets(sorted(MONOTONE).index(family), 200)
+    tol = 1e-13
+    n_arr = [0]
+
+    def f_arr(t):
+        n_arr[0] += 1
+        return scale * g(t, r, lam)
+
+    got = find_root_arr(f_arr, a, b, tol)
+    # a superlinear method: bisection would take ~50 evaluations here
+    assert n_arr[0] <= 15
+    for k in range(a.size):
+        n = [0]
+
+        def f(t):
+            n[0] += 1
+            return scale[k] * g(t, r[k], lam[k])
+
+        x = find_root(BracketedFunction(f, a[k], b[k]), tol)
+        assert x == got[k]
+        assert n[0] <= 15
+        ref = scipy.optimize.brentq(f, a[k], b[k], xtol=1e-300,
+                                    rtol=4.0 * np.finfo(float).eps)
+        assert a[k] <= x <= b[k]
+        assert abs(x - ref) <= tol or abs(f(x)) <= tol
 
 
 def test_find_root_arr_rejects_what_find_root_rejects():

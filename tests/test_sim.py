@@ -5,6 +5,7 @@ import pytest
 
 from pushpull import (
     Belief,
+    MetricKind,
     ModelParams,
     PushKind,
     Quality,
@@ -17,11 +18,12 @@ from pushpull import (
 )
 
 SAT = PushKind.EXPONENTIAL_SATURATING
+EXP_FH = Scenario.EXPONENTIAL_FIXED_HORIZON
 
 
 def test_simulate_views_is_seeded():
     p = ModelParams(0.1, 0.05, 20.0, 10.0, n_pool=500.0)
-    runs = [simulate_views(Quality.GOOD, 100.0, p, SAT,
+    runs = [simulate_views(Quality.GOOD, 100.0, p, EXP_FH,
                            SimConfig(seed=seed, n_push_pool=500))
             for seed in (7, 7, 8)]
     for field in ("t", "x", "xdot"):
@@ -37,11 +39,41 @@ def test_simulated_final_count_approaches_the_mean_field():
         p = ModelParams(0.1, 0.05, 0.05 * n, 10.0, n_pool=float(n))
         alpha = 0.2 * n
         mean_field = viewcount(p.tau, Quality.GOOD, alpha, p, SAT)
-        finals = [simulate_views(Quality.GOOD, alpha, p, SAT,
+        finals = [simulate_views(Quality.GOOD, alpha, p, EXP_FH,
                                  SimConfig(seed=seed, n_push_pool=n)).x[-1]
                   for seed in range(20)]
         errors.append(np.mean(np.abs(np.array(finals) - mean_field))
                       / mean_field)
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[2] < errors[0] / 4.0
+
+
+def test_side_information_views_follow_the_look_ahead_gate():
+    # lam 2, tau 10, alpha 150: the look-ahead value (20^2 - X^2)/2 falls
+    # to alpha at X = 10, so pull starts at t_a = 5 and X(tau) = 45,
+    # where a raw-count gate at 150 would never open. Scaling the rates
+    # by k and alpha by k^2 keeps t_a. The seeds' mean final count lies
+    # within 3 standard errors of the mean field, and the per-seed error
+    # shrinks like 1/sqrt(k)
+    errors = []
+    for k in (1, 10, 100):
+        p = ModelParams(2.0 * k, 1.0 * k, 5.0 * k, 10.0)
+        alpha = 150.0 * k * k
+        mean_field = viewcount(p.tau, Quality.GOOD, alpha, p,
+                               PushKind.LINEAR, MetricKind.SIDE_INFORMATION)
+        assert mean_field == pytest.approx(45.0 * k, rel=1e-12)
+        finals = np.array([
+            simulate_views(Quality.GOOD, alpha, p, Scenario.SIDE_INFORMATION,
+                           SimConfig(seed=seed, n_push_pool=1000)).x[-1]
+            for seed in range(40)])
+        std_err = np.std(finals, ddof=1) / np.sqrt(finals.size)
+        assert abs(np.mean(finals) - mean_field) <= 3.0 * std_err
+        errors.append(np.mean(np.abs(finals - mean_field)) / mean_field)
+        # above (lam tau)^2/2 the gate never opens: push alone, ~20k views
+        push_only = simulate_views(Quality.GOOD, 201.0 * k * k, p,
+                                   Scenario.SIDE_INFORMATION,
+                                   SimConfig(seed=0, n_push_pool=1000))
+        assert push_only.x[-1] < 30.0 * k
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < errors[0] / 4.0
 
