@@ -269,6 +269,38 @@ def activation_time(alpha, q: Quality, p: ModelParams,
     return _float_or_array(ta)
 
 
+def activation_count(alpha, q: Quality, p: ModelParams,
+                     push: PushKind, metric: MetricKind):
+    """Push-only viewcount at which the population metric reaches alpha
+    (INF if it never does); _t_ps_inverse of it is activation_time.
+
+    alpha for the plain viewcount. Xdot*X is lam X under linear push,
+    so alpha/lam, and lam X (n - X) under saturating push, whose
+    rising-side root alpha/(lam (n/2 + sqrt(n^2/4 - alpha/lam))) exists
+    up to the push-only peak lam n^2/4. The look-ahead value
+    ((lam tau)^2 - X^2)/2 falls to alpha at sqrt((lam tau)^2 - 2 alpha).
+    Elementwise in alpha: a float for a scalar, an array otherwise.
+    """
+    if np.count_nonzero(alpha < 0.0):
+        raise DynamicsError("alpha must be nonnegative")
+    alpha = np.asarray(alpha, dtype=float)
+    if metric is MetricKind.PLAIN_VIEWCOUNT:
+        # needs no pool: a count above it is simply never reached
+        return _float_or_array(alpha)
+    lam, n = _rates(q, p, push, metric)
+    if metric is MetricKind.SIDE_INFORMATION:
+        x2 = (lam * p.tau) ** 2
+        x = np.where(2.0 * alpha > x2, INF,
+                     np.sqrt(np.maximum(x2 - 2.0 * alpha, 0.0)))
+    elif push is PushKind.LINEAR:
+        x = alpha / lam
+    else:
+        x = np.where(alpha > lam * n * n / 4.0, INF, alpha / (
+            lam * (0.5 * n + np.sqrt(np.maximum(0.25 * n * n - alpha / lam,
+                                                0.0)))))
+    return _float_or_array(x)
+
+
 # -- trajectory values ------------------------------------------------------
 
 def _x(t, ta, lam, lpu: float, push: PushKind, n: float):

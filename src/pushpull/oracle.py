@@ -16,6 +16,19 @@ and flattened with row offsets. U(alpha_i, beta) is then evaluated over
 the flat array with alpha given per element; each row's maximum comes
 from a segmented reduction and its own-threshold utility by index.
 
+find_symmetric_equilibria screens the rows before that pass. Each row
+is first evaluated on a subset of its own grid points, every
+_SCREEN_STRIDE-th point of its linspace plus the cap and min(alpha,
+cap), in one utility call over a rectangular array. A row whose own
+utility falls more than tol below the subset's maximum is rejected
+there: the subset maximum is at most the full row's maximum and
+rounding is monotone, so own < max - tol holds on the full row as well.
+Only the surviving rows get the full pass. Because utility is
+elementwise and does not depend on its batch (fixed-step Lambert W, and
+a root finder that freezes each element when it stops), own and every
+screen value are bit for bit those of the full pass, so the admitted
+alphas are exactly those of the full grid.
+
 A sweep can also refine each row's maximum past the grid with a few
 golden-section steps around its best grid point, which finds a smooth
 peak that the grid steps over; the strict completeness re-test of the
@@ -97,6 +110,26 @@ def _window_kinks(alpha, p: ModelParams) -> list:
     return out
 
 
+# every _SCREEN_STRIDE-th linspace point of a row goes into the screen
+# pass of find_symmetric_equilibria
+_SCREEN_STRIDE = 16
+
+
+def _linspace_rows(caps, n_beta: int, stride: int = 1) -> np.ndarray:
+    """Columns 0, stride, 2*stride, ... and the last column of
+    np.linspace(0, cap, n_beta), one row per cap.
+
+    arange * step with the cap as last column is np.linspace(0, cap,
+    n_beta) bit for bit (unless the step underflows), and a column holds
+    the same value whatever the stride, so a strided row is a subset of
+    the full one.
+    """
+    cols = np.append(np.arange(0, n_beta - 1, stride), n_beta - 1)
+    rows = cols * (caps / (n_beta - 1))[:, None]
+    rows[:, -1] = caps
+    return rows
+
+
 def _row_extras(alphas, caps, p: ModelParams, s: Scenario) -> np.ndarray:
     """Points a uniform grid would step over, one row per alpha: the
     population threshold itself, the window kinks and both sides of
@@ -122,12 +155,9 @@ def _beta_rows(alphas, p: ModelParams, s: Scenario,
     """
     alphas = np.asarray(alphas, dtype=float)
     caps = strategy_cap(alphas, p, s)
-    # arange * step with the cap as last column is np.linspace(0, cap,
-    # n_beta) bit for bit, one row per cap (unless the step underflows)
-    base = np.arange(n_beta) * (caps / (n_beta - 1))[:, None]
-    base[:, -1] = caps
     grid = np.concatenate(
-        [base, np.clip(_row_extras(alphas, caps, p, s), 0.0, caps[:, None])],
+        [_linspace_rows(caps, n_beta),
+         np.clip(_row_extras(alphas, caps, p, s), 0.0, caps[:, None])],
         axis=1)
     empty = caps <= 0.0
     grid[empty] = np.nan
@@ -228,11 +258,39 @@ def _refine_rows(alphas, betas, starts, counts, us, best, belief: Belief,
     return best
 
 
+def _screen_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,
+                 n_beta: int, tol: float) -> np.ndarray:
+    """False for the rows a subset of their grid points already rejects.
+
+    Each row is evaluated at every _SCREEN_STRIDE-th point of its
+    linspace, the cap and its own threshold min(alpha, cap), all of them
+    points of the full row; a row whose cap is not positive is the
+    single threshold 0, as in _beta_rows. A NaN maximum keeps the row.
+    """
+    caps = strategy_cap(alphas, p, s)
+    grid = np.column_stack([_linspace_rows(caps, n_beta, _SCREEN_STRIDE),
+                            np.minimum(alphas, caps)])
+    grid[caps <= 0.0] = 0.0
+    us = utility(np.repeat(alphas, grid.shape[1]), grid.ravel(), belief, p,
+                 s, enforce_cap=False).reshape(grid.shape)
+    return ~(us[:, -1] < us.max(axis=1) - tol)
+
+
 def find_symmetric_equilibria(belief: Belief, p: ModelParams,
                               s: Scenario, g: GridSpec) -> np.ndarray:
-    """All grid alphas whose own threshold is within g.tol of optimal."""
+    """All grid alphas whose own threshold is within g.tol of optimal.
+
+    The rule is own >= best - tol over each full deviation row
+    (deviation_sweep). Rows are screened first on a subset of their own
+    grid points (_screen_rows), and only the survivors get the full
+    pass. A screened-out row has own < subset max - tol <= best - tol,
+    and the utilities are bit-equal in both passes, so the result is the
+    full-grid rule's exactly.
+    """
     # candidates above the self-consistent cap exceed their own strategy
     # space, so no admissible symmetric equilibrium lives there
     alphas = np.linspace(0.0, symmetric_cap(p, s), g.n_alpha)
+    tol = g.resolve_tol(p)
+    alphas = alphas[_screen_rows(alphas, belief, p, s, g.n_beta, tol)]
     best, own = deviation_sweep(alphas, belief, p, s, g)
-    return alphas[own >= best - g.resolve_tol(p)]
+    return alphas[own >= best - tol]

@@ -21,11 +21,11 @@ import numpy as np
 
 from .dynamics import (
     Belief,
-    MetricKind,
     ModelParams,
     PushKind,
     Quality,
     Trajectory,
+    activation_count,
     write_csv,
 )
 from .utility import (
@@ -73,13 +73,11 @@ def simulate_views(q: Quality, alpha: float, p: ModelParams, s: Scenario,
     pool viewer; linear push is a Poisson stream of rate lambda_ps.
     Pull is a Poisson stream of rate lambda_pu that switches on at the
     first event taking the count to the gate level and stays on. The
-    gate is the population's, read off the count: alpha for the
-    viewcount metric, and sqrt((lam tau)^2 - 2 alpha) for the
-    look-ahead metric ((lam tau)^2 - X^2)/2, which never opens when
-    2 alpha > (lam tau)^2 (as in activation_time). The trend x
-    viewcount scenarios still gate on the raw count reaching alpha, not
-    on Xdot*X. The returned xdot is the empirical inter-event rate, zero
-    at t=0.
+    gate is the population's, read off the count: the push-only
+    viewcount at which the scenario's metric reaches alpha
+    (dynamics.activation_count; the model's n_pool for saturating
+    trend x viewcount), never opening where that metric cannot. The
+    returned xdot is the empirical inter-event rate, zero at t=0.
     """
     rng = c.generator()
     lam = p.lambda_ps(q)
@@ -91,10 +89,7 @@ def simulate_views(q: Quality, alpha: float, p: ModelParams, s: Scenario,
         k = rng.poisson(lam * tau)
         push_times = np.sort(rng.uniform(0.0, tau, size=k))
 
-    gate = alpha
-    if s.metric is MetricKind.SIDE_INFORMATION:
-        x2 = (lam * tau) ** 2
-        gate = math.sqrt(x2 - 2.0 * alpha) if 2.0 * alpha <= x2 else math.inf
+    gate = activation_count(alpha, q, p, s.push, s.metric)
     pull_times = np.empty(0)
     if p.lambda_pu > 0.0 and gate <= push_times.size:
         t_gate = 0.0 if gate <= 0.0 else float(

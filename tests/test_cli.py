@@ -188,6 +188,18 @@ def test_verify_rerun_is_byte_identical(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scenario", CLOSED_FORM)
+def test_verify_stdout_matches_the_golden_transcript(scenario, tmp_path,
+                                                     capsys):
+    # tests/golden holds the stdout of `verify --scenario S` (100 draws,
+    # seed 0) of the oracle that gave every alpha its full row; screening
+    # the rows must not move a single byte of it
+    golden = Path(__file__).parent / "golden" / f"verify_{scenario}.txt"
+    rc, out, _ = run_cli("verify", tmp_path, capsys, scenario=scenario)
+    assert rc == EXIT_OK
+    assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("scenario", CLOSED_FORM)
 def test_verify_rejects_a_corrupted_closed_form(scenario, tmp_path, capsys):
     # negative control: every shifted set must fail the oracle check
     rc, out, _ = run_cli("verify", tmp_path, capsys, scenario=scenario,

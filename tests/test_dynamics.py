@@ -26,6 +26,7 @@ from pushpull import (
     ModelParams,
     PushKind,
     Quality,
+    Scenario,
     activation_time,
     beta_tau,
     crossing_time,
@@ -39,6 +40,8 @@ from pushpull import (
 from pushpull.dynamics import (
     _cross_product_sat,
     _product_pieces,
+    _t_ps_inverse,
+    activation_count,
     _y_post,
     _y_post_slope,
 )
@@ -92,6 +95,28 @@ def test_saturating_push_matches_ode_integration():
     # cross-check the event time against the analytic activation time
     assert t_a == pytest.approx(activation_time(alpha, q, p, EXP, PLAIN),
                                 rel=1e-8)
+
+
+@pytest.mark.parametrize("s", list(Scenario))
+def test_activation_count_is_reached_at_the_activation_time(s):
+    # the push-only count gate of the event simulation opens at the
+    # activation time. The thresholds run to 1.2 times the most push
+    # alone reaches, where saturating push and the look-ahead metric
+    # never activate (INF); they skip that peak itself, where the
+    # saturating Xdot*X root is a square root of rounding error
+    p = FIG_PARAMS if s.push is EXP else ModelParams(0.2, 0.1, 1.0, 10.0)
+    for q in Quality:
+        lam = p.lambda_ps(q)
+        n = p.n_pool if s.push is EXP else 0.0
+        reach = {PLAIN: p.n_pool if s.push is EXP else lam * p.tau,
+                 SI: 0.5 * (lam * p.tau) ** 2}.get(
+            s.metric, lam * p.n_pool ** 2 / 4.0 if s.push is EXP
+            else lam * lam * p.tau)
+        alphas = np.array([0.0, 0.05, 0.3, 0.6, 0.9, 0.99, 1.1, 1.2]) * reach
+        gates = activation_count(alphas, q, p, s.push, s.metric)
+        t = activation_time(alphas, q, p, s.push, s.metric)
+        assert _t_ps_inverse(gates, lam, s.push, n).tolist() == \
+            pytest.approx(t.tolist(), rel=1e-13, abs=0.0)
 
 
 def _look_ahead_at_lifetime(q, alpha, p):

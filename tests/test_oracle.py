@@ -22,7 +22,9 @@ from pushpull import (
     symmetric_cap,
     utility,
 )
-from pushpull.oracle import _beta_grid, _beta_rows, _window_kinks
+from pushpull import oracle
+from pushpull.cli import _draw_model
+from pushpull.oracle import _SCREEN_STRIDE, _beta_grid, _beta_rows, _window_kinks
 from pushpull.utility import discontinuity_preimages
 
 INF = math.inf
@@ -57,14 +59,13 @@ def test_bulk_evaluation_matches_scalar_utility(s):
         row = betas[lo:lo + k]
         assert np.array_equal(row, _beta_grid(alpha, p, s, 45))
         per_alpha = utility(alpha, row, b, p, s, enforce_cap=False)
-        # the array Lambert iteration stops on the whole batch, so a larger
-        # batch can take one more Halley step: equal up to a few ulps
-        assert batched[lo:lo + k] == pytest.approx(per_alpha, rel=1e-12,
-                                                   abs=1e-12)
+        # U does not depend on its batch: the screen pass of
+        # find_symmetric_equilibria relies on it being bit-equal
+        assert np.array_equal(batched[lo:lo + k], per_alpha)
         one = utility(float(alpha), float(row[k // 2]), b, p, s,
                       enforce_cap=False)
         assert isinstance(one, float)
-        assert one == pytest.approx(per_alpha[k // 2], rel=1e-12, abs=1e-12)
+        assert one == per_alpha[k // 2]
 
 
 @pytest.mark.parametrize("s", ALL_SCENARIOS)
@@ -152,6 +153,108 @@ def test_oracle_finds_the_full_linear_interval():
     assert len(found) == g.n_alpha
     assert found[0] == 0.0
     assert found[-1] == pytest.approx(0.1, rel=1e-12)
+
+
+def _full_grid_equilibria(belief, p, s, g):
+    # the decision rule without the screen: every alpha gets its full row
+    alphas = np.linspace(0.0, symmetric_cap(p, s), g.n_alpha)
+    best, own = deviation_sweep(alphas, belief, p, s, g)
+    return alphas[own >= best - g.resolve_tol(p)]
+
+
+def _families(s, n, seed):
+    # verify's random families; TrendViewcountExponential, which verify
+    # does not draw, takes the saturating ones of ExponentialFixedHorizon
+    rng = np.random.default_rng(seed)
+    drawn = (Scenario.EXPONENTIAL_FIXED_HORIZON
+             if s is Scenario.TREND_VIEWCOUNT_EXPONENTIAL else s)
+    out = [_draw_model(drawn, rng) for _ in range(n)]
+    p = params_for(s)
+    out.append((Belief(0.6, 0.4),
+                ModelParams(p.lambda_ps_g, p.lambda_ps_b, 0.0, p.tau,
+                            n_pool=p.n_pool, gamma_th=p.gamma_th)))
+    return out
+
+
+# n_beta - 1 is no multiple of the screen stride, so the cap is a column
+# of its own in every screen row
+SCREEN_GRIDS = (100, 201, 317)
+
+
+@pytest.mark.parametrize("s", ALL_SCENARIOS)
+@pytest.mark.parametrize("tol", [1e-3, 1e-9])
+def test_screened_sweep_equals_the_full_grid_rule(s, tol):
+    for n_beta in SCREEN_GRIDS:
+        assert (n_beta - 1) % _SCREEN_STRIDE != 0
+        g = GridSpec(n_beta=n_beta, tol=tol)
+        for belief, p in _families(s, 3, seed=1 + ALL_SCENARIOS.index(s)):
+            found = find_symmetric_equilibria(belief, p, s, g)
+            ref = _full_grid_equilibria(belief, p, s, g)
+            assert found.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("s", ALL_SCENARIOS)
+def test_screen_keeps_rows_whose_cap_is_not_positive(s, monkeypatch):
+    # such a row is the single threshold 0, which is its own best; the
+    # caps are set per alpha value, so both passes see the same rows
+    p, belief, g = params_for(s), Belief(0.4, 0.6), GridSpec(n_beta=100)
+    alphas = np.linspace(0.0, symmetric_cap(p, s), g.n_alpha)
+    zero, negative = alphas[::3], alphas[1::5]
+    real = oracle.strategy_cap
+
+    def cap(a, p, s):
+        return np.select([np.isin(a, zero), np.isin(a, negative)],
+                         [0.0, -1.0], real(a, p, s))
+
+    monkeypatch.setattr(oracle, "strategy_cap", cap)
+    found = find_symmetric_equilibria(belief, p, s, g)
+    assert found.tobytes() == _full_grid_equilibria(belief, p, s, g).tobytes()
+    assert set(zero) | set(negative) <= set(found)
+
+
+def _count_betas(monkeypatch):
+    # thresholds reaching utility through the oracle, one entry per call
+    seen = []
+    real = oracle.utility
+
+    def counting(alpha, beta, *args, **kwargs):
+        seen.append(np.size(beta))
+        return real(alpha, beta, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "utility", counting)
+    return seen
+
+
+@pytest.mark.parametrize("s, p, belief", [
+    (Scenario.EXPONENTIAL_FIXED_HORIZON, EXP_P, Belief(0.4, 0.6)),
+    (Scenario.TREND_VIEWCOUNT_EXPONENTIAL, EXP_P, Belief(0.4, 0.6)),
+    (Scenario.LINEAR_FIXED_HORIZON, ModelParams(0.2, 0.1, 1.0, 10.0),
+     Belief(0.9, 0.1)),
+])
+def test_screen_evaluates_few_points_when_the_set_is_an_end(s, p, belief,
+                                                           monkeypatch):
+    # the set is {0} or {cap}: nearly every row is rejected by the screen,
+    # so a silent fall-back to full rows fails here
+    g = GridSpec()
+    alphas = np.linspace(0.0, symmetric_cap(p, s), g.n_alpha)
+    full = _beta_rows(alphas, p, s, g.n_beta)[0].size
+    seen = _count_betas(monkeypatch)
+    found = find_symmetric_equilibria(belief, p, s, g)
+    assert found.tolist() in ([0.0], [alphas[-1]])
+    assert len(seen) == 2
+    assert sum(seen) <= 0.3 * full
+
+
+def test_screen_keeps_every_row_of_the_linear_tie(monkeypatch):
+    # every alpha ties (test_oracle_finds_the_full_linear_interval), so
+    # every row survives the screen and gets its full pass
+    p, b, g = ModelParams(0.1, 0.01, 150.0, 10.0), Belief(0.75, 0.25), GridSpec()
+    s = Scenario.LINEAR_FIXED_HORIZON
+    alphas = np.linspace(0.0, symmetric_cap(p, s), g.n_alpha)
+    seen = _count_betas(monkeypatch)
+    found = find_symmetric_equilibria(b, p, s, g)
+    assert found.tobytes() == alphas.tobytes()
+    assert seen[1] == _beta_rows(alphas, p, s, g.n_beta)[0].size
 
 
 def test_oracle_matches_exponential_cap_classification():

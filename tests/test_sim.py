@@ -78,6 +78,22 @@ def test_side_information_views_follow_the_look_ahead_gate():
     assert errors[2] < errors[0] / 4.0
 
 
+def test_trend_linear_views_follow_the_product_gate():
+    # lam 2, lpu 5, tau 10, alpha 20: Xdot*X = 2X under push alone meets
+    # alpha at X = 10, so pull starts at t_a = 5 and X(tau) = 45, where a
+    # raw-count gate at 20 opens only at t = 10
+    p = ModelParams(2.0, 1.0, 5.0, 10.0)
+    mean_field = viewcount(p.tau, Quality.GOOD, 20.0, p, PushKind.LINEAR,
+                           MetricKind.TREND_TIMES_VIEWCOUNT)
+    assert mean_field == pytest.approx(45.0, rel=1e-12)
+    finals = np.array([
+        simulate_views(Quality.GOOD, 20.0, p, Scenario.TREND_VIEWCOUNT_LINEAR,
+                       SimConfig(seed=seed, n_push_pool=1000)).x[-1]
+        for seed in range(1, 101)])
+    std_err = np.std(finals, ddof=1) / np.sqrt(finals.size)
+    assert abs(np.mean(finals) - mean_field) <= 3.0 * std_err
+
+
 def test_best_response_dynamics_needs_a_closed_form():
     p = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0)
     with pytest.raises(UtilityError, match="no closed-form best response"):
