@@ -44,6 +44,7 @@ from .equilibrium import (
 from .numerics import BracketedFunction, NumericsError, find_root, lambert_w0
 from .oracle import (
     GridSpec,
+    decide_rows,
     deviation_sweep,
     find_symmetric_equilibria,
     grid_best_response,
@@ -69,6 +70,7 @@ from .utility import (
     symmetric_cap,
     utility,
     utility_surface,
+    utility_terms,
 )
 
 __version__ = "0.1.0"
@@ -109,6 +111,7 @@ __all__ = [
     "closed_form_best_response",
     "crossing_time",
     "crossing_time_raw",
+    "decide_rows",
     "deviation_sweep",
     "find_root",
     "find_symmetric_equilibria",
@@ -125,6 +128,7 @@ __all__ = [
     "symmetric_cap",
     "utility",
     "utility_surface",
+    "utility_terms",
     "viewcount",
     "__version__",
 ]

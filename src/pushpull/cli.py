@@ -40,8 +40,9 @@ from .equilibrium import (
 from .numerics import NumericsError
 from .oracle import (
     GridSpec,
+    alpha_grid,
+    decide_rows,
     deviation_sweep,
-    find_symmetric_equilibria,
     grid_best_response,
 )
 from .sim import SimConfig, best_response_dynamics, simulate_views
@@ -265,17 +266,31 @@ def _check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
     pts = np.array(_soundness_points(eq), dtype=float)
     inside = (0.0 <= pts) & (
         pts <= strategy_cap(pts, p, s) * (1.0 + 1e-9) + 1e-12)
-    sweep = zip(*deviation_sweep(pts[inside], belief, p, s, g))
-    for a, ok in zip(pts.tolist(), inside):
-        if not ok:
+    # one row decision for the classified points and the candidates of
+    # find_symmetric_equilibria, at the grid's tol; a point admitted
+    # there is admitted at tol_sound >= tol too, so only the others are
+    # judged again
+    alphas = alpha_grid(p, s, g)
+    n_in = np.count_nonzero(inside)
+    admitted = decide_rows(np.concatenate([pts[inside], alphas]), belief, p,
+                           s, g)
+    ok = inside.copy()
+    ok[inside] = admitted[:n_in]
+    again = inside & ~ok
+    if again.any() and tol_sound > g.resolve_tol(p):
+        ok[again] = decide_rows(pts[again], belief, p, s,
+                                dataclasses.replace(g, tol=tol_sound))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        a = pts.tolist()[i]
+        if not inside[i]:
             return f"classified point {a:.6g} lies outside its strategy space"
-        u_best, u_own = next(sweep)
-        if u_own < u_best - tol_sound:
-            return (f"classified point {a:.6g} is not a grid best response "
-                    f"(gap {u_best - u_own:.3g})")
-    cap_a = symmetric_cap(p, s)
+        (u_best,), (u_own,) = deviation_sweep(pts[i:i + 1], belief, p, s, g)
+        return (f"classified point {a:.6g} is not a grid best response "
+                f"(gap {u_best - u_own:.3g})")
+    cap_a = alphas[-1]
     tol_edge = 1.5 * (cap_a / (g.n_alpha - 1)) + 1e-9 * max(cap_a, 1.0)
-    found = find_symmetric_equilibria(belief, p, s, g)
+    found = alphas[admitted[n_in:]]
     missing = [float(a) for a in found if not eq.contains(float(a), tol=tol_edge)]
     # near an interval edge the grid tolerance admits near-fixed points;
     # only a strict re-test makes it a completeness failure, on rows

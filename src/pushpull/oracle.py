@@ -16,28 +16,47 @@ and flattened with row offsets. U(alpha_i, beta) is then evaluated over
 the flat array with alpha given per element; each row's maximum comes
 from a segmented reduction and its own-threshold utility by index.
 
-find_symmetric_equilibria screens the rows before that pass. Each row
-is first evaluated on a subset of its own grid points, every
-_SCREEN_STRIDE-th point of its linspace plus the cap and min(alpha,
-cap), in one utility call over a rectangular array. A row whose own
-utility falls more than tol below the subset's maximum is rejected
-there: the subset maximum is at most the full row's maximum and
-rounding is monotone, so own < max - tol holds on the full row as well.
-Only the surviving rows get the full pass. Because utility is
-elementwise and does not depend on its batch (fixed-step Lambert W, and
-a root finder that freezes each element when it stops), own and every
-screen value are bit for bit those of the full pass, so the admitted
-alphas are exactly those of the full grid.
+find_symmetric_equilibria decides the same rule without that pass
+(decide_rows). Pass 1 evaluates, in one call of the kernel
+utility_terms over a rectangular array, every _COARSE_STRIDE-th point
+of each row's linspace, the cap and the row extras (own = min(alpha,
+cap) among them), and rejects the rows with own < max - tol. Pass 2
+takes the surviving rows interval by interval, [beta_16m, beta_16(m+1)]
+between consecutive pass-1 points. U = pi_G gain - pi_B cost, and each
+term is a function of one first-passage time, monotone in beta between
+consecutive discontinuity_preimages, rising or falling. So every point
+of an interval with no preimage in it satisfies
+
+    U <= pi_G max(gain_lo, gain_hi) - pi_B min(cost_lo, cost_hi),
+
+in floating point too (rounding is monotone), whichever way each term
+runs. An interval whose bound is at most own + tol - delta holds no
+point that could reject the row and is certified; an interval holding a
+preimage is never certified. Pass 2 evaluates the interior linspace
+points of the open intervals only, in one more call, and a row is
+admitted iff own >= max(pass 1, pass 2) - tol. Every point evaluated is
+a point of the full row, utility_terms is elementwise and does not
+depend on its batch (fixed-step Lambert W, and a root finder that
+freezes each element when it stops), and a maximum ignores duplicates,
+so the decision is the full grid's exactly. delta = 1e-12 tau
+(_CERTIFY_SLACK) is a margin, not a knob: it keeps the certificate exact
+when rounding in the crossing times lets a term step against its
+direction by less than that.
+
+deviation_sweep stays the reference rule that decide_rows reproduces.
+It returns the row maxima themselves: the CLI prints the gap of the
+first classified point that decide_rows rejects, and the refined
+completeness re-test raises them.
 
 A sweep can also refine each row's maximum past the grid with a few
 golden-section steps around its best grid point, which finds a smooth
 peak that the grid steps over; the strict completeness re-test of the
 CLI uses it.
 
-The utilities come from utility.utility, the same elementwise kernel
-the closed forms use, called with alpha per element and without the
-strategy-cap check (every row already stops at its cap). The oracle
-searches; it adds no formula of its own.
+The utilities come from utility.utility and utility.utility_terms, the
+same elementwise kernel the closed forms use, called with alpha per
+element and without the strategy-cap check (every row already stops at
+its cap). The oracle searches; it adds no formula of its own.
 """
 
 from __future__ import annotations
@@ -62,6 +81,7 @@ from .utility import (
     strategy_cap,
     symmetric_cap,
     utility,
+    utility_terms,
 )
 
 INF = math.inf
@@ -110,9 +130,12 @@ def _window_kinks(alpha, p: ModelParams) -> list:
     return out
 
 
-# every _SCREEN_STRIDE-th linspace point of a row goes into the screen
-# pass of find_symmetric_equilibria
-_SCREEN_STRIDE = 16
+# every _COARSE_STRIDE-th linspace point of a row is evaluated in pass 1
+# of decide_rows; the points between two of them are bounded first
+_COARSE_STRIDE = 16
+# certified intervals stay this far (times tau) below own + tol, which
+# absorbs the rounding of the bound and of the crossing times
+_CERTIFY_SLACK = 1e-12
 
 
 def _linspace_rows(caps, n_beta: int, stride: int = 1) -> np.ndarray:
@@ -258,39 +281,76 @@ def _refine_rows(alphas, betas, starts, counts, us, best, belief: Belief,
     return best
 
 
-def _screen_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,
-                 n_beta: int, tol: float) -> np.ndarray:
-    """False for the rows a subset of their grid points already rejects.
+def decide_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,
+                g: GridSpec) -> np.ndarray:
+    """True where alphas[i] is a grid fixed point, own >= best - tol.
 
-    Each row is evaluated at every _SCREEN_STRIDE-th point of its
-    linspace, the cap and its own threshold min(alpha, cap), all of them
-    points of the full row; a row whose cap is not positive is the
-    single threshold 0, as in _beta_rows. A NaN maximum keeps the row.
+    The rule is deviation_sweep's, bit for bit: best is the largest
+    U(alphas[i], beta) over the full deviation row of _beta_rows and
+    own is U(alphas[i], min(alphas[i], cap)). Pass 1 evaluates every
+    _COARSE_STRIDE-th linspace point, the cap and the row extras (NaN
+    taken as the own threshold), and rejects the rows it already can.
+    Pass 2 evaluates the linspace points strictly between two coarse
+    points only where the interval's monotone bound does not certify
+    that none of them exceeds own + tol (module docstring). A NaN
+    utility rejects its row, as in the full pass.
     """
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.size == 0:
+        return np.zeros(0, dtype=bool)
+    tol = g.resolve_tol(p)
     caps = strategy_cap(alphas, p, s)
-    grid = np.column_stack([_linspace_rows(caps, n_beta, _SCREEN_STRIDE),
-                            np.minimum(alphas, caps)])
-    grid[caps <= 0.0] = 0.0
-    us = utility(np.repeat(alphas, grid.shape[1]), grid.ravel(), belief, p,
-                 s, enforce_cap=False).reshape(grid.shape)
-    return ~(us[:, -1] < us.max(axis=1) - tol)
+    own = np.minimum(alphas, caps)
+    coarse = _linspace_rows(caps, g.n_beta, _COARSE_STRIDE)
+    k = coarse.shape[1]
+    extras = np.clip(_row_extras(alphas, caps, p, s), 0.0, caps[:, None])
+    extras = np.where(np.isnan(extras), own[:, None], extras)
+    # a column that is own in every row, such as alpha clipped to the
+    # cap, adds nothing to a maximum
+    dup = np.all(extras[:, 1:] == own[:, None], axis=0)
+    pts = np.concatenate([coarse, extras[:, np.append(True, ~dup)]], axis=1)
+    # a row whose cap is not positive is the single threshold 0
+    empty = caps <= 0.0
+    pts[empty] = 0.0
+    gain, cost = (x.reshape(pts.shape) for x in utility_terms(
+        np.repeat(alphas, pts.shape[1]), pts.ravel(), p, s))
+    us = belief.pi_g * gain - belief.pi_b * cost
+    u_own = us[:, k]  # min(alpha, cap) is the first extra
+    best = us.max(axis=1)
+    alive = u_own >= best - tol
+    # pass 2: intervals [coarse m, coarse m + 1] of the live rows
+    bound = (belief.pi_g * np.maximum(gain[:, :k - 1], gain[:, 1:k])
+             - belief.pi_b * np.minimum(cost[:, :k - 1], cost[:, 1:k]))
+    open_ = ~(bound <= (u_own + tol - _CERTIFY_SLACK * p.tau)[:, None])
+    lo, hi = coarse[:, :-1], coarse[:, 1:]
+    for d in discontinuity_preimages(alphas, p, s):
+        open_ |= (lo <= d[:, None]) & (d[:, None] <= hi)
+    open_ &= (alive & ~empty)[:, None]
+    rows, m = np.nonzero(open_)
+    # the linspace columns strictly inside each open interval
+    cols = m[:, None] * _COARSE_STRIDE + np.arange(1, _COARSE_STRIDE)
+    inner = cols < g.n_beta - 1
+    rows, cols = np.broadcast_to(rows[:, None], cols.shape)[inner], cols[inner]
+    if rows.size:
+        # the same product as _linspace_rows, so the same grid points
+        betas = cols * (caps / (g.n_beta - 1))[rows]
+        gain, cost = utility_terms(alphas[rows], betas, p, s)
+        np.maximum.at(best, rows, belief.pi_g * gain - belief.pi_b * cost)
+    # pass 2 only raises best, so a row rejected in pass 1 stays rejected
+    return u_own >= best - tol
+
+
+def alpha_grid(p: ModelParams, s: Scenario, g: GridSpec) -> np.ndarray:
+    """The candidate population thresholds of find_symmetric_equilibria:
+    g.n_alpha evenly spaced on [0, symmetric_cap]."""
+    # candidates above the self-consistent cap exceed their own strategy
+    # space, so no admissible symmetric equilibrium lives there
+    return np.linspace(0.0, symmetric_cap(p, s), g.n_alpha)
 
 
 def find_symmetric_equilibria(belief: Belief, p: ModelParams,
                               s: Scenario, g: GridSpec) -> np.ndarray:
-    """All grid alphas whose own threshold is within g.tol of optimal.
-
-    The rule is own >= best - tol over each full deviation row
-    (deviation_sweep). Rows are screened first on a subset of their own
-    grid points (_screen_rows), and only the survivors get the full
-    pass. A screened-out row has own < subset max - tol <= best - tol,
-    and the utilities are bit-equal in both passes, so the result is the
-    full-grid rule's exactly.
-    """
-    # candidates above the self-consistent cap exceed their own strategy
-    # space, so no admissible symmetric equilibrium lives there
-    alphas = np.linspace(0.0, symmetric_cap(p, s), g.n_alpha)
-    tol = g.resolve_tol(p)
-    alphas = alphas[_screen_rows(alphas, belief, p, s, g.n_beta, tol)]
-    best, own = deviation_sweep(alphas, belief, p, s, g)
-    return alphas[own >= best - tol]
+    """All grid alphas whose own threshold is within g.tol of optimal:
+    the rows decide_rows admits, exactly those of the full-grid rule."""
+    alphas = alpha_grid(p, s, g)
+    return alphas[decide_rows(alphas, belief, p, s, g)]

@@ -12,12 +12,14 @@ keeps the fixed-horizon form on the crossings of its falling metric.
 Thresholds live in [0, beta_tau(Bad, alpha)]: no rational deviator
 waits for a level the bad content cannot reach.
 
-utility is the one implementation of U. It is elementwise: alpha and
-beta broadcast together, so the grid oracle evaluates many population
-thresholds and deviations in one call and the best responses evaluate
-all their candidates at once. TrendViewcountExponential, which has no
-closed-form passage after activation, solves every element and both
-qualities in one pass of the bracketed root finder find_root_arr.
+utility is the one implementation of U: the belief-weighted difference
+of the two per-quality terms that utility_terms returns. Both are
+elementwise: alpha and beta broadcast together, so the grid oracle
+evaluates many population thresholds and deviations in one call and
+the best responses evaluate all their candidates at once.
+TrendViewcountExponential, which has no closed-form passage after
+activation, solves every element and both qualities in one pass of the
+bracketed root finder find_root_arr.
 """
 
 from __future__ import annotations
@@ -202,27 +204,28 @@ def _window_term(w, t):
     return np.where(np.isfinite(t), w - t, 0.0)
 
 
-def _fixed_horizon_utility(alpha, beta, belief, p, push, cross):
+def _fixed_horizon_terms(alpha, beta, p, push, cross):
     tb_g = cross(beta, alpha, Quality.GOOD, p, push)
     tb_b = cross(beta, alpha, Quality.BAD, p, push)
     # a crossing that never happens (t = inf) collects nothing
-    return belief.pi_g * _pos(p.tau - tb_g) - belief.pi_b * _pos(p.tau - tb_b)
+    return _pos(p.tau - tb_g), _pos(p.tau - tb_b)
 
 
-def _variable_horizon_utility(alpha, beta, belief, p):
+def _variable_horizon_terms(alpha, beta, p):
     push = PushKind.EXPONENTIAL_SATURATING
     n = p.require_pool()
     lam_g, lam_b = p.lambda_ps_g, p.lambda_ps_b
     w0g, t1g, xth_g = horizon_window(Quality.GOOD, p, push)
     w0b, t1b, xth_b = horizon_window(Quality.BAD, p, push)
-    pig, pib = belief.pi_g, belief.pi_b
-    u = np.empty(beta.shape)
+    gain = np.empty(beta.shape)
+    cost = np.empty(beta.shape)
     # each branch is evaluated on its own elements only
     above = beta > alpha
     b, a = beta[above], alpha[above]
     tb_g = _cross_plain_raw(b, a, Quality.GOOD, p, push)
     tb_b = _cross_plain_raw(b, a, Quality.BAD, p, push)
-    u[above] = pig * _pos(t1g - tb_g) - pib * _pos(t1b - tb_b)
+    gain[above] = _pos(t1g - tb_g)
+    cost[above] = _pos(t1b - tb_b)
     # beta <= alpha: the deviator crosses on the push-only segment, and a
     # window can reopen when the population pulls at t_alpha
     below = ~above
@@ -235,22 +238,60 @@ def _variable_horizon_utility(alpha, beta, belief, p):
     # population pulls; xth_b <= alpha <= xth_g: good stays trending
     # throughout, bad reopens; below both: the bad-side cost window
     # closes at the population crossing, as printed
-    good = np.where(a > xth_g,
-                    _pos(w0g - tbp_g) + _pos(t1g - ta_g),
-                    _window_term(t1g, tbp_g))
-    bad = np.where(a >= xth_b,
-                   _pos(w0b - tbp_b) + _pos(t1b - ta_b),
-                   _window_term(t1b, ta_b))
-    u[below] = pig * good - pib * bad
-    return u
+    gain[below] = np.where(a > xth_g,
+                           _pos(w0g - tbp_g) + _pos(t1g - ta_g),
+                           _window_term(t1g, tbp_g))
+    cost[below] = np.where(a >= xth_b,
+                           _pos(w0b - tbp_b) + _pos(t1b - ta_b),
+                           _window_term(t1b, ta_b))
+    return gain, cost
 
 
-def _trend_exp_utility(alpha, beta, belief, p):
+def _trend_exp_terms(alpha, beta, p):
     # the strict passage, so a threshold inside the activation jump is met
     # only when the curve comes back down to it; both qualities at once
     tb_g, tb_b = _cross_product_sat(beta, alpha,
                                     [p.lambda_ps_g, p.lambda_ps_b], p, True)
-    return belief.pi_g * _pos(p.tau - tb_g) - belief.pi_b * _pos(p.tau - tb_b)
+    return _pos(p.tau - tb_g), _pos(p.tau - tb_b)
+
+
+def _thresholds(alpha, beta):
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if np.count_nonzero(alpha < 0.0):
+        raise UtilityError("alpha must be nonnegative")
+    if np.count_nonzero(beta < 0.0):
+        raise UtilityError("beta must be nonnegative")
+    return alpha, beta
+
+
+def _terms(alpha, beta, p: ModelParams, s: Scenario):
+    # p and s already reduced; alpha and beta validated arrays
+    alpha, beta = np.broadcast_arrays(alpha, beta)
+    if s is Scenario.VARIABLE_HORIZON:
+        return _variable_horizon_terms(alpha, beta, p)
+    if s is Scenario.TREND_VIEWCOUNT_EXPONENTIAL:
+        return _trend_exp_terms(alpha, beta, p)
+    cross = (_cross_side_info_raw if s is Scenario.SIDE_INFORMATION
+             else _cross_plain_raw)
+    return _fixed_horizon_terms(alpha, beta, p, s.push, cross)
+
+
+def utility_terms(alpha, beta, p: ModelParams, s: Scenario):
+    """(gain, cost): the payoffs per quality that U weighs by the belief.
+
+    U(alpha, beta) = pi_G gain - pi_B cost, bit for bit: gain is
+    (tau - t_beta(G))+ and cost (tau - t_beta(B))+ in the fixed-horizon
+    variants, the trend-gated window terms in VariableHorizon. Each is
+    a function of a first-passage time, so between consecutive
+    discontinuity_preimages it is monotone in beta (the grid oracle
+    bounds whole intervals with that). Elementwise like utility, with no
+    strategy-cap check.
+    """
+    alpha, beta = _thresholds(alpha, beta)
+    p, s = reduce_scenario(p, s)
+    gain, cost = _terms(alpha, beta, p, s)
+    return _float_or_array(gain), _float_or_array(cost)
 
 
 def utility(alpha, beta, belief: Belief, p: ModelParams,
@@ -262,12 +303,7 @@ def utility(alpha, beta, belief: Belief, p: ModelParams,
     otherwise. Set enforce_cap=False to probe thresholds beyond
     beta_tau(Bad); the strategy space proper stops at the cap.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if np.count_nonzero(alpha < 0.0):
-        raise UtilityError("alpha must be nonnegative")
-    if np.count_nonzero(beta < 0.0):
-        raise UtilityError("beta must be nonnegative")
+    alpha, beta = _thresholds(alpha, beta)
     p, s = reduce_scenario(p, s)
     if enforce_cap:
         # before broadcasting: the cap depends on alpha only
@@ -279,16 +315,8 @@ def utility(alpha, beta, belief: Belief, p: ModelParams,
                 f"beta={np.broadcast_to(beta, over.shape).flat[k]} exceeds "
                 "the bad-content cap beta_tau(Bad)="
                 f"{np.broadcast_to(caps, over.shape).flat[k]}")
-    alpha, beta = np.broadcast_arrays(alpha, beta)
-    if s is Scenario.VARIABLE_HORIZON:
-        u = _variable_horizon_utility(alpha, beta, belief, p)
-    elif s is Scenario.TREND_VIEWCOUNT_EXPONENTIAL:
-        u = _trend_exp_utility(alpha, beta, belief, p)
-    else:
-        cross = (_cross_side_info_raw if s is Scenario.SIDE_INFORMATION
-                 else _cross_plain_raw)
-        u = _fixed_horizon_utility(alpha, beta, belief, p, s.push, cross)
-    return _float_or_array(u)
+    gain, cost = _terms(alpha, beta, p, s)
+    return _float_or_array(belief.pi_g * gain - belief.pi_b * cost)
 
 
 # -- best responses ----------------------------------------------------------

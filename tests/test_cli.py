@@ -1,5 +1,6 @@
 """CLI commands end to end, through cli.main in-process."""
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -263,6 +264,23 @@ def test_linear_knife_edge_ties_are_the_whole_interval(scenario, rates, belief):
     assert eq.case == "ii"
     assert eq.intervals == ((0.0, symmetric_cap(p, s)),)
     assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
+
+
+@pytest.mark.parametrize("shift, sound", [(1e-7, True), (1e-5, False)])
+def test_soundness_judges_at_its_own_tolerance(shift, sound):
+    # the set is {0}; moved to `shift` its own payoff trails the row best
+    # by 3.5 shift, between the grid tol 1e-12 and the soundness tol
+    # 1e-6 tau = 1e-5 for the smaller shift, above both for the larger
+    s, p, b = Scenario.LINEAR_FIXED_HORIZON, ModelParams(**LIN), Belief(0.9, 0.1)
+    eq = classify(s, b, p)[0]
+    assert eq.points == (0.0,)
+    moved = dataclasses.replace(eq, points=(shift,))
+    reason = _check_equilibrium_set(moved, b, p, s, GridSpec(tol=1e-12))
+    if sound:
+        assert reason is None
+    else:
+        assert reason == (f"classified point {shift:.6g} is not a grid best "
+                          f"response (gap {3.5 * shift:.3g})")
 
 
 def test_classify_oracle_check_next_to_the_push_ratio(tmp_path, capsys):
