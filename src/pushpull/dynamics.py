@@ -218,18 +218,16 @@ def _t_ps_inverse(x, lam, push: PushKind, n: float):
 
 # -- activation time t_alpha ------------------------------------------------
 
-def _t_alpha_product(alpha, lam, push, n):
-    """First crossing of Xdot*X = alpha under push alone, elementwise."""
-    alpha = np.asarray(alpha, dtype=float)
-    if push is PushKind.LINEAR:
-        t = alpha / (lam * lam)
-    else:
-        # e^{-lam t} = (1 + sqrt(1 - 4 alpha/(lam N^2)))/2, rising-side
-        # root; none above the push-only peak lam N^2/4
-        disc = np.maximum(1.0 - 4.0 * alpha / (lam * n * n), 0.0)
-        t = np.where(alpha > lam * n * n / 4.0, INF,
-                     -np.log(0.5 * (1.0 + np.sqrt(disc))) / lam)
-    return np.where(alpha <= 0.0, 0.0, t)
+def _product_count(y, lam, n):
+    """Push-only count at which Xdot*X first reaches y >= 0 under
+    saturating push, elementwise; INF above the push-only peak lam n^2/4.
+
+    Xdot*X = lam X (n - X) there, whose rising-side root is
+    y/(lam (n/2 + sqrt(n^2/4 - y/lam))), a form that does not cancel
+    at small y the way n/2 - sqrt(...) does.
+    """
+    return np.where(y > lam * n * n / 4.0, INF, y / (
+        lam * (0.5 * n + np.sqrt(np.maximum(0.25 * n * n - y / lam, 0.0)))))
 
 
 def _rates(q: Quality, p: ModelParams, push: PushKind, metric: MetricKind):
@@ -246,40 +244,18 @@ def _rates(q: Quality, p: ModelParams, push: PushKind, metric: MetricKind):
     return p.lambda_ps(q), p.require_pool()
 
 
-def activation_time(alpha, q: Quality, p: ModelParams,
-                    push: PushKind, metric: MetricKind):
-    """Earliest time the population metric reaches alpha (INF if never).
-
-    Elementwise in alpha: a float for a scalar, an array otherwise.
-    """
-    if np.count_nonzero(alpha < 0.0):
-        raise DynamicsError("alpha must be nonnegative")
-    lam, n = _rates(q, p, push, metric)
-    if metric is MetricKind.PLAIN_VIEWCOUNT:
-        # pull cannot fire before activation, so only push drives X up to alpha
-        ta = _t_ps_inverse(alpha, lam, push, n)
-    elif metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-        ta = _t_alpha_product(alpha, lam, push, n)
-    else:
-        # ((lam tau)^2 - (lam t)^2)/2 falls to alpha; a threshold above
-        # the start value is never met
-        x2 = (lam * p.tau) ** 2
-        ta = np.where(2.0 * alpha > x2, INF,
-                      np.sqrt(np.maximum(x2 - 2.0 * alpha, 0.0)) / lam)
-    return _float_or_array(ta)
-
-
 def activation_count(alpha, q: Quality, p: ModelParams,
                      push: PushKind, metric: MetricKind):
     """Push-only viewcount at which the population metric reaches alpha
-    (INF if it never does); _t_ps_inverse of it is activation_time.
+    (INF if it never does).
 
-    alpha for the plain viewcount. Xdot*X is lam X under linear push,
-    so alpha/lam, and lam X (n - X) under saturating push, whose
-    rising-side root alpha/(lam (n/2 + sqrt(n^2/4 - alpha/lam))) exists
-    up to the push-only peak lam n^2/4. The look-ahead value
-    ((lam tau)^2 - X^2)/2 falls to alpha at sqrt((lam tau)^2 - 2 alpha).
-    Elementwise in alpha: a float for a scalar, an array otherwise.
+    Before pull starts every metric is a function of the push-only
+    count, so activation is that count reaching a gate: alpha for the
+    plain viewcount; for Xdot*X, alpha/lam under linear push (Xdot*X =
+    lam X) and _product_count under saturating push; for the look-ahead
+    value ((lam tau)^2 - X^2)/2, which falls to alpha at sqrt((lam tau)^2
+    - 2 alpha). Elementwise in alpha: a float for a scalar, an array
+    otherwise.
     """
     if np.count_nonzero(alpha < 0.0):
         raise DynamicsError("alpha must be nonnegative")
@@ -295,10 +271,21 @@ def activation_count(alpha, q: Quality, p: ModelParams,
     elif push is PushKind.LINEAR:
         x = alpha / lam
     else:
-        x = np.where(alpha > lam * n * n / 4.0, INF, alpha / (
-            lam * (0.5 * n + np.sqrt(np.maximum(0.25 * n * n - alpha / lam,
-                                                0.0)))))
+        x = _product_count(alpha, lam, n)
     return _float_or_array(x)
+
+
+def activation_time(alpha, q: Quality, p: ModelParams,
+                    push: PushKind, metric: MetricKind):
+    """Earliest time the population metric reaches alpha (INF if never):
+    the push-only passage of activation_count, as pull cannot fire
+    before it.
+
+    Elementwise in alpha: a float for a scalar, an array otherwise.
+    """
+    lam, n = _rates(q, p, push, metric)
+    return _float_or_array(_t_ps_inverse(
+        activation_count(alpha, q, p, push, metric), lam, push, n))
 
 
 # -- trajectory values ------------------------------------------------------
@@ -455,12 +442,14 @@ def _cross_product_sat(beta, alpha, lams, p, strict: bool):
     shape = (len(lams),) + beta.shape
     lam_col = np.asarray(lams, dtype=float)[:, None]
     lam = lam_col.reshape((-1,) + (1,) * beta.ndim)
-    t = _t_alpha_product(beta, lam, PushKind.EXPONENTIAL_SATURATING, n).ravel()
+    # the push-only passage of beta and each level's activation time
+    # come from the one gate, so beta = alpha lands on ta exactly
+    sat = PushKind.EXPONENTIAL_SATURATING
+    t = _t_ps_inverse(_product_count(beta, lam, n), lam, sat, n).ravel()
     if lpu == 0.0:
         return t.reshape(shape)
     levels, inverse = np.unique(alpha, return_inverse=True)
-    ta_lv = _t_alpha_product(levels, lam_col,
-                             PushKind.EXPONENTIAL_SATURATING, n)
+    ta_lv = _t_ps_inverse(_product_count(levels, lam_col, n), lam_col, sat, n)
     r_lv, f_lv = _product_pieces(ta_lv, lam_col, p)
     ta, r, f = (v[:, inverse.ravel()].ravel() for v in (ta_lv, r_lv, f_lv))
     beta, alpha, lam = (np.broadcast_to(v, shape).ravel()
@@ -512,14 +501,15 @@ def _cross_product_raw(beta, alpha, q, p, push):
     lam = p.lambda_ps(q)
     if push is PushKind.EXPONENTIAL_SATURATING:
         return _cross_product_sat(beta, alpha, [lam], p, False)[0]
-    ta = _t_alpha_product(alpha, lam, push, 0.0)
+    # activation_time's expression, (alpha/lam)/lam, for ta and for the
+    # push-only passage of beta alike, so beta = alpha lands on ta exactly
+    pre, ta = (y / lam / lam for y in (beta, alpha))
     big = lam + p.lambda_pu
     xa = lam * ta
     # alpha = inf makes the discarded boosted value inf - inf
     with np.errstate(invalid="ignore"):
         boosted = np.where(beta <= big * xa, ta,  # inside the activation jump
                            ta + (beta / big - xa) / big)
-    pre = beta / (lam * lam)
     return np.where(beta <= 0.0, 0.0, np.where(pre <= ta, pre, boosted))
 
 
@@ -572,9 +562,11 @@ def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
     threshold per element: the result is a float for two scalars and an
     array otherwise.
     """
-    # np.less, not <: beta may also be a list
+    # np.less, not <: beta and alpha may also be lists
     if np.count_nonzero(np.less(beta, 0.0)):
         raise DynamicsError("beta must be nonnegative")
+    if np.count_nonzero(np.less(alpha, 0.0)):
+        raise DynamicsError("alpha must be nonnegative")
     beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),
                                       np.asarray(alpha, dtype=float))
     cross = {MetricKind.PLAIN_VIEWCOUNT: _cross_plain_raw,

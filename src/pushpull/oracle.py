@@ -4,28 +4,28 @@ Everything here answers one question by exhaustive search: which grid
 thresholds come within a utility slack of the maximum. The closed-form
 layers are validated against these sweeps, never the other way around.
 
-A sweep over many population thresholds alpha is one flattened grid and
-one vectorized utility pass. Every alpha gets a deviation row: n_beta
-evenly spaced thresholds on [0, cap(alpha)] plus the row's own extra
-points (alpha itself, the VariableHorizon window kinks, and each
-discontinuity preimage with its +-eps neighbours). The caps and the
-extras are computed as columns, one elementwise call each over all
-alphas, with NaN where a row has no such point. All rows are built as
-one NaN-padded 2-D array, sorted and deduplicated along each row,
-and flattened with row offsets. U(alpha_i, beta) is then evaluated over
-the flat array with alpha given per element; each row's maximum comes
-from a segmented reduction and its own-threshold utility by index.
+A sweep over many population thresholds alpha is one rectangular array
+of deviation rows (_rows) and one vectorized utility pass. Every alpha
+gets a row: n_beta evenly spaced thresholds on [0, cap(alpha)], or every
+stride-th of them and the cap, plus the row's own extra points (alpha
+itself, the VariableHorizon window kinks, and each discontinuity
+preimage with its +-eps neighbours). The caps and the extras are
+computed as columns, one elementwise call each over all alphas; where a
+row has no such point its column holds the own threshold min(alpha,
+cap), which the row has anyway. U(alpha_i, beta) is then evaluated over
+the array with alpha given per element; each row's maximum is a row
+maximum, which ignores repeated thresholds, and its own-threshold
+utility sits in one column.
 
-find_symmetric_equilibria decides the same rule without that pass
-(decide_rows). Pass 1 evaluates, in one call of the kernel
-utility_terms over a rectangular array, every _COARSE_STRIDE-th point
-of each row's linspace, the cap and the row extras (own = min(alpha,
-cap) among them), and rejects the rows with own < max - tol. Pass 2
-takes the surviving rows interval by interval, [beta_16m, beta_16(m+1)]
-between consecutive pass-1 points. U = pi_G gain - pi_B cost, and each
-term is a function of one first-passage time, monotone in beta between
-consecutive discontinuity_preimages, rising or falling. So every point
-of an interval with no preimage in it satisfies
+find_symmetric_equilibria decides the same rule without the full pass
+(decide_rows). Pass 1 evaluates, in one call of the kernel utility_terms,
+the rows of stride _COARSE_STRIDE, and rejects the rows with own < max -
+tol. Pass 2 takes the surviving rows interval by interval,
+[beta_16m, beta_16(m+1)] between consecutive pass-1 points. U = pi_G
+gain - pi_B cost, and each term is a function of one first-passage
+time, monotone in beta between consecutive discontinuity_preimages,
+rising or falling. So every point of an interval with no preimage in it
+satisfies
 
     U <= pi_G max(gain_lo, gain_hi) - pi_B min(cost_lo, cost_hi),
 
@@ -138,21 +138,6 @@ _COARSE_STRIDE = 16
 _CERTIFY_SLACK = 1e-12
 
 
-def _linspace_rows(caps, n_beta: int, stride: int = 1) -> np.ndarray:
-    """Columns 0, stride, 2*stride, ... and the last column of
-    np.linspace(0, cap, n_beta), one row per cap.
-
-    arange * step with the cap as last column is np.linspace(0, cap,
-    n_beta) bit for bit (unless the step underflows), and a column holds
-    the same value whatever the stride, so a strided row is a subset of
-    the full one.
-    """
-    cols = np.append(np.arange(0, n_beta - 1, stride), n_beta - 1)
-    rows = cols * (caps / (n_beta - 1))[:, None]
-    rows[:, -1] = caps
-    return rows
-
-
 def _row_extras(alphas, caps, p: ModelParams, s: Scenario) -> np.ndarray:
     """Points a uniform grid would step over, one row per alpha: the
     population threshold itself, the window kinks and both sides of
@@ -166,36 +151,34 @@ def _row_extras(alphas, caps, p: ModelParams, s: Scenario) -> np.ndarray:
     return np.column_stack(np.broadcast_arrays(*cols))
 
 
-def _beta_rows(alphas, p: ModelParams, s: Scenario,
-               n_beta: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Deviation grids of many population thresholds, flattened.
+def _rows(alphas, p: ModelParams, s: Scenario, n_beta: int,
+          stride: int = 1) -> Tuple[np.ndarray, int]:
+    """(rows, k): the deviation rows of many population thresholds, one
+    per alpha, and the column of each row's own threshold min(alpha, cap).
 
-    Returns (betas, starts): the row of alphas[i] is
-    betas[starts[i]:starts[i + 1]], the last row running to the end.
-    Each row equals np.unique of np.linspace(0, cap, n_beta) and the
-    row's extra points clipped to [0, cap]; a row whose cap is not
-    positive is the single threshold 0.
+    Columns :k are columns 0, stride, 2*stride, ... and the last of
+    np.linspace(0, cap, n_beta): arange * step with the cap as last
+    column is that linspace bit for bit (unless the step underflows),
+    and a column holds the same value whatever the stride, so a strided
+    row is a subset of the full one. Columns k: are the row extras
+    clipped to [0, cap], NaN taken as own, less the columns that are own
+    in every row (such as alpha clipped to the cap). A row whose cap is
+    not positive is the single threshold 0. Values repeat within a row,
+    which a maximum ignores; np.unique of a stride-1 row is the sorted
+    deviation grid.
     """
     alphas = np.asarray(alphas, dtype=float)
     caps = strategy_cap(alphas, p, s)
-    grid = np.concatenate(
-        [_linspace_rows(caps, n_beta),
-         np.clip(_row_extras(alphas, caps, p, s), 0.0, caps[:, None])],
-        axis=1)
-    empty = caps <= 0.0
-    grid[empty] = np.nan
-    grid[empty, 0] = 0.0
-    # NaN padding sorts last; keep the first of every run of equal values
-    grid.sort(axis=1)
-    keep = ~np.isnan(grid)
-    keep[:, 1:] &= grid[:, 1:] != grid[:, :-1]
-    counts = keep.sum(axis=1)
-    return grid[keep], np.cumsum(counts) - counts
-
-
-def _beta_grid(alpha: float, p: ModelParams, s: Scenario,
-               n_beta: int) -> np.ndarray:
-    return _beta_rows([alpha], p, s, n_beta)[0]
+    cols = np.append(np.arange(0, n_beta - 1, stride), n_beta - 1)
+    grid = cols * (caps / (n_beta - 1))[:, None]
+    grid[:, -1] = caps
+    extras = np.clip(_row_extras(alphas, caps, p, s), 0.0, caps[:, None])
+    own = extras[:, :1]  # _row_extras starts with min(alpha, cap)
+    extras = np.where(np.isnan(extras), own, extras)
+    dup = np.all(extras[:, 1:] == own, axis=0)
+    rows = np.concatenate([grid, extras[:, np.append(True, ~dup)]], axis=1)
+    rows[caps <= 0.0] = 0.0
+    return rows, grid.shape[1]
 
 
 # -- public sweeps -------------------------------------------------------------
@@ -203,7 +186,7 @@ def _beta_grid(alpha: float, p: ModelParams, s: Scenario,
 def grid_best_response(alpha: float, belief: Belief, p: ModelParams,
                        s: Scenario, g: GridSpec) -> np.ndarray:
     """All grid thresholds within g.tol of the best achievable utility."""
-    betas = _beta_grid(alpha, p, s, g.n_beta)
+    betas = np.unique(_rows([alpha], p, s, g.n_beta)[0])
     us = utility(alpha, betas, belief, p, s, enforce_cap=False)
     return betas[us >= us.max() - g.resolve_tol(p)]
 
@@ -213,10 +196,10 @@ def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """(best, own) utility per population threshold, in one evaluation.
 
-    best[i] is the largest U(alphas[i], beta) over the deviation grid
-    of alphas[i]; own[i] is U(alphas[i], min(alphas[i], cap)), the
-    payoff of following the population. All rows share one flattened
-    grid and one bulk utility pass.
+    best[i] is the largest U(alphas[i], beta) over the deviation row
+    of alphas[i] (_rows); own[i] is U(alphas[i], min(alphas[i], cap)),
+    the payoff of following the population. All rows are evaluated in
+    one utility call.
 
     With refine_steps > 0, best[i] is also the largest U met by that
     many golden-section steps on the grid neighbours of the row's best
@@ -227,40 +210,35 @@ def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
         return np.empty(0), np.empty(0)
-    betas, starts = _beta_rows(alphas, p, s, g.n_beta)
-    counts = np.diff(starts, append=betas.size)
-    us = utility(np.repeat(alphas, counts), betas, belief, p, s,
-                 enforce_cap=False)
-    best = np.maximum.reduceat(us, starts)
-    # min(alpha, cap) is an extra point of every row (the cap is the row's
-    # last), so its index is the number of row points below it
-    own = np.minimum(alphas, betas[starts + counts - 1])
-    below = betas < np.repeat(own, counts)
-    own_u = us[starts + np.add.reduceat(below.astype(np.intp), starts)]
+    rows, k = _rows(alphas, p, s, g.n_beta)
+    us = utility(np.repeat(alphas, rows.shape[1]), rows.ravel(), belief, p, s,
+                 enforce_cap=False).reshape(rows.shape)
+    best = us.max(axis=1)
     if refine_steps > 0:
-        best = _refine_rows(alphas, betas, starts, counts, us, best, belief,
-                            p, s, refine_steps)
-    return best, own_u
+        best = _refine_rows(alphas, rows, us, best, belief, p, s, refine_steps)
+    return best, us[:, k]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine_rows(alphas, betas, starts, counts, us, best, belief: Belief,
-                 p: ModelParams, s: Scenario, steps: int) -> np.ndarray:
+def _refine_rows(alphas, rows, us, best, belief: Belief, p: ModelParams,
+                 s: Scenario, steps: int) -> np.ndarray:
     """Row maxima raised by golden-section steps around the grid argmax.
 
-    Each row's bracket is [beta_{k-1}, beta_{k+1}] around its best grid
-    point k (clipped to the row). Two interior points, then one per
-    step, are evaluated for all rows in one utility call each; the
-    largest utility seen, grid best included, is returned per row.
+    Each row's bracket runs between the nearest distinct row values
+    below and above its smallest best point (the point itself at a row
+    end). Two interior points, then one per step, are evaluated for all
+    rows in one utility call each; the largest utility seen, grid best
+    included, is returned per row.
     """
-    # every row holds its maximum, so the first hit at or after a row's
-    # start is that row's first best point (a NaN row hits everywhere)
-    hit = np.flatnonzero(~(us < np.repeat(best, counts)))
-    k = hit[np.searchsorted(hit, starts)]
-    a = betas[np.maximum(k - 1, starts)]
-    b = betas[np.minimum(k + 1, starts + counts - 1)]
+    # no point is below a NaN maximum, so a NaN row's best point is its
+    # smallest
+    x = np.where(us < best[:, None], INF, rows).min(axis=1)
+    below = np.where(rows < x[:, None], rows, -INF).max(axis=1)
+    above = np.where(rows > x[:, None], rows, INF).min(axis=1)
+    a = np.where(below > -INF, below, x)
+    b = np.where(above < INF, above, x)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = np.split(utility(np.concatenate([alphas, alphas]),
@@ -286,36 +264,25 @@ def decide_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,
     """True where alphas[i] is a grid fixed point, own >= best - tol.
 
     The rule is deviation_sweep's, bit for bit: best is the largest
-    U(alphas[i], beta) over the full deviation row of _beta_rows and
-    own is U(alphas[i], min(alphas[i], cap)). Pass 1 evaluates every
-    _COARSE_STRIDE-th linspace point, the cap and the row extras (NaN
-    taken as the own threshold), and rejects the rows it already can.
-    Pass 2 evaluates the linspace points strictly between two coarse
-    points only where the interval's monotone bound does not certify
-    that none of them exceeds own + tol (module docstring). A NaN
-    utility rejects its row, as in the full pass.
+    U(alphas[i], beta) over the deviation row of _rows and own is
+    U(alphas[i], min(alphas[i], cap)). Pass 1 evaluates the row of
+    stride _COARSE_STRIDE (every _COARSE_STRIDE-th linspace point, the
+    cap and the row extras) and rejects the rows it already can. Pass 2
+    evaluates the linspace points strictly between two coarse points
+    only where the interval's monotone bound does not certify that none
+    of them exceeds own + tol (module docstring). A NaN utility rejects
+    its row, as in the full pass.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
         return np.zeros(0, dtype=bool)
     tol = g.resolve_tol(p)
-    caps = strategy_cap(alphas, p, s)
-    own = np.minimum(alphas, caps)
-    coarse = _linspace_rows(caps, g.n_beta, _COARSE_STRIDE)
-    k = coarse.shape[1]
-    extras = np.clip(_row_extras(alphas, caps, p, s), 0.0, caps[:, None])
-    extras = np.where(np.isnan(extras), own[:, None], extras)
-    # a column that is own in every row, such as alpha clipped to the
-    # cap, adds nothing to a maximum
-    dup = np.all(extras[:, 1:] == own[:, None], axis=0)
-    pts = np.concatenate([coarse, extras[:, np.append(True, ~dup)]], axis=1)
-    # a row whose cap is not positive is the single threshold 0
-    empty = caps <= 0.0
-    pts[empty] = 0.0
+    pts, k = _rows(alphas, p, s, g.n_beta, _COARSE_STRIDE)
+    coarse, caps = pts[:, :k], pts[:, k - 1]
     gain, cost = (x.reshape(pts.shape) for x in utility_terms(
         np.repeat(alphas, pts.shape[1]), pts.ravel(), p, s))
     us = belief.pi_g * gain - belief.pi_b * cost
-    u_own = us[:, k]  # min(alpha, cap) is the first extra
+    u_own = us[:, k]
     best = us.max(axis=1)
     alive = u_own >= best - tol
     # pass 2: intervals [coarse m, coarse m + 1] of the live rows
@@ -325,14 +292,15 @@ def decide_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,
     lo, hi = coarse[:, :-1], coarse[:, 1:]
     for d in discontinuity_preimages(alphas, p, s):
         open_ |= (lo <= d[:, None]) & (d[:, None] <= hi)
-    open_ &= (alive & ~empty)[:, None]
+    # a row whose cap is not positive is all 0, and done in pass 1
+    open_ &= (alive & (caps > 0.0))[:, None]
     rows, m = np.nonzero(open_)
     # the linspace columns strictly inside each open interval
     cols = m[:, None] * _COARSE_STRIDE + np.arange(1, _COARSE_STRIDE)
     inner = cols < g.n_beta - 1
     rows, cols = np.broadcast_to(rows[:, None], cols.shape)[inner], cols[inner]
     if rows.size:
-        # the same product as _linspace_rows, so the same grid points
+        # the same product as _rows, so the same grid points
         betas = cols * (caps / (g.n_beta - 1))[rows]
         gain, cost = utility_terms(alphas[rows], betas, p, s)
         np.maximum.at(best, rows, belief.pi_g * gain - belief.pi_b * cost)

@@ -115,8 +115,28 @@ def test_activation_count_is_reached_at_the_activation_time(s):
         alphas = np.array([0.0, 0.05, 0.3, 0.6, 0.9, 0.99, 1.1, 1.2]) * reach
         gates = activation_count(alphas, q, p, s.push, s.metric)
         t = activation_time(alphas, q, p, s.push, s.metric)
-        assert _t_ps_inverse(gates, lam, s.push, n).tolist() == \
-            pytest.approx(t.tolist(), rel=1e-13, abs=0.0)
+        assert _t_ps_inverse(gates, lam, s.push, n).tolist() == t.tolist()
+        # the deviator playing alpha itself crosses at the activation
+        assert crossing_time_raw(alphas, q, alphas, p, s.push,
+                                 s.metric).tolist() == t.tolist()
+
+
+def test_trend_exp_push_only_passage_meets_its_threshold():
+    # before activation Xdot*X = lam n^2 (1 - e) e with e = 1 - e^{-lam t};
+    # the times solving it for small thresholds come from the count root,
+    # which does not cancel the way -log((1 + sqrt(1 - 4 y/(lam n^2)))/2)
+    # does (relative residual up to 1e-4 at y/peak = 1e-12)
+    s = Scenario.TREND_VIEWCOUNT_EXPONENTIAL
+    p = FIG_PARAMS
+    for q in Quality:
+        lam, n = p.lambda_ps(q), p.n_pool
+        ys = lam * n * n / 4.0 * np.concatenate(
+            [np.logspace(-12.0, -1.0, 45), np.linspace(0.1, 0.98, 45)])
+        for t in (activation_time(ys, q, p, s.push, s.metric),
+                  crossing_time_raw(ys, q, INF, p, s.push, s.metric)):
+            e = -np.expm1(-lam * t)
+            assert np.all(np.abs(lam * n * n * (1.0 - e) * e - ys)
+                          <= 1e-14 * ys)
 
 
 def _look_ahead_at_lifetime(q, alpha, p):
@@ -820,6 +840,12 @@ def test_front_rejects_negative_inputs_on_arrays():
         activation_time(np.array([1.0, -1.0]), Quality.GOOD, p, LIN, PLAIN)
     with pytest.raises(DynamicsError):
         viewcount(np.array([1.0, -1.0]), Quality.GOOD, 0.5, p, LIN)
+    # a crossing under a negative population threshold, which would
+    # activate before t = 0
+    for metric in MetricKind:
+        with pytest.raises(DynamicsError):
+            crossing_time_raw(1.0, Quality.GOOD, np.array([1.0, -1.0]), p, LIN,
+                              metric)
 
 
 def _inline_trajectory(q, alpha, p, push, metric, t):

@@ -24,13 +24,23 @@ from pushpull import (
 )
 from pushpull import oracle
 from pushpull.cli import _draw_model
-from pushpull.oracle import _COARSE_STRIDE, _beta_grid, _beta_rows, _window_kinks
+from pushpull.oracle import _COARSE_STRIDE, _INV_PHI, _rows, _window_kinks
 from pushpull.utility import discontinuity_preimages, utility_terms
 
 INF = math.inf
 ALL_SCENARIOS = list(Scenario)
 EXP_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0)
 VH_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0)
+
+
+def _grid(alpha, p, s, n_beta):
+    # the sorted distinct thresholds of one alpha's deviation row
+    return np.unique(_rows([alpha], p, s, n_beta)[0])
+
+
+def _grid_size(alphas, p, s, n_beta):
+    # distinct thresholds over all rows: the evaluations of the full grid
+    return sum(np.unique(row).size for row in _rows(alphas, p, s, n_beta)[0])
 
 
 def params_for(s):
@@ -50,22 +60,21 @@ def test_bulk_evaluation_matches_scalar_utility(s):
     b = Belief(0.6, 0.4)
     cap = strategy_cap(INF, p, s)
     alphas = np.array([0.0, 0.4 * cap, cap])
-    betas, starts = _beta_rows(alphas, p, s, 45)
-    counts = np.diff(starts, append=betas.size)
-    batched = utility(np.repeat(alphas, counts), betas, b, p, s,
+    rows, _ = _rows(alphas, p, s, 45)
+    batched = utility(np.repeat(alphas, rows.shape[1]), rows.ravel(), b, p, s,
                       enforce_cap=False)
-    assert batched.shape == betas.shape
-    for alpha, lo, k in zip(alphas, starts, counts):
-        row = betas[lo:lo + k]
-        assert np.array_equal(row, _beta_grid(alpha, p, s, 45))
+    assert batched.shape == (rows.size,)
+    for alpha, row, got in zip(alphas, rows, batched.reshape(rows.shape)):
+        # the rows of a batch hold the thresholds of single-alpha rows
+        assert np.array_equal(np.unique(row), _grid(alpha, p, s, 45))
         per_alpha = utility(alpha, row, b, p, s, enforce_cap=False)
         # U does not depend on its batch: the two-pass row decision of
         # find_symmetric_equilibria relies on it being bit-equal
-        assert np.array_equal(batched[lo:lo + k], per_alpha)
-        one = utility(float(alpha), float(row[k // 2]), b, p, s,
-                      enforce_cap=False)
+        assert np.array_equal(got, per_alpha)
+        k = row.size // 2
+        one = utility(float(alpha), float(row[k]), b, p, s, enforce_cap=False)
         assert isinstance(one, float)
-        assert one == per_alpha[k // 2]
+        assert one == per_alpha[k]
 
 
 @pytest.mark.parametrize("s", ALL_SCENARIOS)
@@ -99,7 +108,7 @@ def test_refined_sweep_only_raises_the_row_maxima(s):
 def test_beta_grid_covers_the_strategy_space(s):
     p = params_for(s)
     alpha = 0.35 * strategy_cap(INF, p, s)
-    betas = _beta_grid(alpha, p, s, 150)
+    betas = _grid(alpha, p, s, 150)
     cap = strategy_cap(alpha, p, s)
     assert betas[0] == 0.0
     assert betas[-1] == pytest.approx(cap, rel=1e-12)
@@ -130,7 +139,7 @@ def test_grid_best_response_respects_tolerance():
     tight = grid_best_response(alpha, b, p, s, GridSpec(tol=1e-12))
     loose = grid_best_response(alpha, b, p, s, GridSpec(tol=1e6))
     # at +inf tol every grid point ties, including injected knee/limit points
-    assert len(loose) == len(_beta_grid(alpha, p, s, GridSpec().n_beta))
+    assert len(loose) == len(_grid(alpha, p, s, GridSpec().n_beta))
     assert set(np.round(tight, 12)).issubset(set(np.round(loose, 12)))
 
 
@@ -238,7 +247,7 @@ def test_screen_evaluates_few_points_when_the_set_is_an_end(s, p, belief,
     # so a silent fall-back to full rows fails here
     g = GridSpec()
     alphas = np.linspace(0.0, symmetric_cap(p, s), g.n_alpha)
-    full = _beta_rows(alphas, p, s, g.n_beta)[0].size
+    full = _grid_size(alphas, p, s, g.n_beta)
     seen = _count_betas(monkeypatch)
     found = find_symmetric_equilibria(belief, p, s, g)
     assert found.tolist() in ([0.0], [alphas[-1]])
@@ -258,7 +267,7 @@ def test_screen_keeps_every_row_of_the_linear_tie(monkeypatch):
     assert found.tobytes() == alphas.tobytes()
     monkeypatch.undo()
     assert found.tobytes() == _full_grid_equilibria(b, p, s, g).tobytes()
-    assert sum(seen) <= 0.25 * _beta_rows(alphas, p, s, g.n_beta)[0].size
+    assert sum(seen) <= 0.25 * _grid_size(alphas, p, s, g.n_beta)
 
 
 def test_row_extras_reject_trend_exp_rows_in_pass_1(monkeypatch):
@@ -425,7 +434,7 @@ def test_oracle_confirms_upper_subinterval_band():
 def test_variable_horizon_beta_grid_contains_window_kinks():
     alpha = 150.0
     kinks = _window_kinks(alpha, VH_P)
-    betas = _beta_grid(alpha, VH_P, Scenario.VARIABLE_HORIZON, 120)
+    betas = _grid(alpha, VH_P, Scenario.VARIABLE_HORIZON, 120)
     cap = strategy_cap(alpha, VH_P, Scenario.VARIABLE_HORIZON)
     for k in kinks:
         if 0.0 <= k <= cap:
@@ -472,11 +481,53 @@ def _row_alphas(p, s):
 def test_beta_rows_equal_scalar_row_reference(s):
     p = params_for(s)
     alphas = _row_alphas(p, s)
-    betas, starts = _beta_rows(alphas, p, s, 45)
-    ends = np.append(starts[1:], betas.size)
-    for alpha, lo, hi in zip(alphas, starts, ends):
+    rows, k = _rows(alphas, p, s, 45)
+    coarse, _ = _rows(alphas, p, s, 45, _COARSE_STRIDE)
+    for alpha, row, sub in zip(alphas, rows, coarse):
         ref = _scalar_row(float(alpha), p, s, 45)
-        assert betas[lo:hi].tobytes() == ref.tobytes()
+        assert np.unique(row).tobytes() == ref.tobytes()
+        # the strided row keeps the cap and the extras of the full one
+        assert np.all(np.isin(sub, ref)) and sub.max() == ref[-1]
+        own = min(alpha, strategy_cap(alpha, p, s)) if ref[-1] > 0.0 else 0.0
+        assert row[k] == own
+
+
+def _refined_reference(alpha, b, p, s, n_beta, steps):
+    # (best, own) of one row, refined by golden-section steps bracketed by
+    # the neighbours of its smallest best point in the sorted unique row
+    row = _scalar_row(alpha, p, s, n_beta)
+    us = utility(alpha, row, b, p, s, enforce_cap=False)
+    best = us.max()
+    i = np.flatnonzero(~(us < best))[0]
+    lo, hi = row[max(i - 1, 0)], row[min(i + 1, row.size - 1)]
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = (utility(alpha, x, b, p, s, enforce_cap=False) for x in (c, d))
+    best = np.maximum(best, np.maximum(fc, fd))
+    for _ in range(steps):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = fx = utility(alpha, c, b, p, s, enforce_cap=False)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = fx = utility(alpha, d, b, p, s, enforce_cap=False)
+        best = np.maximum(best, fx)
+    own = min(alpha, row[-1])
+    return best, us[np.searchsorted(row, own)]
+
+
+@pytest.mark.parametrize("s", ALL_SCENARIOS)
+def test_refined_sweep_equals_per_row_reference(s):
+    # the rows repeat own, the cap and clipped extras; the bracket must
+    # still come from the nearest distinct thresholds around the best point
+    p, b = params_for(s), Belief(0.6, 0.4)
+    alphas = _row_alphas(p, s)
+    best, own = deviation_sweep(alphas, b, p, s, GridSpec(n_beta=100),
+                                refine_steps=4)
+    ref = [_refined_reference(float(a), b, p, s, 100, 4) for a in alphas]
+    assert best.tobytes() == np.array([r[0] for r in ref]).tobytes()
+    assert own.tobytes() == np.array([r[1] for r in ref]).tobytes()
 
 
 @pytest.mark.parametrize("s", ALL_SCENARIOS)
