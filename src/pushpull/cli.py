@@ -94,7 +94,8 @@ def _check_fields(d: dict, cls, what: str) -> None:
 def _int_field(d: dict, key: str, default: int, least: int) -> int:
     """d[key] (default when absent), which must be an integer >= least."""
     v = d.get(key, default)
-    if not isinstance(v, int):
+    # bool is a subclass of int, but a JSON true is not a count
+    if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{key} must be an integer")
     if v < least:
         raise ConfigError(f"{key} must be at least {least}")
@@ -253,10 +254,10 @@ def _soundness_points(eq: EquilibriumSet) -> list:
     return pts
 
 
-# golden-section steps per row in the strict completeness re-test; 4
-# reach the peaks the grid steps over at the VariableHorizon seeds 1045
-# and 937818
-_REFINE_STEPS = 4
+# the strict completeness re-test decides on rows this many times finer
+# than the grid's; 4 already reach the peaks the grid steps over at the
+# VariableHorizon seeds 1045 and 937818, 2 miss the one of 937818
+_STRICT_REFINE = 16
 
 
 def _check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
@@ -293,11 +294,12 @@ def _check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
     found = alphas[admitted[n_in:]]
     missing = [float(a) for a in found if not eq.contains(float(a), tol=tol_edge)]
     # near an interval edge the grid tolerance admits near-fixed points;
-    # only a strict re-test makes it a completeness failure, on rows
-    # refined past the grid, which can step over a smooth peak
-    for a, u_best, u_own in zip(missing, *deviation_sweep(
-            missing, belief, p, s, g, refine_steps=_REFINE_STEPS)):
-        if u_own >= u_best - 0.01 * tol_sound:
+    # only a strict re-test makes it a completeness failure, on finer rows,
+    # since the grid's can step over a smooth peak
+    strict = dataclasses.replace(g, n_beta=_STRICT_REFINE * (g.n_beta - 1) + 1,
+                                 tol=0.01 * tol_sound)
+    for a, fixed in zip(missing, decide_rows(missing, belief, p, s, strict)):
+        if fixed:
             return f"oracle equilibrium {a:.6g} missing from the set"
     return None
 

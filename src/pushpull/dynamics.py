@@ -257,9 +257,9 @@ def activation_count(alpha, q: Quality, p: ModelParams,
     - 2 alpha). Elementwise in alpha: a float for a scalar, an array
     otherwise.
     """
+    alpha = np.asarray(alpha, dtype=float)
     if np.count_nonzero(alpha < 0.0):
         raise DynamicsError("alpha must be nonnegative")
-    alpha = np.asarray(alpha, dtype=float)
     if metric is MetricKind.PLAIN_VIEWCOUNT:
         # needs no pool: a count above it is simply never reached
         return _float_or_array(alpha)
@@ -319,6 +319,7 @@ def viewcount(t, q: Quality, alpha, p: ModelParams, push: PushKind,
     Elementwise in t and alpha, which broadcast together: a float for
     scalars, an array otherwise.
     """
+    t = np.asarray(t, dtype=float)
     if np.count_nonzero(t < 0.0):
         raise DynamicsError("t must be nonnegative")
     lam, n = _rates(q, p, push, metric)

@@ -43,15 +43,16 @@ so the decision is the full grid's exactly. delta = 1e-12 tau
 when rounding in the crossing times lets a term step against its
 direction by less than that.
 
+Every verdict of the oracle is a decide_rows verdict. A stricter test
+is the same rule on a finer grid: the CLI's completeness re-test
+decides its missing alphas with n_beta = 16 (n_beta - 1) + 1, whose
+pass 1 lands on the ordinary grid's points (up to rounding) and whose
+pass 2 fills in 15 points per interval only where the bound leaves the
+interval open, so a smooth peak between two grid points cannot hide.
+
 deviation_sweep stays the reference rule that decide_rows reproduces.
 It returns the row maxima themselves: the CLI prints the gap of the
-first classified point that decide_rows rejects, and the refined
-completeness re-test raises them.
-
-A sweep can also refine each row's maximum past the grid with a few
-golden-section steps around its best grid point, which finds a smooth
-peak that the grid steps over; the strict completeness re-test of the
-CLI uses it.
+first classified point that decide_rows rejects.
 
 The utilities come from utility.utility and utility.utility_terms, the
 same elementwise kernel the closed forms use, called with alpha per
@@ -192,8 +193,7 @@ def grid_best_response(alpha: float, belief: Belief, p: ModelParams,
 
 
 def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
-                    g: GridSpec, refine_steps: int = 0
-                    ) -> Tuple[np.ndarray, np.ndarray]:
+                    g: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     """(best, own) utility per population threshold, in one evaluation.
 
     best[i] is the largest U(alphas[i], beta) over the deviation row
@@ -201,11 +201,9 @@ def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
     the payoff of following the population. All rows are evaluated in
     one utility call.
 
-    With refine_steps > 0, best[i] is also the largest U met by that
-    many golden-section steps on the grid neighbours of the row's best
-    grid point (_refine_rows). Every point evaluated is a real
-    threshold, so refining can only raise best, towards a peak the
-    grid stepped over.
+    It is the rule decide_rows decides with fewer evaluations, not a
+    second one: a stricter test is decide_rows on a finer GridSpec. The
+    CLI uses it only to print the gap of a rejected point.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
@@ -213,50 +211,7 @@ def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
     rows, k = _rows(alphas, p, s, g.n_beta)
     us = utility(np.repeat(alphas, rows.shape[1]), rows.ravel(), belief, p, s,
                  enforce_cap=False).reshape(rows.shape)
-    best = us.max(axis=1)
-    if refine_steps > 0:
-        best = _refine_rows(alphas, rows, us, best, belief, p, s, refine_steps)
-    return best, us[:, k]
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _refine_rows(alphas, rows, us, best, belief: Belief, p: ModelParams,
-                 s: Scenario, steps: int) -> np.ndarray:
-    """Row maxima raised by golden-section steps around the grid argmax.
-
-    Each row's bracket runs between the nearest distinct row values
-    below and above its smallest best point (the point itself at a row
-    end). Two interior points, then one per step, are evaluated for all
-    rows in one utility call each; the largest utility seen, grid best
-    included, is returned per row.
-    """
-    # no point is below a NaN maximum, so a NaN row's best point is its
-    # smallest
-    x = np.where(us < best[:, None], INF, rows).min(axis=1)
-    below = np.where(rows < x[:, None], rows, -INF).max(axis=1)
-    above = np.where(rows > x[:, None], rows, INF).min(axis=1)
-    a = np.where(below > -INF, below, x)
-    b = np.where(above < INF, above, x)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = np.split(utility(np.concatenate([alphas, alphas]),
-                              np.concatenate([c, d]), belief, p, s,
-                              enforce_cap=False), 2)
-    best = np.maximum(best, np.maximum(fc, fd))
-    for _ in range(steps):
-        # keep the bracket side of the larger interior value
-        left = fc >= fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        c, d = (np.where(left, b - _INV_PHI * (b - a), d),
-                np.where(left, c, a + _INV_PHI * (b - a)))
-        fx = utility(alphas, np.where(left, c, d), belief, p, s,
-                     enforce_cap=False)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-        best = np.maximum(best, fx)
-    return best
+    return us.max(axis=1), us[:, k]
 
 
 def decide_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,

@@ -51,7 +51,8 @@ class SimConfig:
         least = {"seed": 0, "n_push_pool": 1, "n_agents": 1, "rounds": 1}
         for name, lo in least.items():
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
+            # a JSON true is an int to Python, not an integer here
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer")
             if v < lo:
                 raise ValueError(f"{name} must be at least {lo}")

@@ -35,6 +35,7 @@ from pushpull import (
     horizon_window,
     metric_value,
     sample_trajectory,
+    strategy_cap,
     viewcount,
 )
 from pushpull.dynamics import (
@@ -836,16 +837,46 @@ def test_look_ahead_metric_rejects_saturating_push():
 
 def test_front_rejects_negative_inputs_on_arrays():
     p = ModelParams(0.2, 0.1, 1.0, 10.0)
-    with pytest.raises(DynamicsError):
-        activation_time(np.array([1.0, -1.0]), Quality.GOOD, p, LIN, PLAIN)
-    with pytest.raises(DynamicsError):
-        viewcount(np.array([1.0, -1.0]), Quality.GOOD, 0.5, p, LIN)
+    for bad in (np.array([1.0, -1.0]), [1.0, -1.0]):
+        with pytest.raises(DynamicsError):
+            activation_time(bad, Quality.GOOD, p, LIN, PLAIN)
+        with pytest.raises(DynamicsError):
+            viewcount(bad, Quality.GOOD, 0.5, p, LIN)
     # a crossing under a negative population threshold, which would
     # activate before t = 0
     for metric in MetricKind:
         with pytest.raises(DynamicsError):
             crossing_time_raw(1.0, Quality.GOOD, np.array([1.0, -1.0]), p, LIN,
                               metric)
+
+
+_SAT_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda x, s, p: activation_count(
+        x, Quality.GOOD, p, s.push, s.metric), id="activation_count"),
+    pytest.param(lambda x, s, p: activation_time(
+        x, Quality.GOOD, p, s.push, s.metric), id="activation_time"),
+    pytest.param(lambda x, s, p: viewcount(
+        x, Quality.BAD, 1.0, p, s.push, s.metric), id="viewcount-t"),
+    pytest.param(lambda x, s, p: viewcount(
+        3.0, Quality.GOOD, x, p, s.push, s.metric), id="viewcount-alpha"),
+    pytest.param(lambda x, s, p: metric_value(
+        3.0, Quality.GOOD, x, p, s.push, s.metric), id="metric_value"),
+    pytest.param(lambda x, s, p: beta_tau(
+        Quality.BAD, x, p, s.push, s.metric), id="beta_tau"),
+    pytest.param(lambda x, s, p: strategy_cap(x, p, s), id="strategy_cap"),
+])
+def test_list_input_equals_array_input(call):
+    # elementwise entry points take any array-like, as crossing_time_raw
+    # and utility do
+    for s in Scenario:
+        p = (_SAT_P if s.push is EXP else ModelParams(0.2, 0.1, 1.0, 10.0))
+        got = call([1.0, 2.0], s, p)
+        ref = call(np.array([1.0, 2.0]), s, p)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == ref.tobytes()
 
 
 def _inline_trajectory(q, alpha, p, push, metric, t):

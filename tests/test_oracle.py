@@ -24,7 +24,7 @@ from pushpull import (
 )
 from pushpull import oracle
 from pushpull.cli import _draw_model
-from pushpull.oracle import _COARSE_STRIDE, _INV_PHI, _rows, _window_kinks
+from pushpull.oracle import _COARSE_STRIDE, _rows, _window_kinks
 from pushpull.utility import discontinuity_preimages, utility_terms
 
 INF = math.inf
@@ -90,18 +90,6 @@ def test_batched_sweep_matches_per_alpha_reference(s, belief):
     found = find_symmetric_equilibria(belief, p, s, g)
     assert len(ref) > 0
     assert np.array_equal(found, ref)
-
-
-@pytest.mark.parametrize("s", ALL_SCENARIOS)
-def test_refined_sweep_only_raises_the_row_maxima(s):
-    # golden-section steps evaluate real thresholds inside each row, so a
-    # row maximum can only rise; the own-threshold payoff is untouched
-    p, b, g = params_for(s), Belief(0.6, 0.4), GridSpec()
-    alphas = np.linspace(0.0, symmetric_cap(p, s), 37)
-    best, own = deviation_sweep(alphas, b, p, s, g)
-    best_r, own_r = deviation_sweep(alphas, b, p, s, g, refine_steps=4)
-    assert np.array_equal(own_r, own)
-    assert np.all(best_r >= best)
 
 
 @pytest.mark.parametrize("s", ALL_SCENARIOS)
@@ -490,44 +478,6 @@ def test_beta_rows_equal_scalar_row_reference(s):
         assert np.all(np.isin(sub, ref)) and sub.max() == ref[-1]
         own = min(alpha, strategy_cap(alpha, p, s)) if ref[-1] > 0.0 else 0.0
         assert row[k] == own
-
-
-def _refined_reference(alpha, b, p, s, n_beta, steps):
-    # (best, own) of one row, refined by golden-section steps bracketed by
-    # the neighbours of its smallest best point in the sorted unique row
-    row = _scalar_row(alpha, p, s, n_beta)
-    us = utility(alpha, row, b, p, s, enforce_cap=False)
-    best = us.max()
-    i = np.flatnonzero(~(us < best))[0]
-    lo, hi = row[max(i - 1, 0)], row[min(i + 1, row.size - 1)]
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = (utility(alpha, x, b, p, s, enforce_cap=False) for x in (c, d))
-    best = np.maximum(best, np.maximum(fc, fd))
-    for _ in range(steps):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = fx = utility(alpha, c, b, p, s, enforce_cap=False)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = fx = utility(alpha, d, b, p, s, enforce_cap=False)
-        best = np.maximum(best, fx)
-    own = min(alpha, row[-1])
-    return best, us[np.searchsorted(row, own)]
-
-
-@pytest.mark.parametrize("s", ALL_SCENARIOS)
-def test_refined_sweep_equals_per_row_reference(s):
-    # the rows repeat own, the cap and clipped extras; the bracket must
-    # still come from the nearest distinct thresholds around the best point
-    p, b = params_for(s), Belief(0.6, 0.4)
-    alphas = _row_alphas(p, s)
-    best, own = deviation_sweep(alphas, b, p, s, GridSpec(n_beta=100),
-                                refine_steps=4)
-    ref = [_refined_reference(float(a), b, p, s, 100, 4) for a in alphas]
-    assert best.tobytes() == np.array([r[0] for r in ref]).tobytes()
-    assert own.tobytes() == np.array([r[1] for r in ref]).tobytes()
 
 
 @pytest.mark.parametrize("s", ALL_SCENARIOS)
