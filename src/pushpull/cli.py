@@ -102,6 +102,13 @@ def _int_field(d: dict, key: str, default: int, least: int) -> int:
     return v
 
 
+def _float(v, key: str) -> float:
+    # bool is a subclass of int, but a JSON true is not a number
+    if isinstance(v, bool):
+        raise TypeError(f"{key} must be a number, not {json.dumps(v)}")
+    return float(v)
+
+
 def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config is not None:
@@ -132,7 +139,7 @@ def _load_config(args) -> dict:
 def _params_from(cfg: dict) -> ModelParams:
     _check_fields(cfg["params"], ModelParams, "params")
     try:
-        return ModelParams(**{k: float(v) for k, v in cfg["params"].items()})
+        return ModelParams(**{k: _float(v, k) for k, v in cfg["params"].items()})
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad params: {e}")
 
@@ -141,7 +148,7 @@ def _belief_from(cfg: dict) -> Belief:
     b = cfg["belief"]
     _check_fields(b, Belief, "belief")
     try:
-        return Belief(float(b["pi_g"]), float(b["pi_b"]))
+        return Belief(_float(b["pi_g"], "pi_g"), _float(b["pi_b"], "pi_b"))
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad belief: {e}")
 
@@ -173,7 +180,7 @@ def _sim_from(cfg: dict) -> SimConfig:
 
 def _alpha_from(cfg: dict) -> float:
     try:
-        a = float(cfg["alpha"])
+        a = _float(cfg["alpha"], "alpha")
     except (TypeError, ValueError):
         raise ConfigError("alpha must be a number")
     if a < 0.0 or not math.isfinite(a):

@@ -12,6 +12,12 @@ viewcount, and the printed push-audience look-ahead value
 ((lam tau)^2 - X^2)/2, which falls from (lam tau)^2/2 and is met on the
 way down; it is defined for linear push only.
 
+Before pull starts every metric is a function of the push-only count,
+so a level is met when that count reaches the level's gate (_gate).
+crossings, the one crossing-time entry, takes every passage before
+activation from it, one row per push rate, and each (push, metric)
+pair's post-pull form past alpha.
+
 Time is in days, rates in views/day, viewcount in views.
 """
 
@@ -218,14 +224,24 @@ def _t_ps_inverse(x, lam, push: PushKind, n: float):
 
 # -- activation time t_alpha ------------------------------------------------
 
-def _product_count(y, lam, n):
-    """Push-only count at which Xdot*X first reaches y >= 0 under
-    saturating push, elementwise; INF above the push-only peak lam n^2/4.
+def _gate(y, lam, p: ModelParams, push: PushKind, metric: MetricKind):
+    """Push-only count at which the metric reaches y >= 0 before pull
+    starts, INF where push alone never does; elementwise, unchecked.
 
-    Xdot*X = lam X (n - X) there, whose rising-side root is
-    y/(lam (n/2 + sqrt(n^2/4 - y/lam))), a form that does not cancel
-    at small y the way n/2 - sqrt(...) does.
+    y for the plain viewcount; y/lam for linear Xdot*X = lam X; for
+    saturating Xdot*X = lam X (n - X) the rising root y/(lam (n/2 +
+    sqrt(n^2/4 - y/lam))), which does not cancel at small y the way
+    n/2 - sqrt(...) does; sqrt((lam tau)^2 - 2 y) for the look-ahead
+    value ((lam tau)^2 - X^2)/2.
     """
+    if metric is MetricKind.PLAIN_VIEWCOUNT:
+        return y
+    if metric is MetricKind.SIDE_INFORMATION:
+        d = (lam * p.tau) ** 2 - 2.0 * y
+        return np.where(d < 0.0, INF, np.sqrt(np.maximum(d, 0.0)))
+    if push is PushKind.LINEAR:
+        return y / lam
+    n = p.require_pool()
     return np.where(y > lam * n * n / 4.0, INF, y / (
         lam * (0.5 * n + np.sqrt(np.maximum(0.25 * n * n - y / lam, 0.0)))))
 
@@ -247,32 +263,17 @@ def _rates(q: Quality, p: ModelParams, push: PushKind, metric: MetricKind):
 def activation_count(alpha, q: Quality, p: ModelParams,
                      push: PushKind, metric: MetricKind):
     """Push-only viewcount at which the population metric reaches alpha
-    (INF if it never does).
+    (INF if it never does): alpha's gate (_gate), checked.
 
-    Before pull starts every metric is a function of the push-only
-    count, so activation is that count reaching a gate: alpha for the
-    plain viewcount; for Xdot*X, alpha/lam under linear push (Xdot*X =
-    lam X) and _product_count under saturating push; for the look-ahead
-    value ((lam tau)^2 - X^2)/2, which falls to alpha at sqrt((lam tau)^2
-    - 2 alpha). Elementwise in alpha: a float for a scalar, an array
-    otherwise.
+    Elementwise in alpha: a float for a scalar, an array otherwise.
     """
     alpha = np.asarray(alpha, dtype=float)
     if np.count_nonzero(alpha < 0.0):
         raise DynamicsError("alpha must be nonnegative")
-    if metric is MetricKind.PLAIN_VIEWCOUNT:
-        # needs no pool: a count above it is simply never reached
-        return _float_or_array(alpha)
-    lam, n = _rates(q, p, push, metric)
-    if metric is MetricKind.SIDE_INFORMATION:
-        x2 = (lam * p.tau) ** 2
-        x = np.where(2.0 * alpha > x2, INF,
-                     np.sqrt(np.maximum(x2 - 2.0 * alpha, 0.0)))
-    elif push is PushKind.LINEAR:
-        x = alpha / lam
-    else:
-        x = _product_count(alpha, lam, n)
-    return _float_or_array(x)
+    # the plain viewcount needs no pool: a count above it is never reached
+    lam = (p.lambda_ps(q) if metric is MetricKind.PLAIN_VIEWCOUNT
+           else _rates(q, p, push, metric)[0])
+    return _float_or_array(_gate(alpha, lam, p, push, metric))
 
 
 def activation_time(alpha, q: Quality, p: ModelParams,
@@ -344,41 +345,6 @@ def metric_value(t: float, q: Quality, alpha, p: ModelParams,
 
 # -- crossing times ----------------------------------------------------------
 
-def _cross_plain_raw(beta, alpha, q, p, push):
-    """Uncapped t_beta for the plain viewcount, closed form, elementwise.
-
-    beta and alpha are float arrays of one shape, one population
-    threshold per element.
-    """
-    lam = p.lambda_ps(q)
-    lpu = p.lambda_pu
-    if push is PushKind.LINEAR:
-        pure = beta / lam
-        if lpu == 0.0:
-            return pure
-        # alpha = inf makes the discarded boosted value inf - inf
-        with np.errstate(invalid="ignore"):
-            boosted = alpha / lam + (beta - alpha) / (lam + lpu)
-        return np.where(beta <= alpha, pure, boosted)
-    # saturating push plus pull: Lambert form, robust for beta past n
-    n = p.require_pool()
-    t = np.asarray(_t_ps_inverse(beta, lam, push, n))
-    zeta = lam * n / lpu if lpu > 0.0 else INF
-    boosted = (beta > alpha) & (alpha < n)
-    if not math.isfinite(zeta) or not boosted.any():
-        # no pull, or pull too slow to register against the pool
-        # (subnormal rates): the lpu -> 0 limit is the push-only crossing
-        return t
-    c = -zeta * (1.0 - beta[boosted] / n) - np.log1p(-alpha[boosted] / n)
-    log_zeta = math.log(lam * n) - math.log(lpu)
-    w = lambert_w0_log(log_zeta - c)
-    # c + w = ln(zeta) - ln(w) exactly, and the latter form stays accurate
-    # when zeta blows up (tiny pull rate) and c, w cancel to leading order
-    with np.errstate(divide="ignore"):
-        t[boosted] = np.where(w <= 0.0, c / lam, (log_zeta - np.log(w)) / lam)
-    return t
-
-
 def _product_pieces(ta, lam, p):
     """Ends (r, f) of the monotone pieces of _y_post after ta, elementwise.
 
@@ -421,16 +387,13 @@ def _product_pieces(ta, lam, p):
     return r, f
 
 
-def _cross_product_sat(beta, alpha, lams, p, strict: bool):
-    """First time Xdot*X reaches beta under saturating push, elementwise.
+def _cross_product_sat(t, beta, alpha, lam, p, strict: bool):
+    """crossings past alpha for saturating Xdot*X, flattened: t holds
+    the push-only passages, one row per rate of the column lam.
 
-    beta and alpha are float arrays of one shape, one population
-    threshold per element; the result has one row per push rate in
-    lams (the utility passes both qualities at once). Before activation
-    the push-only parabola is inverted in closed form. After it the
-    passage lies in one monotone piece of y (_product_pieces, computed
-    once per alpha and rate), which brackets it for one find_root_arr
-    pass over every element.
+    The passage lies in one monotone piece of y (_product_pieces,
+    computed once per alpha and rate), which brackets it for one
+    find_root_arr pass over every element.
 
     strict=False gives the raw inf{t : y >= beta}: a beta inside the
     activation jump (y(ta-), y(ta+)] lands on ta. With strict=True a
@@ -440,28 +403,22 @@ def _cross_product_sat(beta, alpha, lams, p, strict: bool):
     edges.
     """
     lpu, n, tau = p.lambda_pu, p.require_pool(), p.tau
-    shape = (len(lams),) + beta.shape
-    lam_col = np.asarray(lams, dtype=float)[:, None]
-    lam = lam_col.reshape((-1,) + (1,) * beta.ndim)
-    # the push-only passage of beta and each level's activation time
-    # come from the one gate, so beta = alpha lands on ta exactly
     sat = PushKind.EXPONENTIAL_SATURATING
-    t = _t_ps_inverse(_product_count(beta, lam, n), lam, sat, n).ravel()
-    if lpu == 0.0:
-        return t.reshape(shape)
     levels, inverse = np.unique(alpha, return_inverse=True)
-    ta_lv = _t_ps_inverse(_product_count(levels, lam_col, n), lam_col, sat, n)
-    r_lv, f_lv = _product_pieces(ta_lv, lam_col, p)
-    ta, r, f = (v[:, inverse.ravel()].ravel() for v in (ta_lv, r_lv, f_lv))
-    beta, alpha, lam = (np.broadcast_to(v, shape).ravel()
+    ta_lv = _t_ps_inverse(_gate(levels, lam, p, sat,
+                                MetricKind.TREND_TIMES_VIEWCOUNT), lam, sat, n)
+    r_lv, f_lv = _product_pieces(ta_lv, lam, p)
+    ta, r, f = (v[:, inverse].ravel() for v in (ta_lv, r_lv, f_lv))
+    beta, alpha, lam = (np.broadcast_to(v, t.shape).ravel()
                         for v in (beta, alpha, lam))
+    t = t.ravel()
     with np.errstate(invalid="ignore"):  # ta = INF: no jump, NaN bound
         y_hi = _y_post(ta, ta, lam, lpu, n)
     # the jump runs from y(ta-) = alpha itself: recomputed from ta that
     # is off by an ulp either way, and the own threshold's payoff would
     # be decided by rounding
     gap = (beta > alpha) & (beta < y_hi) if strict else np.zeros(t.shape, bool)
-    post = ~gap & (t > ta)
+    post = ~gap & (beta > alpha)
     t[post] = ta[post]  # inside the activation jump; up is past it
     up = np.flatnonzero(post & (beta > y_hi))
     down = np.flatnonzero(gap)
@@ -471,11 +428,14 @@ def _cross_product_sat(beta, alpha, lams, p, strict: bool):
     # Passages later than 1e9 tau count as never.
     bu, au, lu = beta[up], ta[up], lam[up]
     with np.errstate(divide="ignore", over="ignore"):  # lpu^2 underflows
-        t_hi = np.minimum(au + bu / (lpu * lpu), 1e9 * tau)
+        end = au + bu / (lpu * lpu)
+    t_hi = np.minimum(end, 1e9 * tau)
     r_up = np.minimum(r[up], t_hi)
     first = _y_post(r_up, au, lu, lpu, n) >= bu
     reach_up = first | (_y_post(t_hi, au, lu, lpu, n) >= bu)
-    t[up[~reach_up]] = INF
+    # an end that rounds to ta (a subnormal beta at ta = 0) leaves the
+    # passage on ta
+    t[up[~reach_up & (end > au)]] = INF
     # down: the falling piece [r, f], if it starts before tau and gets
     # down to beta
     reach_down = (r[down] < tau) & (
@@ -493,45 +453,7 @@ def _cross_product_sat(beta, alpha, lams, p, strict: bool):
         hi[by_tau] = tau
         t[k] = find_root_arr(lambda s: _y_post(s, ak, lk, lpu, n) - bk,
                              lo, hi, 1e-13 * max(tau, 1.0))
-    return t.reshape(shape)
-
-
-def _cross_product_raw(beta, alpha, q, p, push):
-    """Uncapped first time Xdot*X >= beta (inf over a possibly jumping
-    path), elementwise like _cross_plain_raw."""
-    lam = p.lambda_ps(q)
-    if push is PushKind.EXPONENTIAL_SATURATING:
-        return _cross_product_sat(beta, alpha, [lam], p, False)[0]
-    # activation_time's expression, (alpha/lam)/lam, for ta and for the
-    # push-only passage of beta alike, so beta = alpha lands on ta exactly
-    pre, ta = (y / lam / lam for y in (beta, alpha))
-    big = lam + p.lambda_pu
-    xa = lam * ta
-    # alpha = inf makes the discarded boosted value inf - inf
-    with np.errstate(invalid="ignore"):
-        boosted = np.where(beta <= big * xa, ta,  # inside the activation jump
-                           ta + (beta / big - xa) / big)
-    return np.where(beta <= 0.0, 0.0, np.where(pre <= ta, pre, boosted))
-
-
-def _cross_side_info_raw(beta, alpha, q, p, push):
-    """Uncapped first passage of the look-ahead metric down to beta,
-    closed form, elementwise like _cross_plain_raw.
-
-    The metric falls from (lam*tau)^2/2, so larger thresholds are met
-    earlier; thresholds above the start value are never met. The
-    deviator crosses on the push-only branch when it moves first
-    (beta >= alpha) or the population never moves.
-    """
-    lam, _ = _rates(q, p, push, MetricKind.SIDE_INFORMATION)
-    lpu = p.lambda_pu
-    x2 = (lam * p.tau) ** 2
-    s = np.sqrt(np.maximum(x2 - 2.0 * beta, 0.0))
-    pure = s / lam
-    ax = np.sqrt(np.maximum(x2 - 2.0 * alpha, 0.0))
-    mixed = (ax * lpu / lam + s) / (lam + lpu)
-    t = np.where((beta >= alpha) | (2.0 * alpha > x2), pure, mixed)
-    return np.where(beta > 0.5 * x2, INF, t)
+    return t
 
 
 def crossing_time(beta: float, q: Quality, alpha: float, p: ModelParams,
@@ -561,7 +483,7 @@ def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
 
     beta and alpha may be arrays that broadcast together, one population
     threshold per element: the result is a float for two scalars and an
-    array otherwise.
+    array otherwise. The checked front of crossings for one quality.
     """
     # np.less, not <: beta and alpha may also be lists
     if np.count_nonzero(np.less(beta, 0.0)):
@@ -570,10 +492,87 @@ def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
         raise DynamicsError("alpha must be nonnegative")
     beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),
                                       np.asarray(alpha, dtype=float))
-    cross = {MetricKind.PLAIN_VIEWCOUNT: _cross_plain_raw,
-             MetricKind.TREND_TIMES_VIEWCOUNT: _cross_product_raw,
-             MetricKind.SIDE_INFORMATION: _cross_side_info_raw}[metric]
-    return _float_or_array(cross(beta, alpha, q, p, push))
+    return _float_or_array(
+        crossings(beta, alpha, [p.lambda_ps(q)], p, push, metric)[0])
+
+
+def crossings(beta, alpha, lam, p: ModelParams, push: PushKind,
+              metric: MetricKind, strict: bool = False):
+    """Uncapped crossing times t_beta, one row per push rate in lam.
+
+    beta and alpha are nonnegative float arrays of one shape, one
+    population threshold per element, unchecked; each row is a fresh
+    array of that shape, so the utility gets both qualities from one call.
+
+    Before activation the passage is the push-only one of beta's gate
+    count, as for activation_time, so a beta equal to alpha lands on the
+    activation time by construction. A threshold past alpha on the
+    metric's way (beta > alpha for the rising metrics, beta < alpha for
+    the falling look-ahead value) is met after activation: closed forms
+    under linear push, the Lambert form for the saturating plain
+    viewcount (one lambert_w0_log pass over every row), and
+    _cross_product_sat, with its strict option, for saturating Xdot*X.
+    Without pull every crossing is the push-only passage.
+    """
+    _, n = _rates(Quality.GOOD, p, push, metric)  # rejects the unused pair
+    lpu = p.lambda_pu
+    shape = beta.shape
+    beta, alpha = beta.ravel(), alpha.ravel()
+    # one array per row, computed row by row outside the two kernels that
+    # take every row in one pass: an array of all rows of a long input is
+    # large enough for the allocator to map it afresh on every call
+    x = [_gate(beta, lq, p, push, metric) for lq in lam]
+    t = [_t_ps_inverse(xq, lq, push, n) for xq, lq in zip(x, lam)]
+    sat = push is PushKind.EXPONENTIAL_SATURATING
+    falls = metric is MetricKind.SIDE_INFORMATION
+    past = beta < alpha if falls else beta > alpha
+    col = np.asarray(lam, dtype=float)[:, None] if sat else None
+    if lpu == 0.0:
+        pass
+    elif metric is MetricKind.TREND_TIMES_VIEWCOUNT and sat:
+        t = _cross_product_sat(np.array(t), beta, alpha, col, p,
+                               strict).reshape(len(lam), -1)
+    elif sat:
+        # the Lambert form, robust for beta past n. A population at or
+        # past the pool never activates, and a pull too slow to register
+        # against it (lam n/lpu overflows at subnormal rates) leaves the
+        # lpu -> 0 limit, the push-only passage
+        zeta = np.array([[lq * n / lpu] for lq in lam])
+        k = np.flatnonzero(past & (alpha < n))
+        if k.size and np.isfinite(zeta).all():
+            b, a = beta[k], alpha[k]
+            # math.log, not np.log: numpy's SIMD log can differ from
+            # libm's in the last bit
+            log_zeta = np.array([[math.log(lq * n) - math.log(lpu)]
+                                 for lq in lam])
+            c = -zeta * (1.0 - b / n) - np.log1p(-a / n)
+            w = lambert_w0_log(log_zeta - c)
+            # c + w = ln(zeta) - ln(w) exactly, and the latter form stays
+            # accurate when zeta blows up (tiny pull rate) and c, w cancel
+            # to leading order
+            with np.errstate(divide="ignore"):
+                tk = np.where(w <= 0.0, c / col, (log_zeta - np.log(w)) / col)
+            for tq, v in zip(t, tk):
+                tq[k] = v
+    else:
+        # the linear closed forms, cheaper over every element than on the
+        # ones past alpha; alpha = inf makes the discarded values inf - inf
+        with np.errstate(invalid="ignore"):
+            for tq, xq, lq in zip(t, x, lam):
+                if falls:  # a gate never met leaves the push-only passage
+                    xa = _gate(alpha, lq, p, push, metric)
+                    after = np.where(xa < INF,
+                                     (xa * lpu / lq + xq) / (lq + lpu), tq)
+                elif metric is MetricKind.TREND_TIMES_VIEWCOUNT:
+                    ta = alpha / lq / lq  # the passage of the gate alpha/lq
+                    big = lq + lpu
+                    xa = lq * ta
+                    after = np.where(beta <= big * xa, ta,  # inside the jump
+                                     ta + (beta / big - xa) / big)
+                else:
+                    after = alpha / lq + (beta - alpha) / (lq + lpu)
+                np.copyto(tq, after, where=past)
+    return [tq.reshape(shape) for tq in t]
 
 
 def beta_tau(q: Quality, alpha, p: ModelParams,

@@ -108,8 +108,9 @@ class GridSpec:
             raise ValueError(f"n_beta={self.n_beta} must be at least 100")
         if self.n_alpha < 100:
             raise ValueError(f"n_alpha={self.n_alpha} must be at least 100")
-        if self.tol is not None and not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if self.tol is not None and (isinstance(self.tol, bool)
+                                     or not self.tol > 0.0):
+            raise ValueError("tol must be a positive number")
 
     def resolve_tol(self, p: ModelParams) -> float:
         return self.tol if self.tol is not None else 1e-6 * p.tau

@@ -56,8 +56,9 @@ class SimConfig:
                 raise TypeError(f"{name} must be an integer")
             if v < lo:
                 raise ValueError(f"{name} must be at least {lo}")
-        if not 0.0 < self.update_fraction <= 1.0:
-            raise ValueError("update_fraction must be in (0, 1]")
+        if (isinstance(self.update_fraction, bool)
+                or not 0.0 < self.update_fraction <= 1.0):
+            raise ValueError("update_fraction must be a number in (0, 1]")
         if self.initial_thresholds is not None:
             # a malformed spec fails here, not mid-run
             _initial_thresholds(self, 1.0, self.generator())

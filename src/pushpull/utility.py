@@ -16,10 +16,12 @@ utility is the one implementation of U: the belief-weighted difference
 of the two per-quality terms that utility_terms returns. Both are
 elementwise: alpha and beta broadcast together, so the grid oracle
 evaluates many population thresholds and deviations in one call and
-the best responses evaluate all their candidates at once.
+the best responses evaluate all their candidates at once. Both
+qualities' crossing times come from one dynamics.crossings call, so
 TrendViewcountExponential, which has no closed-form passage after
 activation, solves every element and both qualities in one pass of the
-bracketed root finder find_root_arr.
+bracketed root finder find_root_arr, and the saturating plain viewcount
+in one Lambert W pass.
 """
 
 from __future__ import annotations
@@ -39,13 +41,10 @@ from .dynamics import (
     Quality,
     activation_time,
     beta_tau,
+    crossings,
     horizon_window,
     viewcount,
-    _cross_plain_raw,
-    _cross_product_sat,
-    _cross_side_info_raw,
     _float_or_array,
-    _t_ps_inverse,
     _y_post,
 )
 from .numerics import BracketedFunction, find_root, lambert_w0_log
@@ -204,55 +203,28 @@ def _window_term(w, t):
     return np.where(np.isfinite(t), w - t, 0.0)
 
 
-def _fixed_horizon_terms(alpha, beta, p, push, cross):
-    tb_g = cross(beta, alpha, Quality.GOOD, p, push)
-    tb_b = cross(beta, alpha, Quality.BAD, p, push)
-    # a crossing that never happens (t = inf) collects nothing
-    return _pos(p.tau - tb_g), _pos(p.tau - tb_b)
-
-
 def _variable_horizon_terms(alpha, beta, p):
     push = PushKind.EXPONENTIAL_SATURATING
-    n = p.require_pool()
-    lam_g, lam_b = p.lambda_ps_g, p.lambda_ps_b
+    plain = MetricKind.PLAIN_VIEWCOUNT
+    lams = (p.lambda_ps_g, p.lambda_ps_b)
     w0g, t1g, xth_g = horizon_window(Quality.GOOD, p, push)
     w0b, t1b, xth_b = horizon_window(Quality.BAD, p, push)
-    gain = np.empty(beta.shape)
-    cost = np.empty(beta.shape)
-    # each branch is evaluated on its own elements only
+    # t_alpha is the passage of alpha itself
+    tb_g, tb_b = crossings(beta, alpha, lams, p, push, plain)
+    ta_g, ta_b = crossings(alpha, alpha, lams, p, push, plain)
     above = beta > alpha
-    b, a = beta[above], alpha[above]
-    tb_g = _cross_plain_raw(b, a, Quality.GOOD, p, push)
-    tb_b = _cross_plain_raw(b, a, Quality.BAD, p, push)
-    gain[above] = _pos(t1g - tb_g)
-    cost[above] = _pos(t1b - tb_b)
-    # beta <= alpha: the deviator crosses on the push-only segment, and a
-    # window can reopen when the population pulls at t_alpha
-    below = ~above
-    b, a = beta[below], alpha[below]
-    tbp_g = _t_ps_inverse(b, lam_g, push, n)
-    tbp_b = _t_ps_inverse(b, lam_b, push, n)
-    ta_g = _t_ps_inverse(a, lam_g, push, n)
-    ta_b = _t_ps_inverse(a, lam_b, push, n)
-    # alpha > xth_g: both qualities reopen their window when the
-    # population pulls; xth_b <= alpha <= xth_g: good stays trending
-    # throughout, bad reopens; below both: the bad-side cost window
-    # closes at the population crossing, as printed
-    gain[below] = np.where(a > xth_g,
-                           _pos(w0g - tbp_g) + _pos(t1g - ta_g),
-                           _window_term(t1g, tbp_g))
-    cost[below] = np.where(a >= xth_b,
-                           _pos(w0b - tbp_b) + _pos(t1b - ta_b),
-                           _window_term(t1b, ta_b))
+    # beta <= alpha: a window can reopen when the population pulls at
+    # t_alpha. alpha > xth_g: both qualities reopen their window;
+    # xth_b <= alpha <= xth_g: good stays trending throughout, bad
+    # reopens; below both: the bad-side cost window closes at the
+    # population crossing, as printed
+    gain = np.where(above, _pos(t1g - tb_g), np.where(
+        alpha > xth_g, _pos(w0g - tb_g) + _pos(t1g - ta_g),
+        _window_term(t1g, tb_g)))
+    cost = np.where(above, _pos(t1b - tb_b), np.where(
+        alpha >= xth_b, _pos(w0b - tb_b) + _pos(t1b - ta_b),
+        _window_term(t1b, ta_b)))
     return gain, cost
-
-
-def _trend_exp_terms(alpha, beta, p):
-    # the strict passage, so a threshold inside the activation jump is met
-    # only when the curve comes back down to it; both qualities at once
-    tb_g, tb_b = _cross_product_sat(beta, alpha,
-                                    [p.lambda_ps_g, p.lambda_ps_b], p, True)
-    return _pos(p.tau - tb_g), _pos(p.tau - tb_b)
 
 
 def _thresholds(alpha, beta):
@@ -270,11 +242,16 @@ def _terms(alpha, beta, p: ModelParams, s: Scenario):
     alpha, beta = np.broadcast_arrays(alpha, beta)
     if s is Scenario.VARIABLE_HORIZON:
         return _variable_horizon_terms(alpha, beta, p)
-    if s is Scenario.TREND_VIEWCOUNT_EXPONENTIAL:
-        return _trend_exp_terms(alpha, beta, p)
-    cross = (_cross_side_info_raw if s is Scenario.SIDE_INFORMATION
-             else _cross_plain_raw)
-    return _fixed_horizon_terms(alpha, beta, p, s.push, cross)
+    # both qualities at once; the strict passage, so a threshold inside
+    # the activation jump of saturating Xdot*X is met only when the curve
+    # comes back down to it
+    terms = crossings(beta, alpha, (p.lambda_ps_g, p.lambda_ps_b), p,
+                      s.push, s.metric, strict=True)
+    # (tau - t)+, in place: a new array of a long row costs page faults.
+    # A crossing that never happens (t = inf) collects nothing
+    for t in terms:
+        np.maximum(np.subtract(p.tau, t, out=t), 0.0, out=t)
+    return terms
 
 
 def utility_terms(alpha, beta, p: ModelParams, s: Scenario):

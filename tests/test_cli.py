@@ -378,6 +378,20 @@ def test_trajectory_and_simulate_reruns_are_byte_identical(
                  id="verify-grid-n_alpha"),
     pytest.param("trajectory", dict(params=LIN, alpha=0.5, n_samples="x"),
                  (), id="trajectory-n_samples"),
+    # nor is it a rate, a threshold, a belief or a slack
+    pytest.param("best-response", dict(params=dict(LIN, lambda_pu=True),
+                                       belief=BELIEF, alpha=True),
+                 (), id="best-response-alpha-lambda_pu-bool"),
+    pytest.param("best-response", dict(params=LIN, belief=BELIEF, alpha=True),
+                 (), id="best-response-alpha-bool"),
+    pytest.param("classify", dict(params=LIN, belief=dict(pi_g=True,
+                                                          pi_b=False)),
+                 (), id="classify-belief-bool"),
+    pytest.param("verify", {"grid": {"tol": True}}, (),
+                 id="verify-grid-tol-bool"),
+    pytest.param("simulate", dict(DYNAMICS, sim=dict(SIM,
+                                                    update_fraction=True)),
+                 (), id="simulate-update_fraction-bool"),
     pytest.param("classify", dict(params=dict(LIN, tau="x"), belief=BELIEF),
                  (), id="classify-params"),
     pytest.param("classify", dict(params=LIN, belief=dict(BELIEF, pi_g="x")),

@@ -39,10 +39,10 @@ from pushpull import (
     viewcount,
 )
 from pushpull.dynamics import (
-    _cross_product_sat,
     _product_pieces,
     _t_ps_inverse,
     activation_count,
+    crossings,
     _y_post,
     _y_post_slope,
 )
@@ -120,6 +120,23 @@ def test_activation_count_is_reached_at_the_activation_time(s):
         # the deviator playing alpha itself crosses at the activation
         assert crossing_time_raw(alphas, q, alphas, p, s.push,
                                  s.metric).tolist() == t.tolist()
+
+
+@pytest.mark.parametrize("push, metric", [
+    (LIN, PLAIN), (EXP, PLAIN), (LIN, MetricKind.TREND_TIMES_VIEWCOUNT),
+    (EXP, MetricKind.TREND_TIMES_VIEWCOUNT), (LIN, SI)],
+    ids=["lin-plain", "sat-plain", "lin-product", "sat-product", "lin-look"])
+def test_crossings_without_pull_are_the_push_only_passages(push, metric):
+    # at lambda_pu = 0 the population's activation adds no view, so every
+    # threshold is met on the push-only path whatever alpha is, bit for bit
+    p = ModelParams(0.1, 0.01, 0.0, 10.0, n_pool=1000.0)
+    for q in Quality:
+        top = beta_tau(q, INF, p, push, metric)
+        betas = np.linspace(0.0, 1.2 * top, 401)
+        push_only = crossing_time_raw(betas, q, INF, p, push, metric)
+        for alpha in np.linspace(0.0, top, 9).tolist():
+            got = crossing_time_raw(betas, q, alpha, p, push, metric)
+            assert got.tolist() == push_only.tolist(), (q, alpha)
 
 
 def test_trend_exp_push_only_passage_meets_its_threshold():
@@ -580,8 +597,8 @@ def test_product_passages_match_dense_reference():
             x_a = -n * math.expm1(-lam * ta)
             y_lo = lam * n * math.exp(-lam * ta) * x_a
             gap = np.linspace(y_lo, y_lo + lpu * x_a, 27)[1:-1]
-            got = _cross_product_sat(gap, np.full(gap.shape, alpha), [lam],
-                                     p, True)[0]
+            got = crossings(gap, np.full(gap.shape, alpha), [lam],
+                            p, EXP, TV, True)[0]
             ref = _dense_passages(gap, ta, lam, p, p.tau, down=True)
             assert np.array_equal(np.isinf(got), np.isinf(ref))
             finite = np.isfinite(ref)
@@ -590,11 +607,11 @@ def test_product_passages_match_dense_reference():
         # both qualities in one pass give the per-quality rows
         betas = np.linspace(0.0, 1.5 * beta_tau(Quality.GOOD, alpha, p, EXP, TV),
                             40)
-        both = _cross_product_sat(betas, np.full(betas.shape, alpha), lams,
-                                  p, True)
+        both = crossings(betas, np.full(betas.shape, alpha), lams,
+                         p, EXP, TV, True)
         for row, lam in zip(both, lams):
-            one = _cross_product_sat(betas, np.full(betas.shape, alpha), [lam],
-                                     p, True)[0]
+            one = crossings(betas, np.full(betas.shape, alpha), [lam],
+                            p, EXP, TV, True)[0]
             assert np.array_equal(row, one)
     assert two_extrema >= 5 and finite_down >= 100
 
@@ -730,8 +747,8 @@ def test_product_crossings_match_brentq(strict):
         betas = np.concatenate([np.linspace(alpha, 1.5 * cap, 41)[1:]]
                                + [np.linspace(alpha, top, 13)[1:-1]
                                   for top in y_top])
-        got = _cross_product_sat(betas, np.full(betas.shape, alpha), lams,
-                                 p, strict)
+        got = crossings(betas, np.full(betas.shape, alpha), lams,
+                        p, EXP, TV, strict)
         for k, lam in enumerate(lams):
             r_ref, f_ref, shape = _reference_pieces(ta[k], lam, p)
             shapes.add(shape)

@@ -8,7 +8,7 @@ import scipy.optimize
 import scipy.special
 
 from pushpull.cli import _draw_model
-from pushpull.utility import side_info_branch_candidates
+from pushpull.utility import side_info_branch_candidates, utility_terms
 from pushpull import (
     Belief,
     BestResponseKind,
@@ -348,18 +348,18 @@ def test_variable_horizon_rewards_only_inside_windows():
 
 @pytest.mark.parametrize("s", [LIN_S, EXP_S, Scenario.SIDE_INFORMATION])
 def test_utility_is_built_from_the_dynamics_crossings(s):
-    # pi_G (tau - t_G)+ - pi_B (tau - t_B)+ with the public crossing time
-    # of each quality, over a grid of the whole strategy space
+    # gain and cost are (tau - t_beta(q))+ with the public uncapped
+    # crossing time of each quality, bit for bit, over a grid of the
+    # whole strategy space (U is their weighted difference, bit for bit:
+    # tests/test_oracle.py)
     p = FIG_PARAMS if s is EXP_S else ModelParams(0.2, 0.1, 1.0, 10.0)
-    b = Belief(0.6, 0.4)
     for alpha in np.linspace(0.0, symmetric_cap(p, s), 7).tolist():
-        for beta in np.linspace(0.0, strategy_cap(alpha, p, s), 9).tolist():
-            want = 0.0
-            for q, weight in ((Quality.GOOD, b.pi_g), (Quality.BAD, -b.pi_b)):
-                t = crossing_time(beta, q, alpha, p, s.push, s.metric)
-                want += weight * max(p.tau - t, 0.0)
-            got = utility(alpha, beta, b, p, s)
-            assert abs(got - want) <= 1e-12 * p.tau, (alpha, beta, got, want)
+        betas = np.linspace(0.0, strategy_cap(alpha, p, s), 9)
+        for q, got in zip((Quality.GOOD, Quality.BAD),
+                          utility_terms(alpha, betas, p, s)):
+            t = crossing_time_raw(betas, q, alpha, p, s.push, s.metric)
+            assert got.tolist() == np.maximum(p.tau - t, 0.0).tolist(), (
+                alpha, q)
 
 
 def test_variable_horizon_four_case_agreement_above_alpha():
