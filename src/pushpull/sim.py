@@ -150,6 +150,13 @@ class DynamicsResult:
                   np.concatenate(self.snapshots))
 
 
+def _threshold(v) -> float:
+    # a JSON true is an int to Python, and float() takes it; not here
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError("initial_thresholds must be numbers, not booleans")
+    return float(v)
+
+
 def _initial_thresholds(c: SimConfig, scale: float,
                         rng: np.random.Generator) -> np.ndarray:
     spec = c.initial_thresholds
@@ -157,18 +164,19 @@ def _initial_thresholds(c: SimConfig, scale: float,
         return rng.uniform(0.0, scale, c.n_agents)
     if isinstance(spec, dict):
         if "constant" in spec:
-            return np.full(c.n_agents, float(spec["constant"]))
+            return np.full(c.n_agents, _threshold(spec["constant"]))
         if "uniform" in spec:
-            lo, hi = (float(v) for v in spec["uniform"])
+            lo, hi = (_threshold(v) for v in spec["uniform"])
             return rng.uniform(lo, hi, c.n_agents)
         raise ValueError(
             "initial_thresholds spec must be a sequence, {'constant': x} "
             "or {'uniform': [lo, hi]}")
-    arr = np.asarray(spec, dtype=float).ravel()
+    arr = np.array([_threshold(v)
+                    for v in np.asarray(spec, dtype=object).ravel()])
     if arr.size != c.n_agents:
         raise ValueError(
             f"initial_thresholds has {arr.size} entries for {c.n_agents} agents")
-    return arr.copy()
+    return arr
 
 
 def best_response_dynamics(belief: Belief, p: ModelParams, s: Scenario,

@@ -417,6 +417,16 @@ def test_trajectory_and_simulate_reruns_are_byte_identical(
     pytest.param("simulate", dict(DYNAMICS, sim=dict(
         SIM, initial_thresholds={"constant": "x"})),
                  (), id="simulate-initial_thresholds"),
+    # nor a threshold in any of the three spec forms
+    pytest.param("simulate", dict(DYNAMICS, sim=dict(
+        SIM, initial_thresholds={"constant": True})),
+                 (), id="simulate-initial_thresholds-constant-bool"),
+    pytest.param("simulate", dict(DYNAMICS, sim=dict(
+        SIM, n_agents=3, initial_thresholds=[True, False, True])),
+                 (), id="simulate-initial_thresholds-sequence-bool"),
+    pytest.param("simulate", dict(DYNAMICS, sim=dict(
+        SIM, initial_thresholds={"uniform": [False, True]})),
+                 (), id="simulate-initial_thresholds-uniform-bool"),
     pytest.param("simulate", dict(DYNAMICS, sim=5), ("--seed", "3"),
                  id="simulate-seed-flag"),
 ])
@@ -440,20 +450,26 @@ AWKWARD = [0.0, -0.0, 1e-300, 5e-324, 1e17, 123456789012345.0, 2.5,
 
 
 def test_trajectory_csv_bytes_match_per_row_format(tmp_path):
-    # longer than two write blocks, with values %g prints in every style
-    n = 2 * dynamics._CSV_BLOCK + 37
+    # two full kernel blocks, then a partial block that the kernel writes
+    # too (at least the cutover) or, one block shorter, the % path
+    # (below it); values %g prints in every style at both ends of the
+    # file and of every block and in the middle of the blocks
+    block, cutover = dynamics._G12_BLOCK, dynamics._G12_MIN_ROWS
     rng = np.random.default_rng(0)
-    cols = [rng.uniform(0.0, 1e6, n),
-            np.floor(rng.uniform(0.0, 1e5, n)) + 0.5,   # non-integral counts
-            rng.uniform(-1e6, 1e6, n)]
-    for col in cols:
-        col[:len(AWKWARD)] = AWKWARD
-        col[-len(AWKWARD):] = AWKWARD[::-1]
-    tr = Trajectory(Quality.GOOD, 1.0, *cols)
-    tr.to_csv(tmp_path / "traj.csv")
-    ref = "t,x,xdot\n" + "".join(f"{t:.12g},{x:.12g},{xd:.12g}\n"
-                                  for t, x, xd in zip(*cols))
-    assert (tmp_path / "traj.csv").read_bytes() == ref.encode()
+    for n in (2 * block + cutover + 37, 2 * block + 37):
+        cols = [rng.uniform(0.0, 1e6, n),
+                np.floor(rng.uniform(0.0, 1e5, n)) + 0.5,  # not integral
+                rng.uniform(-1e6, 1e6, n)]
+        at = [0, block // 2, block - 5, block + 300, 2 * block - 3,
+              2 * block + 11, n - len(AWKWARD)]
+        for col in cols:
+            for i, start in enumerate(at):
+                col[start:start + len(AWKWARD)] = AWKWARD[::(-1) ** i]
+        tr = Trajectory(Quality.GOOD, 1.0, *cols)
+        tr.to_csv(tmp_path / "traj.csv")
+        ref = "t,x,xdot\n" + "".join(f"{t:.12g},{x:.12g},{xd:.12g}\n"
+                                      for t, x, xd in zip(*cols))
+        assert (tmp_path / "traj.csv").read_bytes() == ref.encode()
 
 
 def test_snapshot_csv_bytes_match_per_row_format(tmp_path):

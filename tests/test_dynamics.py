@@ -46,6 +46,7 @@ from pushpull.dynamics import (
     _y_post,
     _y_post_slope,
 )
+from pushpull.g12 import g12_block
 
 INF = math.inf
 PLAIN = MetricKind.PLAIN_VIEWCOUNT
@@ -460,6 +461,89 @@ def test_trajectory_csv_format(tmp_path):
     assert float(row[0]) == 0.0
     # 12 significant digits via %g formatting
     assert "%.12g" % math.pi == "3.14159265359"
+
+
+# -- the %.12g kernel of write_csv, element by element against "%.12g" % x
+
+def g12_strings(values):
+    # one column: every field opens with "\n"
+    vals = np.asarray(values, dtype=float).reshape(-1, 1)
+    text = g12_block(vals).tobytes().decode("ascii")
+    assert text[0] == "\n"
+    return text[1:].split("\n")
+
+
+def assert_g12_matches(values):
+    values = np.asarray(values, dtype=float).ravel()
+    got = g12_strings(values)
+    want = ["%.12g" % x for x in values.tolist()]
+    bad = [(x, g, w) for x, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def _ulps_around(x, k):
+    out = [x]
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_g12_kernel_at_powers_of_ten():
+    # every decade edge, where log10 and the 12-digit rounding can cross
+    vals = [v for e in range(-6, 15) for v in _ulps_around(10.0 ** e, 4)]
+    # just below the fixed-notation range at both ends, and on it
+    vals += _ulps_around(1e-4, 4) + _ulps_around(1e12, 4)
+    vals += [9.99999999999949e-5, 9.9999999999995e-5, 999999999999.4,
+             999999999999.5, 999999999999.6, 0.000999999999999949]
+    assert_g12_matches(vals + [-v for v in vals])
+
+
+def test_g12_kernel_at_exact_ties():
+    # r 2^(d - 12) with r odd is |v| 10^(11 - d) = (r 5^(11 - d)) / 2,
+    # half-way between two 12-digit mantissas: half-even decides
+    assert g12_strings([12345678901.25]) == ["12345678901.2"]
+    assert g12_strings([123456789012.5, 123456789013.5]) == [
+        "123456789012", "123456789014"]
+    rng = np.random.default_rng(5)
+    ties = []
+    for d in range(-4, 12):
+        lo, hi = 10.0 ** d * 2.0 ** (12 - d), 10.0 ** (d + 1) * 2.0 ** (12 - d)
+        r = rng.integers(math.ceil(lo), math.floor(hi), 40) | 1
+        ties += [math.ldexp(float(x), d - 12) for x in r]
+    ties = np.array(ties)
+    assert np.all(np.modf(np.abs(ties) * 10.0 ** (11 - np.floor(
+        np.log10(ties))))[0] == 0.5)
+    assert_g12_matches(np.concatenate([ties, -ties]))
+
+
+def test_g12_kernel_specials_and_integers():
+    tiny = np.finfo(float).tiny
+    vals = [0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0.0),
+            1e-310, np.inf, -np.inf, np.nan, 1e300, -1e-300, 1.5, -7.25,
+            1.0 / 3.0, 2.0 / 3.0, 0.1, 0.3, 1e16, 123456789012345.0]
+    ints = [0.0, 1.0, 9.0, 10.0, 99.0, 1e11 - 1, 1e11, 1e11 + 1, 1e12 - 1,
+            1e12, 1e12 + 1, 2.0 ** 40]
+    rng = np.random.default_rng(7)
+    ints += np.floor(rng.uniform(0.0, 1e12, 2000)).tolist()
+    ints += np.floor(10.0 ** rng.uniform(0.0, 12.0, 2000)).tolist()
+    assert_g12_matches(vals + ints + [-v for v in ints])
+
+
+def test_g12_kernel_on_random_decades_and_bit_patterns():
+    rng = np.random.default_rng(11)
+    n = 30_000
+    spread = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-8.0, 16.0, n)
+    bits = rng.integers(0, 2 ** 63, n, dtype=np.uint64).view(np.float64)
+    assert_g12_matches(np.concatenate([spread, -bits, bits]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40),
+       st.lists(st.floats(min_value=1e-5, max_value=1e13), max_size=40))
+def test_g12_kernel_matches_percent_format(anything, fixed_range):
+    assert_g12_matches(anything + fixed_range + [-x for x in fixed_range])
 
 
 def test_belief_and_params_validation():
