@@ -41,7 +41,7 @@ from .equilibrium import (
     classify_variable_horizon,
     make_report,
 )
-from .numerics import BracketedFunction, NumericsError, find_root, lambert_w0
+from .numerics import NumericsError
 from .oracle import (
     GridSpec,
     decide_rows,
@@ -79,7 +79,6 @@ __all__ = [
     "Belief",
     "BestResponse",
     "BestResponseKind",
-    "BracketedFunction",
     "DynamicsError",
     "DynamicsResult",
     "EquilibriumError",
@@ -113,11 +112,9 @@ __all__ = [
     "crossing_time_raw",
     "decide_rows",
     "deviation_sweep",
-    "find_root",
     "find_symmetric_equilibria",
     "grid_best_response",
     "horizon_window",
-    "lambert_w0",
     "make_report",
     "metric_value",
     "sample_trajectory",

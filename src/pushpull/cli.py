@@ -102,6 +102,15 @@ def _int_field(d: dict, key: str, default: int, least: int) -> int:
     return v
 
 
+def _bool_field(d: dict, key: str, default: bool) -> bool:
+    """d[key] (default when absent), which must be a JSON boolean."""
+    v = d.get(key, default)
+    # a string "false" is truthy, and 1 is not a switch
+    if not isinstance(v, bool):
+        raise ConfigError(f"{key} must be true or false, not {json.dumps(v)}")
+    return v
+
+
 def _float(v, key: str) -> float:
     # bool is a subclass of int, but a JSON true is not a number
     if isinstance(v, bool):
@@ -348,15 +357,14 @@ def cmd_classify(cfg: dict) -> int:
             "(no closed form); use best-response with a grid instead")
     p = _params_from(cfg)
     belief = _belief_from(cfg)
+    oracle_checked = _bool_field(cfg, "oracle_check", False)
     eq, diags = classify(s, belief, p)
-    oracle_checked = False
-    if cfg.get("oracle_check", False):
+    if oracle_checked:
         g = _grid_from(cfg)
         reason = _check_equilibrium_set(eq, belief, p, s, g)
         if reason is not None:
             print(f"oracle check failed: {reason}", file=sys.stderr)
             return EXIT_NUMERIC
-        oracle_checked = True
     report = make_report(s, belief, p, eq, diags, oracle_checked=oracle_checked)
     if "sweep_lambda_pu" in cfg:
         report["sweep"] = _report_sweep(s, belief, cfg)
@@ -421,7 +429,7 @@ def cmd_verify(cfg: dict) -> int:
             "verify does not support TrendViewcountExponential (no closed form)")
     n_draws = _int_field(cfg, "n_draws", 100, 1)
     seed = _int_field(cfg, "seed", 0, 0)
-    corrupt = bool(cfg.get("corrupt", False))
+    corrupt = _bool_field(cfg, "corrupt", False)
     g = _grid_from(cfg)
     rng = np.random.default_rng(seed)
     lines = []

@@ -90,6 +90,12 @@ class ModelParams:
     gamma_th: Optional[float] = None
 
     def __post_init__(self):
+        # NaN passes every comparison below, and JSON reads NaN and Infinity
+        for name in ("lambda_ps_g", "lambda_ps_b", "lambda_pu", "tau",
+                     "n_pool", "gamma_th"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise DynamicsError(f"{name} must be finite, not {v}")
         if self.lambda_ps_g <= 0.0 or self.lambda_ps_b <= 0.0:
             raise DynamicsError("push rates must be positive")
         if self.lambda_ps_g < self.lambda_ps_b:

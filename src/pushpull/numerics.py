@@ -3,81 +3,20 @@
 Everything here is pure and deterministic. W0 is computed by one
 elementwise kernel, `lambert_w0_log`, which takes ln x for positive x
 and runs a fixed number of steps, so every downstream crossing time is
-reproducible bit for bit. `lambert_w0`, the scalar on the full domain
-x >= -1/e, is kept as public API and the tests' reference only.
-`find_root` solves one bracket by Chandrupatla's method and
-`find_root_arr` an array of brackets with the same iterates.
+reproducible bit for bit. `find_root_arr` solves an array of brackets,
+one root each, by Chandrupatla's method; a single bracket is an array of
+one.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-_INV_E = -math.exp(-1.0)
-_MAX_ITER = 100
-
 
 class NumericsError(ValueError):
     """Domain or convergence failure in a numeric routine."""
-
-
-def _w0_seed(x: float) -> float:
-    # ln(1+x) tracks W0 well on x >= 0; near the branch point use the
-    # series in p = sqrt(2(ex+1)): W = -1 + p - p^2/3 + (11/72)p^3.
-    if x >= 0.0:
-        return math.log1p(x)
-    p = math.sqrt(2.0 * (math.e * x + 1.0))
-    return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p * p * p
-
-
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert function: w with w*e^w = x.
-
-    A reference only: the package computes with lambert_w0_log. Accepts
-    x >= -1/e (up to 1e-15 slack below, clipped to the branch
-    point). Halley iteration from a regime-dependent seed; relative
-    residual is driven below 1e-12*max(1,|x|). Below |x| = 1e-5, where
-    that stop test is met by the seed alone, a Taylor series.
-    """
-    x = float(x)
-    if math.isnan(x):
-        raise NumericsError("lambert_w0: argument is NaN")
-    if x < _INV_E:
-        if x < _INV_E - 1e-15:
-            raise NumericsError(f"lambert_w0: {x} below branch point -1/e")
-        x = _INV_E
-    if x == 0.0:
-        return 0.0
-    if abs(x) < 1e-5:
-        # the first omitted term is (125/24) x^5
-        return x * (1.0 - x * (1.0 - x * (1.5 - (8.0 / 3.0) * x)))
-    w = _w0_seed(x)
-    for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= 1e-13 * max(1.0, abs(x)):
-            return w
-        wp1 = w + 1.0
-        if wp1 == 0.0:
-            return w  # exactly at the branch point
-        # Halley step
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w -= step
-        if w < -1.0:
-            w = -1.0
-        if abs(step) <= 1e-16 * max(1.0, abs(w)):
-            ew = math.exp(w)
-            if abs(w * ew - x) <= 1e-12 * max(1.0, abs(x)):
-                return w
-    ew = math.exp(w)
-    if abs(w * ew - x) <= 1e-12 * max(1.0, abs(x)):
-        return w
-    raise NumericsError(f"lambert_w0: no convergence at x={x}")
 
 
 def lambert_w0_log(log_x):
@@ -111,22 +50,12 @@ def lambert_w0_log(log_x):
     return float(w) if w.ndim == 0 else w
 
 
-@dataclass(frozen=True)
-class BracketedFunction:
-    """A continuous function with a sign change on [a, b]."""
-
-    f: Callable[[float], float]
-    a: float
-    b: float
-
-
 def _interpolation_safe(x1, x2, x3, f1, f2, f3):
     """Chandrupatla's test that inverse-quadratic interpolation through
     the three points is monotone over the bracket [x1, x2].
 
     x1 is the newest point, x2 the bracket's other end (f2 of the other
-    sign) and x3 the point just dropped, on x1's side. Works on floats
-    and arrays alike.
+    sign) and x3 the point just dropped, on x1's side, elementwise.
     """
     xi = (x1 - x2) / (x3 - x2)
     phi = (f1 - f2) / (f3 - f2)
@@ -140,64 +69,23 @@ def _interpolated_t(x1, x2, x3, f1, f2, f3):
             + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
 
 
-def find_root(bf: BracketedFunction, tol: float) -> float:
-    """Chandrupatla's bracketed root finder (Chandrupatla, Adv. Eng.
-    Softw. 28(3), 1997): inverse-quadratic interpolation with a
-    bisection fallback.
-
-    Each step evaluates f at x = x1 + t (x2 - x1) strictly inside the
-    bracket [x1, x2] and keeps the part whose ends differ in sign,
-    judged by comparing signs (a product f1*f(x) can underflow). t is
-    the interpolated root of the last three points where
-    _interpolation_safe holds, else 1/2, and at least tol/2 from either
-    end. Stops when |f(x)| <= tol, returning x, or when the bracket left
-    is at most tol wide, returning its end with the smaller |f|; so the
-    result has |f| <= tol or lies within tol of a root. Superlinear near
-    a simple root of a smooth f, and deterministic: find_root_arr takes
-    the same iterates.
-    """
-    if tol <= 0.0:
-        raise NumericsError("find_root: tol must be positive")
-    x1, x2 = float(bf.a), float(bf.b)
-    f1, f2 = bf.f(x1), bf.f(x2)
-    if f1 == 0.0:
-        return x1
-    if f2 == 0.0:
-        return x2
-    if f1 * f2 > 0.0:
-        raise NumericsError(f"find_root: no sign change on [{x1}, {x2}]")
-    t = 0.5
-    for _ in range(200):
-        x = x1 + t * (x2 - x1)
-        fx = bf.f(x)
-        # the sign test, not f1*fx, which can underflow
-        if (fx < 0.0) == (f1 < 0.0):
-            x3, f3 = x1, f1
-        else:
-            x3, f3 = x2, f2
-            x2, f2 = x1, f1
-        x1, f1 = x, fx
-        if abs(fx) <= tol:
-            return x
-        width = abs(x2 - x1)
-        if width <= tol:
-            return x2 if abs(f2) < abs(fx) else x
-        t = (_interpolated_t(x1, x2, x3, f1, f2, f3)
-             if _interpolation_safe(x1, x2, x3, f1, f2, f3) else 0.5)
-        tl = 0.5 * tol / width
-        t = min(max(t, tl), 1.0 - tl)
-    raise NumericsError("find_root: iteration cap reached (malformed input?)")
-
-
 def find_root_arr(f: Callable[[np.ndarray], np.ndarray], a, b,
                   tol: float) -> np.ndarray:
-    """find_root over arrays of brackets [a, b], one root per element.
+    """Chandrupatla's bracketed root finder (Chandrupatla, Adv. Eng.
+    Softw. 28(3), 1997) over arrays of brackets [a, b], one root each:
+    inverse-quadratic interpolation with a bisection fallback.
 
-    f maps an array of points, one per bracket, to their values. Every
-    element takes find_root's iterates and stops by its rule; the loop
-    runs until the last element has stopped. Each step is a few dozen
-    numpy passes over all elements, so this pays off from a handful of
-    brackets on; scalar callers keep find_root. The interpolation's
+    f maps an array of points, one per bracket, to their values. Each
+    step evaluates f at x = x1 + t (x2 - x1) strictly inside the bracket
+    [x1, x2] and keeps the part whose ends differ in sign, judged by
+    comparing signs (a product f1*f(x) can underflow). t is the
+    interpolated root of the last three points where
+    _interpolation_safe holds, else 1/2, and at least tol/2 from either
+    end. An element stops when |f(x)| <= tol, returning x, or when its
+    bracket is at most tol wide, returning the end with the smaller
+    |f|; so each result has |f| <= tol or lies within tol of a root.
+    Superlinear near a simple root of a smooth f, and deterministic. The
+    loop runs until the last element has stopped; the interpolation's
     divisions by zero (stopped elements) stay inside np.errstate.
     """
     if tol <= 0.0:
@@ -217,7 +105,8 @@ def find_root_arr(f: Callable[[np.ndarray], np.ndarray], a, b,
     for _ in range(200):
         x = x1 + t * (x2 - x1)
         fx = f(x)
-        # find_root's sign test, and its stop with the end it returns
+        # the sign test, not f1*fx, which can underflow; and the stop
+        # with the end it returns
         same = (fx < 0.0) == (f1 < 0.0)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)

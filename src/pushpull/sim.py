@@ -154,7 +154,10 @@ def _threshold(v) -> float:
     # a JSON true is an int to Python, and float() takes it; not here
     if isinstance(v, (bool, np.bool_)):
         raise TypeError("initial_thresholds must be numbers, not booleans")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"initial_thresholds must be finite, not {x}")
+    return x
 
 
 def _initial_thresholds(c: SimConfig, scale: float,

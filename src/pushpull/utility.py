@@ -47,7 +47,7 @@ from .dynamics import (
     _float_or_array,
     _y_post,
 )
-from .numerics import BracketedFunction, find_root, lambert_w0_log
+from .numerics import find_root_arr, lambert_w0_log
 
 INF = math.inf
 
@@ -377,8 +377,9 @@ def best_response_exponential(alpha: float, belief: Belief,
 
     with h_G = -inf for w_G <= 0, so g < 0 while U rises. As w_B falls
     in beta, an interior optimum exists iff g(w_B(knee)) < 0 <
-    g(w_B(cap)); find_root solves it in w_B, free of Lambert calls, and
-    it is mapped back by beta = n (1 - h_B(w_B)/zeta_B).
+    g(w_B(cap)); find_root_arr solves it in w_B on the one bracket
+    [w_B(cap), w_B(knee)], free of Lambert calls, and it is mapped back
+    by beta = n (1 - h_B(w_B)/zeta_B).
     """
     n = require_exp_hypotheses(p, UtilityError)
 
@@ -391,6 +392,8 @@ def best_response_exponential(alpha: float, belief: Belief,
         zb = p.lambda_ps_b * n / p.lambda_pu
         ell = math.log1p(-alpha / n)
 
+        # math.log, not np.log: numpy's SIMD log is not correctly
+        # rounded, and an ulp in g moves the root's last digits
         def h(w, z):
             return math.log(w) + w - math.log(z) - ell if w > 0.0 else -INF
 
@@ -401,8 +404,8 @@ def best_response_exponential(alpha: float, belief: Belief,
         w_cap, w_knee = lambert_w0_log(log_x).tolist()
         if not g(w_knee) < 0.0 < g(w_cap):
             return ()
-        wb = find_root(BracketedFunction(g, w_cap, w_knee),
-                       1e-15 * max(w_knee, 1.0))
+        wb = float(find_root_arr(np.vectorize(g, otypes=[float]), [w_cap],
+                                 [w_knee], 1e-15 * max(w_knee, 1.0))[0])
         return (n * (1.0 - h(wb, zb) / zb),)
 
     return _argmax(alpha, belief, p, Scenario.EXPONENTIAL_FIXED_HORIZON,

@@ -429,6 +429,22 @@ def test_trajectory_and_simulate_reruns_are_byte_identical(
                  (), id="simulate-initial_thresholds-uniform-bool"),
     pytest.param("simulate", dict(DYNAMICS, sim=5), ("--seed", "3"),
                  id="simulate-seed-flag"),
+    # JSON reads NaN and Infinity; neither is a rate or a threshold
+    pytest.param("classify", dict(params=dict(LIN, lambda_ps_g=float("nan")),
+                                  belief=BELIEF),
+                 (), id="classify-params-nan"),
+    pytest.param("surface", dict(params=dict(LIN, lambda_pu=float("nan")),
+                                 belief=BELIEF, alpha=0.5),
+                 (), id="surface-params-nan"),
+    pytest.param("best-response", dict(params=dict(LIN, tau=float("inf")),
+                                       belief=BELIEF, alpha=0.5),
+                 (), id="best-response-params-inf"),
+    pytest.param("simulate", dict(DYNAMICS, sim=dict(
+        SIM, initial_thresholds={"constant": float("nan")})),
+                 (), id="simulate-initial_thresholds-constant-nan"),
+    pytest.param("simulate", dict(DYNAMICS, sim=dict(
+        SIM, initial_thresholds={"uniform": [0.0, float("inf")]})),
+                 (), id="simulate-initial_thresholds-uniform-inf"),
 ])
 def test_malformed_numeric_field_is_a_config_error(command, cfg, flags,
                                                    tmp_path, capsys):
@@ -438,6 +454,29 @@ def test_malformed_numeric_field_is_a_config_error(command, cfg, flags,
     assert rc == EXIT_CONFIG
     assert out == ""
     assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command, cfg", [
+    pytest.param("verify", {"n_draws": 1, "corrupt": "false"},
+                 id="verify-corrupt-string"),
+    pytest.param("verify", {"n_draws": 1, "corrupt": 0},
+                 id="verify-corrupt-int"),
+    pytest.param("classify", dict(params=LIN, belief=BELIEF, oracle_check=1),
+                 id="classify-oracle_check-int"),
+    pytest.param("classify", dict(params=LIN, belief=BELIEF,
+                                  oracle_check="true"),
+                 id="classify-oracle_check-string"),
+])
+def test_switch_must_be_a_json_boolean(command, cfg, tmp_path, capsys):
+    # a string "false" is truthy: read by truthiness it would run the
+    # corrupted control
+    cfg = dict({"scenario": "LinearFixedHorizon"}, **cfg)
+    rc, out, err = run_cli(command, tmp_path, capsys, "--out",
+                           str(tmp_path / "out"), **cfg)
+    assert rc == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert "must be true or false" in err
 
 
 # -- CSV bytes -------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Viewcount dynamics, crossing times and trend windows.
 
 The closed forms are checked against independent oracles: an ODE
-integrator for the trajectory, bracketed root finding on the forward map
-for the crossing times, and finite differences for the trend. The
-crossings that TrendViewcountExponential solves numerically are checked
-against scipy's brentq on the same functions.
+integrator for the trajectory, scipy's brentq on the forward map for
+the crossing times (also those TrendViewcountExponential solves
+numerically), and finite differences for the trend.
 """
 
 import itertools
@@ -19,7 +18,6 @@ from scipy.integrate import solve_ivp
 
 from pushpull import (
     Belief,
-    BracketedFunction,
     DynamicsError,
     InfiniteHorizonError,
     MetricKind,
@@ -31,7 +29,6 @@ from pushpull import (
     beta_tau,
     crossing_time,
     crossing_time_raw,
-    find_root,
     horizon_window,
     metric_value,
     sample_trajectory,
@@ -236,7 +233,7 @@ def test_saturating_crossing_matches_root_finding():
     t = crossing_time(beta, Quality.GOOD, alpha, p, EXP, PLAIN)
     f = lambda s: viewcount(s, Quality.GOOD, alpha, p, EXP) - beta
     t_a = activation_time(alpha, Quality.GOOD, p, EXP, PLAIN)
-    ref = find_root(BracketedFunction(f, t_a, p.tau), tol=1e-13)
+    ref = scipy.optimize.brentq(f, t_a, p.tau, xtol=1e-13)
     assert t > t_a
     assert t == pytest.approx(ref, rel=1e-9)
 
@@ -301,7 +298,7 @@ def test_window_close_solves_trend_equation():
     # tau1 is where push trend decays to gamma_th - lambda_pu
     lam, n = p.lambda_ps_g, p.n_pool
     f = lambda t: lam * n * math.exp(-lam * t) + p.lambda_pu - p.gamma_th
-    ref = find_root(BracketedFunction(f, 0.0, 100.0), tol=1e-12)
+    ref = scipy.optimize.brentq(f, 0.0, 100.0, xtol=1e-12)
     assert tau1 == pytest.approx(ref, rel=1e-9)
 
 
@@ -408,7 +405,7 @@ def test_closed_form_crossings_match_bisection():
         beta = rng.uniform(0.0, cap)
         t = crossing_time(beta, q, alpha, p, push, PLAIN)
         f = lambda s: viewcount(s, q, alpha, p, push) - beta
-        ref = find_root(BracketedFunction(f, 0.0, tau), tol=1e-13)
+        ref = scipy.optimize.brentq(f, 0.0, tau, xtol=1e-13)
         assert t == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
@@ -563,6 +560,18 @@ def test_belief_and_params_validation():
         ModelParams(0.1, 0.05, 1.0, 10.0, n_pool=100.0, gamma_th=0.0)
     b = Belief(0.25, 0.75)
     assert b.pi_g + b.pi_b == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lambda_ps_g", "lambda_ps_b", "lambda_pu",
+                                   "tau", "n_pool", "gamma_th"])
+def test_params_reject_non_finite_values(field, bad):
+    # NaN passes the ordering checks, and inf would slip past them too
+    ok = dict(lambda_ps_g=0.1, lambda_ps_b=0.05, lambda_pu=1.0, tau=10.0,
+              n_pool=100.0, gamma_th=5.0)
+    ModelParams(**ok)
+    with pytest.raises(DynamicsError, match=field):
+        ModelParams(**dict(ok, **{field: bad}))
 
 
 def test_metric_value_requires_time_in_lifetime():

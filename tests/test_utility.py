@@ -238,6 +238,17 @@ def test_exponential_interior_optimum_matches_scipy():
     assert checked >= 10
 
 
+def test_exponential_interior_optimum_is_pinned():
+    # the CI best-response family; the interior root's bits, and its
+    # utility's, as the closed form gave them before any change to the
+    # root finder
+    p = ModelParams(0.2, 0.1, 260.0, 10.0, n_pool=1000.0)
+    r = best_response_exponential(100.0, Belief(0.55, 0.45), p)
+    assert r.kind is BestResponseKind.POINT
+    assert r.values == (352.3621974901069,)
+    assert r.utility == 1.1889235081276288
+
+
 def test_huge_pool_favors_deferred_access():
     """N=50000 pins the grid argmax at the cap, not at beta=0."""
     p = ModelParams(0.1, 0.01, 150.0, 10.0, n_pool=50000.0)
