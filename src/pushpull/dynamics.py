@@ -126,12 +126,13 @@ _CSV_BLOCK = 256
 # a file of _G12_MIN_ROWS rows or more whose every column is "%.12g" is
 # written in blocks of _G12_BLOCK rows, and each block of at least
 # _G12_MIN_ROWS rows goes through the numpy kernel (g12.g12_block). Its
-# temporaries stay under ~100 KB, which the allocator reuses instead of
-# mapping afresh on each call. The kernel's fixed cost (~0.2 ms) loses
-# to the % path up to ~256 rows of three columns: 128 rows took 1.2x
-# the % path's time, 256 rows 1.0x, 1024 rows 0.65x, 10^5 rows 0.45x
+# largest temporaries (32 bytes a field) stay at ~100 KB, which the
+# allocator reuses: 2048-row blocks took ~240 page faults a call, 1024
+# rows none. The kernel's fixed cost (~75 us) loses to the % path below
+# ~100 rows of three columns (64 rows took 1.2x the % path's time, 128
+# rows 0.7x, 256 rows 0.5x, 1024 rows 0.3x); the cutover keeps a margin
 _G12_BLOCK = 1024
-_G12_MIN_ROWS = 512
+_G12_MIN_ROWS = 256
 
 
 def write_csv(path, header: str, row_fmt: str, *columns) -> None:

@@ -109,8 +109,8 @@ class GridSpec:
         if self.n_alpha < 100:
             raise ValueError(f"n_alpha={self.n_alpha} must be at least 100")
         if self.tol is not None and (isinstance(self.tol, bool)
-                                     or not self.tol > 0.0):
-            raise ValueError("tol must be a positive number")
+                                     or not 0.0 < self.tol < math.inf):
+            raise ValueError("tol must be a positive finite number")
 
     def resolve_tol(self, p: ModelParams) -> float:
         return self.tol if self.tol is not None else 1e-6 * p.tau

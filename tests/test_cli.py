@@ -457,6 +457,27 @@ def test_malformed_numeric_field_is_a_config_error(command, cfg, flags,
 
 
 @pytest.mark.parametrize("command, cfg", [
+    pytest.param("verify", {"n_draws": 1}, id="verify"),
+    pytest.param("classify", dict(params=LIN, belief=BELIEF,
+                                  oracle_check=True), id="classify"),
+    # no closed form: the best response is the grid oracle's
+    pytest.param("best-response", dict(scenario="TrendViewcountExponential",
+                                       params=EXP, belief=BELIEF,
+                                       alpha=1000.0), id="best-response"),
+])
+def test_infinite_grid_tol_is_a_config_error(command, cfg, tmp_path, capsys):
+    # at an infinite slack every grid point ties; verify used to report
+    # a missing oracle equilibrium (exit 1) instead
+    cfg = dict({"scenario": "LinearFixedHorizon",
+                "grid": {"tol": float("inf")}}, **cfg)
+    rc, out, err = run_cli(command, tmp_path, capsys, "--out",
+                           str(tmp_path / "out"), **cfg)
+    assert rc == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error: bad grid: ")
+
+
+@pytest.mark.parametrize("command, cfg", [
     pytest.param("verify", {"n_draws": 1, "corrupt": "false"},
                  id="verify-corrupt-string"),
     pytest.param("verify", {"n_draws": 1, "corrupt": 0},

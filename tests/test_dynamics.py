@@ -543,6 +543,44 @@ def test_g12_kernel_matches_percent_format(anything, fixed_range):
     assert_g12_matches(anything + fixed_range + [-x for x in fixed_range])
 
 
+def test_g12_kernel_on_every_exponent_and_digit_count():
+    # N 10^(d - 11) with exactly L significant digits, for each keep row
+    # (d, sign, L): L = d + 1 prints no point, L < d + 1 an integer
+    # with trailing zeros, d < 0 leading zeros after "0."
+    rng = np.random.default_rng(13)
+    vals = []
+    for d in range(-4, 12):
+        for n_sig in range(1, 13):
+            for _ in range(6):
+                digits = rng.integers(0, 10, n_sig)
+                digits[0], digits[-1] = rng.integers(1, 10, 2)
+                big = int("".join(map(str, digits))) * 10 ** (12 - n_sig)
+                x = big / 10.0 ** (11 - d)
+                text = "%.12g" % x
+                assert "e" not in text
+                assert len(text.replace(".", "").strip("0")) == n_sig
+                vals += [x, -x]
+    assert_g12_matches(vals)
+
+
+def test_g12_kernel_block_with_negative_first_column_and_fallbacks():
+    # the first column's fields open with "\n" and its sign; the widest
+    # fallback fields ("%.12g" in exponent notation, 19 characters) sit
+    # among certified ones in every column
+    rng = np.random.default_rng(17)
+    block = np.column_stack([-rng.uniform(1e-4, 1e6, 600),
+                             rng.uniform(0.0, 1e5, 600),
+                             rng.uniform(-1e3, 1e3, 600)])
+    wide = -1.23456789012e-300
+    assert len("%.12g" % wide) == 19
+    block[[200, 201, 350], 0] = wide
+    block[[201, 300, 301], 1] = wide
+    block[[299, 300, 450], 2] = [wide, -wide, 9.87654321098e+300]
+    want = "".join("\n" + ",".join("%.12g" % x for x in row)
+                   for row in block.tolist())
+    assert g12_block(block).tobytes().decode("ascii") == want
+
+
 def test_belief_and_params_validation():
     with pytest.raises(DynamicsError):
         Belief(0.5, 0.6)

@@ -141,6 +141,13 @@ def test_gridspec_validates_resolution():
     assert GridSpec(tol=0.5).resolve_tol(p) == 0.5
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1.0, True])
+def test_gridspec_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    # an infinite slack would make every grid point tie
+    with pytest.raises(ValueError, match="tol"):
+        GridSpec(tol=tol)
+
+
 def test_oracle_finds_the_full_linear_interval():
     p = ModelParams(0.1, 0.01, 150.0, 10.0)
     b = Belief(0.75, 0.25)
