@@ -590,8 +590,8 @@ def crossings(beta, alpha, lam, p: ModelParams, push: PushKind,
             w = lambert_w0_log(log_zeta - c)
             # c + w = ln(zeta) - ln(w) exactly, and the latter form stays
             # accurate when zeta blows up (tiny pull rate) and c, w cancel
-            # to leading order
-            with np.errstate(divide="ignore"):
+            # to leading order; there the discarded c/col can overflow
+            with np.errstate(divide="ignore", over="ignore"):
                 tk = np.where(w <= 0.0, c / col, (log_zeta - np.log(w)) / col)
             for tq, v in zip(t, tk):
                 tq[k] = v

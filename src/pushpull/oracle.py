@@ -23,16 +23,16 @@ the rows of stride _COARSE_STRIDE, and rejects the rows with own < max -
 tol. Pass 2 takes the surviving rows interval by interval,
 [beta_16m, beta_16(m+1)] between consecutive pass-1 points. U = pi_G
 gain - pi_B cost, and each term is a function of one first-passage
-time, monotone in beta between consecutive discontinuity_preimages,
-rising or falling. So every point of an interval with no preimage in it
-satisfies
+time, monotone in beta, rising or falling, on every interval that holds
+no activation jump of TrendViewcountExponential (decide_rows). So every
+point of such an interval satisfies
 
     U <= pi_G max(gain_lo, gain_hi) - pi_B min(cost_lo, cost_hi),
 
 in floating point too (rounding is monotone), whichever way each term
 runs. An interval whose bound is at most own + tol - delta holds no
 point that could reject the row and is certified; an interval holding a
-preimage is never certified. Pass 2 evaluates the interior linspace
+jump is never certified. Pass 2 evaluates the interior linspace
 points of the open intervals only, in one more call, and a row is
 admitted iff own >= max(pass 1, pass 2) - tol. Every point evaluated is
 a point of the full row, utility_terms is elementwise and does not
@@ -228,6 +228,12 @@ def decide_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,
     only where the interval's monotone bound does not certify that none
     of them exceeds own + tol (module docstring). A NaN utility rejects
     its row, as in the full pass.
+
+    Only an interval holding a jump stays open whatever its bound. A
+    continuous metric's passage t_beta(q) is monotone in beta across
+    alpha too, and so is each term (VariableHorizon's window bonus is
+    constant below alpha), so its one preimage, alpha, opens nothing;
+    the jumps are TrendViewcountExponential's, at activation.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
@@ -245,9 +251,11 @@ def decide_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,
     bound = (belief.pi_g * np.maximum(gain[:, :k - 1], gain[:, 1:k])
              - belief.pi_b * np.minimum(cost[:, :k - 1], cost[:, 1:k]))
     open_ = ~(bound <= (u_own + tol - _CERTIFY_SLACK * p.tau)[:, None])
-    lo, hi = coarse[:, :-1], coarse[:, 1:]
-    for d in discontinuity_preimages(alphas, p, s):
-        open_ |= (lo <= d[:, None]) & (d[:, None] <= hi)
+    jumps = discontinuity_preimages(alphas, p, s)
+    if not np.array_equal(jumps, alphas[None]):  # more than alpha itself
+        lo, hi = coarse[:, :-1], coarse[:, 1:]
+        for d in jumps:
+            open_ |= (lo <= d[:, None]) & (d[:, None] <= hi)
     # a row whose cap is not positive is all 0, and done in pass 1
     open_ &= (alive & (caps > 0.0))[:, None]
     rows, m = np.nonzero(open_)

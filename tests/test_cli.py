@@ -19,6 +19,8 @@ from pushpull import (
     Trajectory,
     best_response_linear,
     classify,
+    decide_rows,
+    find_symmetric_equilibria,
     grid_best_response,
     make_report,
     strategy_cap,
@@ -27,10 +29,12 @@ from pushpull import (
     utility_surface,
 )
 from pushpull import dynamics
+from pushpull.equilibrium import pull_ratio
 from pushpull.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    _STRICT_REFINE,
     _check_equilibrium_set,
     _draw_model,
     main,
@@ -238,16 +242,43 @@ def test_verify_refuses_the_scenario_without_closed_form(tmp_path, capsys):
     assert "TrendViewcountExponential" in err
 
 
-@pytest.mark.parametrize("seed", [1045, 937818])
-def test_verify_variable_horizon_seed_1045(tmp_path, capsys, seed):
-    # the grid rows of the oracle's equilibria 793.223 (seed 1045, grid
-    # gap 2.7e-11, true gap 2.1e-5) and 112.966 (seed 937818) step over
-    # a smooth peak of U(alpha, .); the refined re-test finds it, so the
-    # printed VariableHorizon set rightly omits them
-    rc, out, _ = run_cli("verify", tmp_path, capsys,
-                         scenario="VariableHorizon", n_draws=1, seed=seed)
-    assert out.splitlines()[0].startswith("draw 000: PASS ")
-    assert rc == EXIT_OK
+# the VariableHorizon families that verify drew at seeds 1045 and 937818
+# while its draws kept clear of the case boundaries
+VH_GRID_GAPS = {
+    1045: (Belief(0.5532806563315865, 0.4467193436684135),
+           ModelParams(0.34696657011491905, 0.14283495345650324,
+                       1066.345448468906, 29.33835143706383,
+                       n_pool=2312.7428298948894, gamma_th=1186.871129032678)),
+    937818: (Belief(0.5496697468585231, 0.4503302531414769),
+             ModelParams(0.3588359036843309, 0.17434296324736198,
+                         243.2861693950674, 36.442796375850854,
+                         n_pool=485.8637148724602,
+                         gamma_th=284.22666665053714)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VH_GRID_GAPS))
+def test_verify_variable_horizon_seed_1045(seed):
+    # the grid rows of two oracle equilibria below the printed interval,
+    # among them 793.223 (seed 1045, grid gap 2.7e-11, true gap 2.1e-5)
+    # and 112.966 (seed 937818), step over a smooth peak of U(alpha, .);
+    # the strict re-test on finer rows finds it, so the printed set
+    # rightly omits them
+    s = Scenario.VARIABLE_HORIZON
+    b, p = VH_GRID_GAPS[seed]
+    g = GridSpec()
+    eq, _ = classify(s, b, p)
+    assert eq.case == "interval-pull"
+    cap_a = symmetric_cap(p, s)
+    tol_edge = 1.5 * (cap_a / (g.n_alpha - 1)) + 1e-9 * max(cap_a, 1.0)
+    outside = [a for a in find_symmetric_equilibria(b, p, s, g).tolist()
+               if not eq.contains(a, tol=tol_edge)]
+    assert len(outside) == 2
+    tol_sound = max(g.resolve_tol(p), 1e-6 * p.tau)
+    strict = dataclasses.replace(g, n_beta=_STRICT_REFINE * (g.n_beta - 1) + 1,
+                                 tol=0.01 * tol_sound)
+    assert not decide_rows(outside, b, p, s, strict).any()
+    assert _check_equilibrium_set(eq, b, p, s, g) is None
 
 
 @pytest.mark.parametrize("rates, n_pool, lambda_pu, tau, belief, missing", [
@@ -301,6 +332,24 @@ def test_linear_knife_edge_ties_are_the_whole_interval(scenario, rates, belief):
     b = Belief(*belief)
     eq, _ = classify(s, b, p)
     assert eq.case == "ii"
+    assert eq.intervals == ((0.0, symmetric_cap(p, s)),)
+    assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
+
+
+@pytest.mark.parametrize("scenario", ["ExponentialFixedHorizon",
+                                      "VariableHorizon"])
+@pytest.mark.parametrize("tau", [8.0, 2.0])
+def test_saturating_pull_ratio_ties_are_the_whole_interval(scenario, tau):
+    # rho = R(0) = (352 + 0.28125*1024)/(352 + 0.03125*1024) = 640/384,
+    # where 0.625/0.375 rounds to the same double: the boundary below
+    # which the set's lower end leaves 0, and where verify's draws can fall
+    s = Scenario.from_tag(scenario)
+    gamma_th = 368.0 if s is Scenario.VARIABLE_HORIZON else None
+    p = ModelParams(0.28125, 0.03125, 352.0, tau, n_pool=1024.0,
+                    gamma_th=gamma_th)
+    b = Belief(0.625, 0.375)
+    assert b.pi_g / b.pi_b == pull_ratio(0.0, p.n_pool, p)
+    eq, _ = classify(s, b, p)
     assert eq.intervals == ((0.0, symmetric_cap(p, s)),)
     assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
 

@@ -347,6 +347,8 @@ def test_viewcount_monotone_and_quality_ordered(draw, push):
 @given(param_draws, st.sampled_from([LIN, EXP]))
 # subnormal pull rate: lam*n/lpu overflows, the crossing is the push-only limit
 @example((0.02, 0.5, 1.1e-308, 10.0, 0.5), EXP)
+# lam*n/lpu is just finite, and c/lam, which np.where discards, overflows
+@example((0.25, 1.0, 1.950103687493726e-306, 2.0, 0.0), EXP)
 def test_crossing_monotone_in_threshold(draw, push):
     lg, frac, lpu, tau, afrac = draw
     p = ModelParams(lg, frac * lg, lpu, tau, n_pool=1000.0)
