@@ -80,33 +80,28 @@ def _check_keys(d: dict, allowed: set, required: set, what: str) -> None:
         raise ConfigError(f"missing {what} field(s): {', '.join(sorted(missing))}")
 
 
-def _check_fields(d: dict, cls, what: str) -> None:
-    """_check_keys against the fields of dataclass cls; a field without a
-    default is required."""
-    fields = dataclasses.fields(cls)
-    _check_keys(d, {f.name for f in fields},
-                {f.name for f in fields if f.default is dataclasses.MISSING},
-                what)
+def _integer(key: str, least: int) -> Callable[[dict], int]:
+    """Reader of cfg[key], which must be an integer >= least."""
+    def read(cfg: dict) -> int:
+        v = cfg[key]
+        # bool is a subclass of int, but a JSON true is not a count
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"{key} must be an integer")
+        if v < least:
+            raise ConfigError(f"{key} must be at least {least}")
+        return v
+    return read
 
 
-def _int_field(d: dict, key: str, default: int, least: int) -> int:
-    """d[key] (default when absent), which must be an integer >= least."""
-    v = d.get(key, default)
-    # bool is a subclass of int, but a JSON true is not a count
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{key} must be an integer")
-    if v < least:
-        raise ConfigError(f"{key} must be at least {least}")
-    return v
-
-
-def _bool_field(d: dict, key: str, default: bool) -> bool:
-    """d[key] (default when absent), which must be a JSON boolean."""
-    v = d.get(key, default)
-    # a string "false" is truthy, and 1 is not a switch
-    if not isinstance(v, bool):
-        raise ConfigError(f"{key} must be true or false, not {json.dumps(v)}")
-    return v
+def _switch(key: str) -> Callable[[dict], bool]:
+    """Reader of cfg[key], which must be a JSON boolean."""
+    def read(cfg: dict) -> bool:
+        v = cfg[key]
+        # a string "false" is truthy, and 1 is not a switch
+        if not isinstance(v, bool):
+            raise ConfigError(f"{key} must be true or false, not {json.dumps(v)}")
+        return v
+    return read
 
 
 def _float(v, key: str) -> float:
@@ -116,48 +111,23 @@ def _float(v, key: str) -> float:
     return float(v)
 
 
-def _load_config(args) -> dict:
-    cfg: dict = {}
-    if args.config is not None:
+def _record(cls, key: str, numbers: bool = False) -> Callable[[dict], object]:
+    """Reader of cfg[key], a JSON object of dataclass cls's fields (each
+    a float when numbers); a field without a default is required."""
+    def read(cfg: dict):
+        d, fields = cfg[key], dataclasses.fields(cls)
+        _check_keys(d, {f.name for f in fields},
+                    {f.name for f in fields if f.default is dataclasses.MISSING},
+                    key)
         try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read config: {e}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}")
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.scenario is not None:
-        cfg["scenario"] = args.scenario
-    if getattr(args, "seed", None) is not None:
-        if args.command != "simulate":
-            cfg["seed"] = args.seed
-        elif isinstance(cfg.setdefault("sim", {}), dict):
-            # a sim that is not an object is reported by _sim_from
-            cfg["sim"]["seed"] = args.seed
-    cmd = _COMMANDS[args.command]
-    required = set(cmd.required.split())
-    _check_keys(cfg, required | set(cmd.optional.split()), required,
-                f"{args.command} config")
-    return cfg
+            return cls(**{k: _float(v, k) if numbers else v
+                          for k, v in d.items()})
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"bad {key}: {e}")
+    return read
 
 
-def _params_from(cfg: dict) -> ModelParams:
-    _check_fields(cfg["params"], ModelParams, "params")
-    try:
-        return ModelParams(**{k: _float(v, k) for k, v in cfg["params"].items()})
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad params: {e}")
-
-
-def _belief_from(cfg: dict) -> Belief:
-    b = cfg["belief"]
-    _check_fields(b, Belief, "belief")
-    try:
-        return Belief(_float(b["pi_g"], "pi_g"), _float(b["pi_b"], "pi_b"))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad belief: {e}")
+_params_from = _record(ModelParams, "params", numbers=True)
 
 
 def _scenario_from(cfg: dict) -> Scenario:
@@ -165,24 +135,6 @@ def _scenario_from(cfg: dict) -> Scenario:
         return Scenario.from_tag(str(cfg["scenario"]))
     except UtilityError as e:
         raise ConfigError(str(e))
-
-
-def _grid_from(cfg: dict) -> GridSpec:
-    g = cfg.get("grid", {})
-    _check_fields(g, GridSpec, "grid")
-    try:
-        return GridSpec(**g)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad grid: {e}")
-
-
-def _sim_from(cfg: dict) -> SimConfig:
-    s = cfg["sim"]
-    _check_fields(s, SimConfig, "sim")
-    try:
-        return SimConfig(**s)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad sim config: {e}")
 
 
 def _alpha_from(cfg: dict) -> float:
@@ -195,8 +147,81 @@ def _alpha_from(cfg: dict) -> float:
     return a
 
 
-def _out_base(cfg: dict) -> str:
-    out = str(cfg["out"])
+def _mode_from(cfg: dict) -> str:
+    if cfg["mode"] not in ("views", "dynamics"):
+        raise ConfigError("mode must be 'views' or 'dynamics'")
+    return cfg["mode"]
+
+
+def _quality_from(cfg: dict) -> Quality:
+    q = {"good": Quality.GOOD, "bad": Quality.BAD}.get(
+        str(cfg["quality"]).lower())
+    if q is None:
+        raise ConfigError("quality must be 'good' or 'bad'")
+    return q
+
+
+def _sweep_from(cfg: dict) -> list:
+    """The params with each swept pull rate in turn."""
+    if not isinstance(cfg["sweep_lambda_pu"], list):
+        raise ConfigError("sweep_lambda_pu must be a list of pull rates")
+    return [_params_from({"params": dict(cfg["params"], lambda_pu=lpu)})
+            for lpu in cfg["sweep_lambda_pu"]]
+
+
+_READERS = {
+    "scenario": _scenario_from,
+    "params": _params_from,
+    "belief": _record(Belief, "belief", numbers=True),
+    "alpha": _alpha_from,
+    "grid": _record(GridSpec, "grid"),
+    "sim": _record(SimConfig, "sim"),
+    "mode": _mode_from,
+    "quality": _quality_from,
+    "sweep_lambda_pu": _sweep_from,
+    "n_samples": _integer("n_samples", 2),
+    "n_grid": _integer("n_grid", 2),
+    "n_draws": _integer("n_draws", 1),
+    "seed": _integer("seed", 0),
+    "corrupt": _switch("corrupt"),
+    "oracle_check": _switch("oracle_check"),
+    "out": lambda cfg: str(cfg["out"]),
+}
+
+
+def _load_config(args) -> dict:
+    """The config with the flags applied, each key read by its _READERS
+    entry, whether or not the command (or its mode) uses it."""
+    cfg: dict = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except OSError as e:
+            raise ConfigError(f"cannot read config: {e}")
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"config is not valid JSON: {e}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{args.command} config must be a JSON object")
+    if args.out is not None:
+        cfg["out"] = args.out
+    if args.scenario is not None:
+        cfg["scenario"] = args.scenario
+    if getattr(args, "seed", None) is not None:
+        if args.command != "simulate":
+            cfg["seed"] = args.seed
+        elif isinstance(cfg.setdefault("sim", {}), dict):
+            # a sim that is not an object is reported by its reader
+            cfg["sim"]["seed"] = args.seed
+    cmd = _COMMANDS[args.command]
+    required = set(cmd.required.split())
+    _check_keys(cfg, required | set(cmd.optional.split()), required,
+                f"{args.command} config")
+    # in _READERS order, so params are read before the sweep built on them
+    return {k: read(cfg) for k, read in _READERS.items() if k in cfg}
+
+
+def _out_base(out: str) -> str:
     return out[:-4] if out.endswith(".csv") else out
 
 
@@ -209,49 +234,41 @@ def _write_json(path: str, obj) -> None:
 # -- commands ------------------------------------------------------------------
 
 def cmd_trajectory(cfg: dict) -> int:
-    s = _scenario_from(cfg)
-    p = _params_from(cfg)
-    alpha = _alpha_from(cfg)
-    n = _int_field(cfg, "n_samples", 2001, 2)
-    base = _out_base(cfg)
+    s = cfg["scenario"]
+    base = _out_base(cfg["out"])
     for q, tag in ((Quality.GOOD, "good"), (Quality.BAD, "bad")):
-        traj = sample_trajectory(q, alpha, p, s.push, s.metric, n_samples=n)
+        traj = sample_trajectory(q, cfg["alpha"], cfg["params"], s.push,
+                                 s.metric, n_samples=cfg.get("n_samples", 2001))
         traj.to_csv(f"{base}_{tag}.csv")
     return EXIT_OK
 
 
 def cmd_surface(cfg: dict) -> int:
-    s = _scenario_from(cfg)
-    p = _params_from(cfg)
-    belief = _belief_from(cfg)
-    alpha = _alpha_from(cfg)
-    n_grid = _int_field(cfg, "n_grid", 512, 2)
-    rows = utility_surface(alpha, belief, p, s, n_grid)
-    write_csv(str(cfg["out"]), "beta,utility,branch", "%.12g,%.12g,%s\n",
+    rows = utility_surface(cfg["alpha"], cfg["belief"], cfg["params"],
+                           cfg["scenario"], cfg.get("n_grid", 512))
+    write_csv(cfg["out"], "beta,utility,branch", "%.12g,%.12g,%s\n",
               *zip(*rows))
     return EXIT_OK
 
 
 def cmd_best_response(cfg: dict) -> int:
-    s = _scenario_from(cfg)
-    p = _params_from(cfg)
-    belief = _belief_from(cfg)
-    alpha = _alpha_from(cfg)
+    s, p, belief, alpha = (cfg[k] for k in ("scenario", "params", "belief",
+                                            "alpha"))
     br = closed_form_best_response(alpha, belief, p, s)
     if br is not None:
         payload = br.as_dict()
         method = "closed-form"
     else:
         # no closed form for this variant: report the grid argmax set
-        g = _grid_from(cfg)
-        pts = grid_best_response(alpha, belief, p, s, g)
+        pts = grid_best_response(alpha, belief, p, s,
+                                 cfg.get("grid", GridSpec()))
         payload = {
             "kind": "GridSet",
             "values": [float(v) for v in pts],
             "utility": utility(alpha, float(pts[0]), belief, p, s),
         }
         method = "grid"
-    _write_json(str(cfg["out"]), {
+    _write_json(cfg["out"], {
         "alpha": alpha,
         "belief": dataclasses.asdict(belief),
         "best_response": payload,
@@ -318,24 +335,18 @@ def _check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
     return None
 
 
-def _report_sweep(s: Scenario, belief: Belief, cfg: dict) -> list:
+def _report_sweep(s: Scenario, belief: Belief, sweep: list) -> list:
     rows = []
-    if not isinstance(cfg["sweep_lambda_pu"], list):
-        raise ConfigError("sweep_lambda_pu must be a list of pull rates")
-    base = dict(cfg["params"])
-    for lpu in cfg["sweep_lambda_pu"]:
-        sub = dict(base)
-        sub["lambda_pu"] = lpu
-        p = _params_from({"params": sub})
+    for p in sweep:
         try:
             eq, diags = classify(s, belief, p)
         except (DynamicsError, UtilityError, EquilibriumError,
                 NumericsError) as e:
             # a rate outside a theorem's hypotheses spoils its row only
-            rows.append({"lambda_pu": float(lpu), "error": str(e)})
+            rows.append({"lambda_pu": p.lambda_pu, "error": str(e)})
             continue
         row = {
-            "lambda_pu": float(lpu),
+            "lambda_pu": p.lambda_pu,
             "kind": eq.kind.value,
             "points": [float(v) for v in eq.points],
             "intervals": [[float(lo), float(hi)] for lo, hi in eq.intervals],
@@ -348,25 +359,23 @@ def _report_sweep(s: Scenario, belief: Belief, cfg: dict) -> list:
 
 
 def cmd_classify(cfg: dict) -> int:
-    s = _scenario_from(cfg)
+    s, p, belief = cfg["scenario"], cfg["params"], cfg["belief"]
     if s is Scenario.TREND_VIEWCOUNT_EXPONENTIAL:
         raise ConfigError(
             "classify does not support TrendViewcountExponential "
             "(no closed form); use best-response with a grid instead")
-    p = _params_from(cfg)
-    belief = _belief_from(cfg)
-    oracle_checked = _bool_field(cfg, "oracle_check", False)
+    oracle_checked = cfg.get("oracle_check", False)
     eq, diags = classify(s, belief, p)
     if oracle_checked:
-        g = _grid_from(cfg)
-        reason = _check_equilibrium_set(eq, belief, p, s, g)
+        reason = _check_equilibrium_set(eq, belief, p, s,
+                                        cfg.get("grid", GridSpec()))
         if reason is not None:
             print(f"oracle check failed: {reason}", file=sys.stderr)
             return EXIT_NUMERIC
     report = make_report(s, belief, p, eq, diags, oracle_checked=oracle_checked)
     if "sweep_lambda_pu" in cfg:
-        report["sweep"] = _report_sweep(s, belief, cfg)
-    _write_json(str(cfg["out"]), report)
+        report["sweep"] = _report_sweep(s, belief, cfg["sweep_lambda_pu"])
+    _write_json(cfg["out"], report)
     return EXIT_OK
 
 
@@ -419,15 +428,14 @@ def _corrupt_set(eq: EquilibriumSet, p: ModelParams, s: Scenario) -> Equilibrium
 
 
 def cmd_verify(cfg: dict) -> int:
-    s = _scenario_from(cfg)
+    s = cfg["scenario"]
     if s is Scenario.TREND_VIEWCOUNT_EXPONENTIAL:
         raise ConfigError(
             "verify does not support TrendViewcountExponential (no closed form)")
-    n_draws = _int_field(cfg, "n_draws", 100, 1)
-    seed = _int_field(cfg, "seed", 0, 0)
-    corrupt = _bool_field(cfg, "corrupt", False)
-    g = _grid_from(cfg)
-    rng = np.random.default_rng(seed)
+    n_draws = cfg.get("n_draws", 100)
+    corrupt = cfg.get("corrupt", False)
+    g = cfg.get("grid", GridSpec())
+    rng = np.random.default_rng(cfg.get("seed", 0))
     lines = []
     failures = 0
     for k in range(n_draws):
@@ -447,34 +455,24 @@ def cmd_verify(cfg: dict) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if "out" in cfg:
-        with open(str(cfg["out"]), "w", newline="") as fh:
+        with open(cfg["out"], "w", newline="") as fh:
             fh.write(text)
     return EXIT_NUMERIC if failures else EXIT_OK
 
 
 def cmd_simulate(cfg: dict) -> int:
-    mode = str(cfg.get("mode", ""))
-    if mode not in ("views", "dynamics"):
-        raise ConfigError("mode must be 'views' or 'dynamics'")
-    s = _scenario_from(cfg)
-    p = _params_from(cfg)
-    sim = _sim_from(cfg)
-    if mode == "views":
+    s, p, sim = cfg["scenario"], cfg["params"], cfg["sim"]
+    if cfg["mode"] == "views":
         if "alpha" not in cfg or "quality" not in cfg:
             raise ConfigError("views mode needs alpha and quality")
-        qtag = str(cfg["quality"]).lower()
-        if qtag not in ("good", "bad"):
-            raise ConfigError("quality must be 'good' or 'bad'")
-        q = Quality.GOOD if qtag == "good" else Quality.BAD
-        traj = simulate_views(q, _alpha_from(cfg), p, s, sim)
-        out = str(cfg["out"])
+        traj = simulate_views(cfg["quality"], cfg["alpha"], p, s, sim)
+        out = cfg["out"]
         traj.to_csv(out if out.endswith(".csv") else out + ".csv")
         return EXIT_OK
     if "belief" not in cfg:
         raise ConfigError("dynamics mode needs a belief")
-    belief = _belief_from(cfg)
-    res = best_response_dynamics(belief, p, s, sim)
-    base = _out_base(cfg)
+    res = best_response_dynamics(cfg["belief"], p, s, sim)
+    base = _out_base(cfg["out"])
     res.write_snapshots(f"{base}_snapshots.csv")
     _write_json(f"{base}_summary.json", res.summary())
     return EXIT_OK
@@ -523,7 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=cmd.help, epilog=_UNITS)
         sp.add_argument("--config", help="path to a JSON config document")
         sp.add_argument("--out", help="output path (overrides config)")
-        sp.add_argument("--seed", type=int, help="seed (overrides config)")
+        if name in ("verify", "simulate"):
+            sp.add_argument("--seed", type=int, help="seed (overrides config)")
         sp.add_argument("--scenario", help="scenario tag (overrides config)")
     return parser
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .dynamics import (
     Belief,
+    DynamicsError,
     ModelParams,
     PushKind,
     Quality,
@@ -71,20 +72,24 @@ def simulate_views(q: Quality, alpha: float, p: ModelParams, s: Scenario,
                    c: SimConfig) -> Trajectory:
     """One sampled viewcount path as an event-time step function.
 
-    Saturating push draws an independent Exp(lambda_ps) access time per
-    pool viewer; linear push is a Poisson stream of rate lambda_ps.
-    Pull is a Poisson stream of rate lambda_pu that switches on at the
-    first event taking the count to the gate level and stays on. The
-    gate is the population's, read off the count: the push-only
-    viewcount at which the scenario's metric reaches alpha
-    (dynamics.activation_count; the model's n_pool for saturating
-    trend x viewcount), never opening where that metric cannot. The
-    returned xdot is the empirical inter-event rate, zero at t=0.
+    Saturating push draws an independent Exp(lambda_ps) access time for
+    each of n_push_pool pool viewers, a count that must equal the
+    model's n_pool (else DynamicsError); linear push is a Poisson stream
+    of rate lambda_ps. Pull is a Poisson stream of rate lambda_pu that
+    switches on at the first event taking the count to the gate level
+    and stays on. The gate is the population's, read off the count: the
+    push-only viewcount at which the scenario's metric reaches alpha
+    (dynamics.activation_count), never opening where that metric cannot.
+    The returned xdot is the empirical inter-event rate, zero at t=0.
     """
     rng = c.generator()
     lam = p.lambda_ps(q)
     tau = p.tau
     if s.push is PushKind.EXPONENTIAL_SATURATING:
+        if c.n_push_pool != p.n_pool:
+            raise DynamicsError(
+                f"saturating push draws n_push_pool={c.n_push_pool} pool "
+                f"viewers, but the model's n_pool is {p.n_pool}")
         access = rng.exponential(1.0 / lam, size=c.n_push_pool)
         push_times = np.sort(access[access <= tau])
     else:

@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import re
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from pushpull import (
     ModelParams,
     Quality,
     Scenario,
+    SimConfig,
     Trajectory,
     best_response_linear,
     classify,
@@ -23,6 +26,8 @@ from pushpull import (
     find_symmetric_equilibria,
     grid_best_response,
     make_report,
+    sample_trajectory,
+    simulate_views,
     strategy_cap,
     symmetric_cap,
     utility,
@@ -181,18 +186,6 @@ def test_verify_passes_every_closed_form_scenario(scenario, tmp_path, capsys):
     assert lines[-1] == "3/3 draws passed"
 
 
-def test_verify_rerun_is_byte_identical(tmp_path, capsys):
-    outs = []
-    for k in range(2):
-        dest = tmp_path / f"verify_{k}.txt"
-        rc, out, _ = run_cli("verify", tmp_path, capsys, "--out", str(dest),
-                             scenario="VariableHorizon", n_draws=4, seed=11)
-        assert rc == EXIT_OK
-        assert dest.read_text() == out
-        outs.append(dest.read_bytes())
-    assert outs[0] == outs[1]
-
-
 @pytest.mark.parametrize("scenario", CLOSED_FORM)
 def test_verify_stdout_matches_the_golden_transcript(scenario, tmp_path,
                                                      capsys):
@@ -212,12 +205,15 @@ VERIFY_DIGESTS = json.loads(
 @pytest.mark.parametrize("key", sorted(VERIFY_DIGESTS))
 def test_verify_stdout_matches_its_pinned_digest(key, tmp_path, capsys):
     # tests/golden/verify_digests.json holds the SHA-256 of the stdout of
-    # `verify --scenario S --seed N` (100 draws) for seeds 1-5, and with
-    # `corrupt` at seed 0, whose FAIL lines print deviation_sweep gaps;
-    # an oracle change must not move a byte of any of them
-    scenario, seed, *corrupt = key.split("/")
+    # `verify --scenario S --seed N` (100 draws) for seeds 1-5, with
+    # `corrupt` at seed 0 ("S/0/corrupt"), whose FAIL lines print
+    # deviation_sweep gaps, and of 200 draws at seed 7 ("S/7/200"); an
+    # oracle change must not move a byte of any of them
+    scenario, seed, *extra = key.split("/")
+    corrupt = extra == ["corrupt"]
     rc, out, _ = run_cli("verify", tmp_path, capsys, scenario=scenario,
-                         seed=int(seed), corrupt=bool(corrupt))
+                         seed=int(seed), corrupt=corrupt,
+                         n_draws=100 if corrupt or not extra else int(extra[0]))
     assert rc == (EXIT_NUMERIC if corrupt else EXIT_OK), out
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == VERIFY_DIGESTS[key], out
@@ -232,14 +228,6 @@ def test_verify_rejects_a_corrupted_closed_form(scenario, tmp_path, capsys):
     lines = out.splitlines()
     assert all(": FAIL " in line for line in lines[:4])
     assert lines[-1] == "0/4 draws passed (corrupted closed form)"
-
-
-def test_verify_refuses_the_scenario_without_closed_form(tmp_path, capsys):
-    rc, out, err = run_cli("verify", tmp_path, capsys,
-                           scenario="TrendViewcountExponential", n_draws=1)
-    assert rc == EXIT_CONFIG
-    assert out == ""
-    assert "TrendViewcountExponential" in err
 
 
 # the VariableHorizon families that verify drew at seeds 1045 and 937818
@@ -371,17 +359,6 @@ def test_soundness_judges_at_its_own_tolerance(shift, sound):
                           f"response (gap {3.5 * shift:.3g})")
 
 
-def test_classify_oracle_check_next_to_the_push_ratio(tmp_path, capsys):
-    # rho is 1e-9 relative below lam_G/lam_B = 2
-    params = {"lambda_ps_g": 0.2, "lambda_ps_b": 0.1, "lambda_pu": 260.0,
-              "tau": 10.0, "n_pool": 1000.0, "gamma_th": 300.0}
-    belief = {"pi_g": 0.6666666664444444, "pi_b": 0.3333333335555556}
-    rc, _, err = run_cli("classify", tmp_path, capsys, "--out",
-                         str(tmp_path / "out.json"), scenario="VariableHorizon",
-                         params=params, belief=belief, oracle_check=True)
-    assert rc == EXIT_OK, err
-
-
 SIM = {"seed": 3, "n_push_pool": 1000}
 VIEWS = dict(mode="views", scenario="ExponentialFixedHorizon", params=EXP,
              alpha=50.0, quality="good")
@@ -389,164 +366,374 @@ DYNAMICS = dict(mode="dynamics", scenario="LinearFixedHorizon", params=LIN,
                 belief=BELIEF)
 
 
-@pytest.mark.parametrize("command, cfg, header", [
-    pytest.param("trajectory", dict(scenario="ExponentialFixedHorizon",
-                                    params=EXP, alpha=50.0, n_samples=9),
-                 {"out_good.csv": "t,x,xdot", "out_bad.csv": "t,x,xdot"},
-                 id="trajectory"),
-    pytest.param("simulate", dict(VIEWS, sim=SIM), {"out.csv": "t,x,xdot"},
-                 id="simulate-views"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(SIM, n_agents=5)),
-                 {"out_snapshots.csv": "round,agent_id,threshold",
-                  "out_summary.json": "{"}, id="simulate-dynamics"),
-])
-def test_trajectory_and_simulate_reruns_are_byte_identical(
-        command, cfg, header, tmp_path, capsys):
-    files = run_twice(command, tmp_path, capsys, **cfg)
-    assert {name: text.splitlines()[0] for name, text in files.items()} \
-        == header
-    if command == "trajectory":
-        # the uniform grid plus the activation breakpoints
-        assert all(len(text.splitlines()) >= 1 + 9 for text in files.values())
-    if "out_summary.json" in files:
-        summary = json.loads(files["out_summary.json"])
-        assert summary["n_agents"] == 5
-        assert summary["status"] in ("converged", "max-rounds")
+# -- the CLI contract ----------------------------------------------------------
+#
+# A row is one call, `command --config <cfg> --out <dir>/out [flags]`: its
+# exit code, a regex its stderr matches from the start (empty: no stderr)
+# and checks of (stdout, {file name: bytes}, cfg). Any call writes its
+# stdout to --out too and prints none on exit 2; one that succeeds repeats
+# itself byte for byte. Rows that earlier tests checked run under those
+# tests' names, which keeps their ids.
+
+Row = namedtuple("Row", "command cfg rc err checks flags")
 
 
-@pytest.mark.parametrize("command, cfg, flags", [
-    pytest.param("verify", {"n_draws": "abc"}, (), id="verify-n_draws"),
-    pytest.param("verify", {"seed": "x"}, (), id="verify-seed"),
-    pytest.param("verify", {"seed": -1}, (), id="verify-negative-seed"),
-    # a JSON true is a Python int, but not a count or a seed
-    pytest.param("verify", {"n_draws": True}, (), id="verify-n_draws-bool"),
-    pytest.param("verify", {"seed": True}, (), id="verify-seed-bool"),
-    pytest.param("verify", {"grid": {"n_beta": "x"}}, (),
-                 id="verify-grid-n_beta"),
-    pytest.param("verify", {"grid": {"n_alpha": 150.5}}, (),
-                 id="verify-grid-n_alpha"),
-    pytest.param("trajectory", dict(params=LIN, alpha=0.5, n_samples="x"),
-                 (), id="trajectory-n_samples"),
-    # nor is it a rate, a threshold, a belief or a slack
-    pytest.param("best-response", dict(params=dict(LIN, lambda_pu=True),
-                                       belief=BELIEF, alpha=True),
-                 (), id="best-response-alpha-lambda_pu-bool"),
-    pytest.param("best-response", dict(params=LIN, belief=BELIEF, alpha=True),
-                 (), id="best-response-alpha-bool"),
-    pytest.param("classify", dict(params=LIN, belief=dict(pi_g=True,
-                                                          pi_b=False)),
-                 (), id="classify-belief-bool"),
-    pytest.param("verify", {"grid": {"tol": True}}, (),
-                 id="verify-grid-tol-bool"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(SIM,
-                                                    update_fraction=True)),
-                 (), id="simulate-update_fraction-bool"),
-    pytest.param("classify", dict(params=dict(LIN, tau="x"), belief=BELIEF),
-                 (), id="classify-params"),
-    pytest.param("classify", dict(params=LIN, belief=dict(BELIEF, pi_g="x")),
-                 (), id="classify-belief"),
-    pytest.param("classify", dict(params=LIN, belief=BELIEF,
-                                  sweep_lambda_pu=["x"]),
-                 (), id="classify-sweep-entry"),
-    pytest.param("classify", dict(params=LIN, belief=BELIEF,
-                                  sweep_lambda_pu=5),
-                 (), id="classify-sweep"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(SIM, rounds=2.5)),
-                 (), id="simulate-rounds"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(SIM, n_agents=2.5)),
-                 (), id="simulate-n_agents"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(SIM, seed=1.5)),
-                 (), id="simulate-seed"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(SIM, seed=True)),
-                 (), id="simulate-seed-bool"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(SIM, n_push_pool=True)),
-                 (), id="simulate-n_push_pool-bool"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(SIM, rounds=True)),
-                 (), id="simulate-rounds-bool"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(
-        SIM, initial_thresholds={"constant": "x"})),
-                 (), id="simulate-initial_thresholds"),
-    # nor a threshold in any of the three spec forms
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(
-        SIM, initial_thresholds={"constant": True})),
-                 (), id="simulate-initial_thresholds-constant-bool"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(
-        SIM, n_agents=3, initial_thresholds=[True, False, True])),
-                 (), id="simulate-initial_thresholds-sequence-bool"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(
-        SIM, initial_thresholds={"uniform": [False, True]})),
-                 (), id="simulate-initial_thresholds-uniform-bool"),
-    pytest.param("simulate", dict(DYNAMICS, sim=5), ("--seed", "3"),
-                 id="simulate-seed-flag"),
-    # JSON reads NaN and Infinity; neither is a rate or a threshold
-    pytest.param("classify", dict(params=dict(LIN, lambda_ps_g=float("nan")),
-                                  belief=BELIEF),
-                 (), id="classify-params-nan"),
-    pytest.param("surface", dict(params=dict(LIN, lambda_pu=float("nan")),
-                                 belief=BELIEF, alpha=0.5),
-                 (), id="surface-params-nan"),
-    pytest.param("best-response", dict(params=dict(LIN, tau=float("inf")),
-                                       belief=BELIEF, alpha=0.5),
-                 (), id="best-response-params-inf"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(
-        SIM, initial_thresholds={"constant": float("nan")})),
-                 (), id="simulate-initial_thresholds-constant-nan"),
-    pytest.param("simulate", dict(DYNAMICS, sim=dict(
-        SIM, initial_thresholds={"uniform": [0.0, float("inf")]})),
-                 (), id="simulate-initial_thresholds-uniform-inf"),
-])
-def test_malformed_numeric_field_is_a_config_error(command, cfg, flags,
-                                                   tmp_path, capsys):
-    cfg = dict({"scenario": "LinearFixedHorizon"}, **cfg)
-    rc, out, err = run_cli(command, tmp_path, capsys, "--out",
-                           str(tmp_path / "out"), *flags, **cfg)
-    assert rc == EXIT_CONFIG
-    assert out == ""
-    assert err.startswith("config error: ")
+def call(id, command, cfg, *checks, rc=EXIT_OK, err="", flags=()):
+    """A row; the scenario is LinearFixedHorizon unless cfg names one."""
+    cfg = {"scenario": "LinearFixedHorizon", **cfg}
+    return pytest.param(Row(command, cfg, rc, err, checks, flags), id=id)
 
 
-@pytest.mark.parametrize("command, cfg", [
-    pytest.param("verify", {"n_draws": 1}, id="verify"),
-    pytest.param("classify", dict(params=LIN, belief=BELIEF,
-                                  oracle_check=True), id="classify"),
-    # no closed form: the best response is the grid oracle's
-    pytest.param("best-response", dict(scenario="TrendViewcountExponential",
-                                       params=EXP, belief=BELIEF,
-                                       alpha=1000.0), id="best-response"),
-])
-def test_infinite_grid_tol_is_a_config_error(command, cfg, tmp_path, capsys):
-    # at an infinite slack every grid point ties; verify used to report
-    # a missing oracle equilibrium (exit 1) instead
-    cfg = dict({"scenario": "LinearFixedHorizon",
-                "grid": {"tol": float("inf")}}, **cfg)
-    rc, out, err = run_cli(command, tmp_path, capsys, "--out",
-                           str(tmp_path / "out"), **cfg)
-    assert rc == EXIT_CONFIG
-    assert out == ""
-    assert err.startswith("config error: bad grid: ")
+def config_error(id, command, cfg, err="", flags=()):
+    return call(id, command, cfg, rc=EXIT_CONFIG, err="config error: " + err,
+                flags=flags)
 
 
-@pytest.mark.parametrize("command, cfg", [
-    pytest.param("verify", {"n_draws": 1, "corrupt": "false"},
-                 id="verify-corrupt-string"),
-    pytest.param("verify", {"n_draws": 1, "corrupt": 0},
-                 id="verify-corrupt-int"),
-    pytest.param("classify", dict(params=LIN, belief=BELIEF, oracle_check=1),
-                 id="classify-oracle_check-int"),
-    pytest.param("classify", dict(params=LIN, belief=BELIEF,
-                                  oracle_check="true"),
-                 id="classify-oracle_check-string"),
-])
-def test_switch_must_be_a_json_boolean(command, cfg, tmp_path, capsys):
+def check_row(row, tmp_path, capsys):
+    runs = []
+    for k in range(2 if row.rc == EXIT_OK else 1):
+        dest = tmp_path / str(k)
+        dest.mkdir()
+        rc, out, err = run_cli(row.command, dest, capsys, "--out",
+                               str(dest / "out"), *row.flags, **row.cfg)
+        assert rc == row.rc, err
+        assert re.match(row.err, err, re.S) if row.err else err == "", err
+        files = {f.name: f.read_bytes() for f in dest.glob("out*")}
+        assert not out or files["out"] == out.encode()
+        assert out == "" or rc != EXIT_CONFIG
+        runs.append((out, files))
+    assert runs[0] == runs[-1]
+    for check in row.checks:
+        check(*runs[0], row.cfg)
+
+
+def _path_rows(tr):
+    return list(zip(tr.t.tolist(), tr.x.tolist(), tr.xdot.tolist()))
+
+
+def same_rows(least=2, seed=None):
+    """Each file holds f-string rows of the library call the command
+    makes, at least least of them; seed stands for a --seed flag."""
+    def check(out, files, cfg):
+        s, p = Scenario.from_tag(cfg["scenario"]), ModelParams(**cfg["params"])
+        header, tables = "t,x,xdot", {}
+        if "n_grid" in cfg:
+            header, tables["out"] = "beta,utility,branch", utility_surface(
+                cfg["alpha"], Belief(**cfg["belief"]), p, s, cfg["n_grid"])
+        elif "sim" in cfg:
+            sim = SimConfig(**cfg["sim"])
+            sim = sim if seed is None else dataclasses.replace(sim, seed=seed)
+            q = Quality.GOOD if cfg["quality"] == "good" else Quality.BAD
+            tables["out.csv"] = _path_rows(
+                simulate_views(q, cfg["alpha"], p, s, sim))
+        else:
+            for q in Quality:
+                tables[f"out_{q.name.lower()}.csv"] = _path_rows(
+                    sample_trajectory(q, cfg["alpha"], p, s.push, s.metric,
+                                      n_samples=cfg.get("n_samples", 2001)))
+        assert set(files) == set(tables)
+        for name, rows in tables.items():
+            assert len(rows) >= least
+            assert files[name].decode() == header + "\n" + "".join(
+                ",".join(v if isinstance(v, str) else f"{v:.12g}" for v in r)
+                + "\n" for r in rows)
+    return check
+
+
+def json_at(path, expect, name="out"):
+    """The JSON file holds expect at the dotted path: a value, a
+    pytest.approx bound, or a function of the cfg giving either."""
+    def check(out, files, cfg):
+        v = json.loads(files[name])
+        for key in path.split("."):
+            v = v[key]
+        assert v == (expect(cfg) if callable(expect) else expect)
+    return check
+
+
+def grid_argmax(cfg):
+    return grid_best_response(
+        cfg["alpha"], Belief(**cfg["belief"]), ModelParams(**cfg["params"]),
+        Scenario.from_tag(cfg["scenario"]), GridSpec()).tolist()
+
+
+def first_lines(expect):
+    """Exactly these files, with these first lines."""
+    def check(out, files, cfg):
+        assert {name: data.split(b"\n")[0].decode()
+                for name, data in files.items()} == expect
+    return check
+
+
+def file_matches(name, regex):
+    def check(out, files, cfg):
+        assert re.search(regex, files[name].decode(), re.M)
+    return check
+
+
+def stdout_digest(key):
+    def check(out, files, cfg):
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[key]
+    return check
+
+
+def final_views(out, files, cfg):
+    t, x, _ = map(float, files["out.csv"].split()[-1].split(b","))
+    assert t == cfg["params"]["tau"] and x >= 35.0
+
+
+SI = "SideInformation"
+TVE = "TrendViewcountExponential"
+BELIEF_75 = {"pi_g": 0.75, "pi_b": 0.25}
+INF, NAN = float("inf"), float("nan")
+DYNAMICS_FILES = {"out_snapshots.csv": "round,agent_id,threshold",
+                  "out_summary.json": "{"}
+
+
+def lin(**cfg):
+    return {"params": LIN, "belief": BELIEF, **cfg}
+
+
+def dyn(**sim):
+    return dict(DYNAMICS, sim=dict(SIM, **sim))
+
+
+def _vh_gap(seed):
+    b, p = VH_GRID_GAPS[seed]
+    return dict(scenario="VariableHorizon", params=dataclasses.asdict(p),
+                belief=dataclasses.asdict(b), oracle_check=True)
+
+
+CONTRACT = {
+    "malformed": [config_error(id, command, cfg, flags=flags)
+                  for id, command, cfg, *flags in [
+        ("verify-n_draws", "verify", {"n_draws": "abc"}),
+        ("verify-seed", "verify", {"seed": "x"}),
+        ("verify-negative-seed", "verify", {"seed": -1}),
+        # a JSON true is a Python int, but not a count or a seed
+        ("verify-n_draws-bool", "verify", {"n_draws": True}),
+        ("verify-seed-bool", "verify", {"seed": True}),
+        ("verify-grid-n_beta", "verify", {"grid": {"n_beta": "x"}}),
+        ("verify-grid-n_alpha", "verify", {"grid": {"n_alpha": 150.5}}),
+        ("trajectory-n_samples", "trajectory",
+         dict(params=LIN, alpha=0.5, n_samples="x")),
+        # nor is it a rate, a threshold, a belief or a slack
+        ("best-response-alpha-lambda_pu-bool", "best-response",
+         lin(params=dict(LIN, lambda_pu=True), alpha=True)),
+        ("best-response-alpha-bool", "best-response", lin(alpha=True)),
+        ("classify-belief-bool", "classify",
+         lin(belief=dict(pi_g=True, pi_b=False))),
+        ("verify-grid-tol-bool", "verify", {"grid": {"tol": True}}),
+        ("simulate-update_fraction-bool", "simulate",
+         dyn(update_fraction=True)),
+        ("classify-params", "classify", lin(params=dict(LIN, tau="x"))),
+        ("classify-belief", "classify", lin(belief=dict(BELIEF, pi_g="x"))),
+        ("classify-sweep-entry", "classify", lin(sweep_lambda_pu=["x"])),
+        ("classify-sweep", "classify", lin(sweep_lambda_pu=5)),
+        ("simulate-rounds", "simulate", dyn(rounds=2.5)),
+        ("simulate-n_agents", "simulate", dyn(n_agents=2.5)),
+        ("simulate-seed", "simulate", dyn(seed=1.5)),
+        ("simulate-seed-bool", "simulate", dyn(seed=True)),
+        ("simulate-n_push_pool-bool", "simulate", dyn(n_push_pool=True)),
+        ("simulate-rounds-bool", "simulate", dyn(rounds=True)),
+        ("simulate-initial_thresholds", "simulate",
+         dyn(initial_thresholds={"constant": "x"})),
+        # nor a threshold in any of the three spec forms
+        ("simulate-initial_thresholds-constant-bool", "simulate",
+         dyn(initial_thresholds={"constant": True})),
+        ("simulate-initial_thresholds-sequence-bool", "simulate",
+         dyn(n_agents=3, initial_thresholds=[True, False, True])),
+        ("simulate-initial_thresholds-uniform-bool", "simulate",
+         dyn(initial_thresholds={"uniform": [False, True]})),
+        ("simulate-seed-flag", "simulate", dict(DYNAMICS, sim=5), "--seed", "3"),
+        # JSON reads NaN and Infinity; neither is a rate or a threshold
+        ("classify-params-nan", "classify",
+         lin(params=dict(LIN, lambda_ps_g=NAN))),
+        ("surface-params-nan", "surface",
+         lin(params=dict(LIN, lambda_pu=NAN), alpha=0.5)),
+        ("best-response-params-inf", "best-response",
+         lin(params=dict(LIN, tau=INF), alpha=0.5)),
+        ("simulate-initial_thresholds-constant-nan", "simulate",
+         dyn(initial_thresholds={"constant": NAN})),
+        ("simulate-initial_thresholds-uniform-inf", "simulate",
+         dyn(initial_thresholds={"uniform": [0.0, INF]})),
+    ]],
+    # at an infinite slack every grid point ties; verify used to report a
+    # missing oracle equilibrium (exit 1) instead. A grid is read where the
+    # command has no use for it too
+    "infinite_tol": [config_error(id, command, dict(
+        cfg, grid=dict(extra, tol=INF)), err="bad grid: ")
+        for id, command, cfg, *extra in [
+            ("verify", "verify", {"n_draws": 1}),
+            ("classify", "classify", lin(oracle_check=True)),
+            # no closed form: the best response is the grid oracle's
+            ("best-response", "best-response",
+             lin(scenario=TVE, params=EXP, alpha=1000.0)),
+            ("best-response-closed-form", "best-response", lin(alpha=0.5),
+             ("n_beta", 5)),
+            ("classify-without-oracle_check", "classify", lin()),
+        ]],
     # a string "false" is truthy: read by truthiness it would run the
     # corrupted control
-    cfg = dict({"scenario": "LinearFixedHorizon"}, **cfg)
-    rc, out, err = run_cli(command, tmp_path, capsys, "--out",
-                           str(tmp_path / "out"), **cfg)
-    assert rc == EXIT_CONFIG
-    assert out == ""
-    assert err.startswith("config error: ")
-    assert "must be true or false" in err
+    "switch": [config_error(id, command, cfg, err=".*must be true or false")
+               for id, command, cfg in [
+        ("verify-corrupt-string", "verify", {"n_draws": 1, "corrupt": "false"}),
+        ("verify-corrupt-int", "verify", {"n_draws": 1, "corrupt": 0}),
+        ("classify-oracle_check-int", "classify", lin(oracle_check=1)),
+        ("classify-oracle_check-string", "classify", lin(oracle_check="true")),
+    ]],
+    "calls": [
+        config_error("verify-trend-exponential", "verify",
+                     dict(scenario=TVE, n_draws=1),
+                     err="verify does not support TrendViewcountExponential"),
+        # every key is read, whether or not the command or its mode uses it
+        config_error("classify-grid-n_beta-unused", "classify",
+                     lin(grid={"n_beta": "x"})),
+        config_error("simulate-views-belief-unused", "simulate",
+                     dict(VIEWS, sim=SIM, belief={"pi_g": 2})),
+        config_error("simulate-dynamics-alpha-unused", "simulate",
+                     dyn() | {"alpha": "abc"}),
+        config_error("simulate-dynamics-quality-unused", "simulate",
+                     dyn() | {"quality": "purple"}),
+        # --seed is a flag of verify and simulate only
+        *[call(f"{command}-seed-flag", command, {}, rc=EXIT_CONFIG,
+               err="usage: pushpull .*error: unrecognized arguments: --seed 3",
+               flags=("--seed", "3"))
+          for command in ("trajectory", "surface", "best-response", "classify")],
+        call("verify-seed-flag", "verify", {},
+             stdout_digest("LinearFixedHorizon/1"), flags=("--seed", "1")),
+        call("simulate-views-seed-flag", "simulate",
+             dict(VIEWS, params=VH, alpha=400.0, sim=SIM), same_rows(seed=1),
+             flags=("--seed", "1")),
+        # saturating push draws n_push_pool viewers: the model's pool, which
+        # activation_count and viewcount take
+        call("simulate-n_push_pool-not-n_pool", "simulate",
+             dict(VIEWS, sim=dict(SIM, n_push_pool=10)), rc=EXIT_NUMERIC,
+             err="numeric error: saturating push draws n_push_pool=10 pool "
+                 "viewers, but the model's n_pool is 1000.0"),
+        call("simulate-n_push_pool-without-n_pool", "simulate",
+             dict(VIEWS, params=dict(LIN, lambda_pu=110.0), sim=SIM),
+             rc=EXIT_NUMERIC, err="numeric error: .* n_pool is None"),
+        call("verify-rerun", "verify",
+             dict(scenario="VariableHorizon", n_draws=4, seed=11)),
+        # the ordinary grid steps over a smooth peak on these two families;
+        # the strict completeness re-test decides them on finer rows
+        *[call(f"classify-vh-grid-gap-{seed}", "classify", _vh_gap(seed),
+               json_at("oracle_checked", True)) for seed in VH_GRID_GAPS],
+        # rho is 1e-9 relative below lam_G/lam_B = 2
+        call("classify-next-to-the-push-ratio", "classify", dict(
+            scenario="VariableHorizon", params=dict(
+                VH, lambda_ps_g=0.2, lambda_ps_b=0.1, lambda_pu=260.0,
+                tau=10.0, gamma_th=300.0), oracle_check=True,
+            belief={"pi_g": 0.6666666664444444, "pi_b": 0.3333333335555556}),
+             json_at("oracle_checked", True)),
+        # pi_G/lambda_ps_g = pi_B/lambda_ps_b exactly: the whole [0, cap];
+        # on the second every alpha is admitted, so pass 2 of the oracle's
+        # row decision evaluates the most points
+        *[call(id, "classify", dict(params=dict(LIN, **rates), belief=BELIEF_75,
+                                    oracle_check=True),
+               json_at("oracle_checked", True)) for id, rates in [
+            ("classify-linear-tie", dict(lambda_ps_g=0.375, lambda_ps_b=0.125,
+                                         lambda_pu=0.5, tau=8.0)),
+            ("classify-linear-tie-every-alpha",
+             dict(lambda_ps_g=0.1, lambda_ps_b=0.01, lambda_pu=150.0)),
+        ]],
+        # the crossings after activation come from the bracketed root
+        # finder; the second surface has left/right limit rows
+        call("surface-trend-exponential", "surface", dict(
+            scenario=TVE, params=EXP, belief={"pi_g": 0.4, "pi_b": 0.6},
+            alpha=1000.0, n_grid=64), same_rows(least=64)),
+        call("surface-trend-exponential-limit-rows", "surface", dict(
+            scenario=TVE, params=dict(EXP, lambda_pu=150.0, tau=10.0),
+            belief={"pi_g": 0.5, "pi_b": 0.5}, alpha=1.0, n_grid=64),
+             same_rows(least=64), file_matches("out", ",left_limit$"),
+             file_matches("out", ",right_limit$")),
+        # no closed form for these two: the grid oracle's argmax set
+        *[call(f"best-response-{scenario}", "best-response", dict(
+            scenario=scenario, params=params, belief=belief, alpha=alpha),
+               json_at("method", "grid"),
+               json_at("best_response.values", grid_argmax))
+          for scenario, params, belief, alpha in [
+              (TVE, EXP, BELIEF_75, 1000.0),
+              ("VariableHorizon", VH, {"pi_g": 0.6, "pi_b": 0.4}, 150.0)]],
+        # the interior root of the saturating-push best response
+        call("best-response-interior-root", "best-response", dict(
+            scenario="ExponentialFixedHorizon", params=dict(
+                EXP, lambda_ps_g=0.2, lambda_ps_b=0.1, lambda_pu=260.0,
+                tau=10.0), belief={"pi_g": 0.55, "pi_b": 0.45}, alpha=100.0),
+             json_at("method", "closed-form"), json_at(
+                 "best_response.values",
+                 pytest.approx([352.362197490107], rel=1e-12, abs=0.0))),
+        # alpha 1 is above the bad content's cap (0.1*10)^2/2 = 0.5, so only
+        # the good population pulls
+        call("best-response-side-info", "best-response", dict(
+            scenario=SI, params=dict(LIN, lambda_pu=0.5), belief=BELIEF_75,
+            alpha=1.0), json_at("best_response.values", [0.0])),
+        # at alpha 1 the good look-ahead value (0.2*10)^2/2 - (0.2 t)^2/2
+        # falls to alpha at t_a = sqrt(2)/0.2, where the pull starts
+        *[call(f"trajectory-{s}", "trajectory",
+               dict(scenario=s, params=LIN if PARAMS[s] is LIN else VH,
+                    alpha=1.0 if PARAMS[s] is LIN else 400.0), same_rows(),
+               *([file_matches("out_good.csv", r"^7\.07106781187,")]
+                 if s == SI else [])) for s in PARAMS],
+        # 20001 samples and ~10^5 events: write_csv's %.12g kernel
+        call("trajectory-long", "trajectory", dict(
+            scenario="ExponentialFixedHorizon", params=VH, alpha=400.0,
+            n_samples=20001), same_rows(least=20001)),
+        call("simulate-views-big", "simulate", dict(VIEWS, params=dict(
+            EXP, lambda_ps_g=0.2, lambda_ps_b=0.1, lambda_pu=4000.0,
+            n_pool=100000.0), alpha=30000.0, sim={"seed": 7,
+                                                  "n_push_pool": 100000}),
+             same_rows(least=50_000)),
+        # the look-ahead value (20^2 - X^2)/2 falls to alpha 150 at X = 10,
+        # so pull starts at t_a = 5 and the mean field ends at X(tau) = 45;
+        # push alone reaches about 20
+        call("simulate-views-side-info", "simulate", dict(
+            VIEWS, scenario=SI, params=dict(LIN, lambda_ps_g=2.0,
+                                            lambda_ps_b=1.0, lambda_pu=5.0),
+            alpha=150.0, sim=dict(SIM, seed=1)), final_views),
+        call("simulate-dynamics-side-info", "simulate",
+             dict(dyn(seed=1), scenario=SI), first_lines(DYNAMICS_FILES),
+             json_at("status", "converged", name="out_summary.json")),
+    ],
+    "reruns": [
+        # 9 samples: the uniform grid plus the activation breakpoints
+        call("trajectory", "trajectory", dict(
+            scenario="ExponentialFixedHorizon", params=EXP, alpha=50.0,
+            n_samples=9), same_rows(least=9)),
+        call("simulate-views", "simulate", dict(VIEWS, sim=SIM), same_rows()),
+        call("simulate-dynamics", "simulate", dyn(n_agents=5),
+             first_lines(DYNAMICS_FILES),
+             json_at("n_agents", 5, name="out_summary.json"),
+             json_at("status", "converged", name="out_summary.json")),
+    ],
+}
+
+
+@pytest.mark.parametrize("row", CONTRACT["malformed"])
+def test_malformed_numeric_field_is_a_config_error(row, tmp_path, capsys):
+    check_row(row, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row", CONTRACT["infinite_tol"])
+def test_infinite_grid_tol_is_a_config_error(row, tmp_path, capsys):
+    check_row(row, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row", CONTRACT["switch"])
+def test_switch_must_be_a_json_boolean(row, tmp_path, capsys):
+    check_row(row, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row", CONTRACT["reruns"])
+def test_trajectory_and_simulate_reruns_are_byte_identical(row, tmp_path,
+                                                           capsys):
+    check_row(row, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row", CONTRACT["calls"])
+def test_cli_contract(row, tmp_path, capsys):
+    check_row(row, tmp_path, capsys)
 
 
 # -- CSV bytes -------------------------------------------------------------------
@@ -592,19 +779,14 @@ def test_snapshot_csv_bytes_match_per_row_format(tmp_path):
     assert (tmp_path / "snap.csv").read_bytes() == ref.encode()
 
 
-def test_surface_csv_bytes_match_per_row_format(tmp_path, capsys):
-    # a TrendViewcountExponential surface with left/right limit rows
-    params = {"lambda_ps_g": 0.1, "lambda_ps_b": 0.05, "lambda_pu": 150.0,
-              "tau": 10.0, "n_pool": 1000.0}
-    belief = {"pi_g": 0.5, "pi_b": 0.5}
-    s, p = Scenario.TREND_VIEWCOUNT_EXPONENTIAL, ModelParams(**params)
-    rows = utility_surface(1.0, Belief(**belief), p, s, 64)
-    assert {"left_limit", "right_limit"} <= {r[2] for r in rows}
-    text = run_twice("surface", tmp_path, capsys, scenario=s.value,
-                     params=params, belief=belief, alpha=1.0,
-                     n_grid=64)["out"]
-    assert text == "beta,utility,branch\n" + "".join(
-        f"{beta:.12g},{u:.12g},{branch}\n" for beta, u, branch in rows)
+def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    # the flags are applied to the config before its keys are checked
+    path = tmp_path / "cfg.json"
+    path.write_text("[1]")
+    assert main(["verify", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "config error: verify config must be a JSON object\n")
 
 
 def test_repeated_usage_error_prints_the_same_message(tmp_path, capsys):

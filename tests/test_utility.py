@@ -8,7 +8,8 @@ import scipy.optimize
 import scipy.special
 
 from pushpull.cli import _draw_model
-from pushpull.utility import side_info_branch_candidates, utility_terms
+from pushpull.utility import (reduce_scenario, side_info_branch_candidates,
+                              utility_terms)
 from pushpull import (
     Belief,
     BestResponseKind,
@@ -19,6 +20,7 @@ from pushpull import (
     Quality,
     Scenario,
     UtilityError,
+    activation_time,
     best_response_exponential,
     best_response_linear,
     best_response_side_info,
@@ -301,6 +303,24 @@ def test_trend_linear_reduction_matches_the_native_metric_after_pull():
     assert strategy_cap(alpha, p, Scenario.TREND_VIEWCOUNT_LINEAR) == \
         pytest.approx(native, rel=1e-12)
 
+
+
+def test_trend_linear_models_activate_at_the_same_time():
+    # the gap pinned above lies past alpha: both models activate at
+    # alpha/lam_q^2, and X(t), which sees the metric only through that
+    # time, is what trajectory and simulate write
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        lg = rng.uniform(0.01, 3.0)
+        p = ModelParams(lg, lg * rng.uniform(0.05, 1.0), rng.uniform(0.0, 3.0),
+                        rng.uniform(1.0, 40.0))
+        p_sq, s_sq = reduce_scenario(p, Scenario.TREND_VIEWCOUNT_LINEAR)
+        alpha = rng.uniform(0.0, 1.2) * (lg * p.tau) ** 2
+        for q in Quality:
+            assert activation_time(alpha, q, p, PushKind.LINEAR,
+                                   MetricKind.TREND_TIMES_VIEWCOUNT) == \
+                pytest.approx(activation_time(alpha, q, p_sq, s_sq.push,
+                                              s_sq.metric), rel=1e-15, abs=0)
 
 def test_trend_exponential_surface_has_jump_rows():
     # threshold at one percent of the initial push trend image
