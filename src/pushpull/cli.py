@@ -386,9 +386,9 @@ def _draw_model(s: Scenario, rng: np.random.Generator):
 
     The boundaries are where the printed forms most need testing, and
     only the classifiers know where they lie. The one band left out is
-    SideInformation's, between its pull and push ratios: there the
-    printed bracket covers [0, cap] while the true set is {0}
-    (classify_side_info), so a family drawn in it is drawn again.
+    SideInformation's, its pull and push ratios included: there the
+    printed bracket can cover [0, cap] while the true set is {0}
+    (classify_side_info), so a family within 5% of it is drawn again.
     """
     for _ in range(1000):
         lam_g = rng.uniform(0.05, 0.4)

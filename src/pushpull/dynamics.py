@@ -15,8 +15,10 @@ way down; it is defined for linear push only.
 Before pull starts every metric is a function of the push-only count,
 so a level is met when that count reaches the level's gate (_gate).
 crossings, the one crossing-time entry, takes every passage before
-activation from it, one row per push rate, and each (push, metric)
-pair's post-pull form past alpha.
+activation from it, one row per push rate, and past alpha one passage
+for both linear-push metrics. Linear Xdot*X, whose game is
+utility.reduce_scenario's, stops at activation: crossings, beta_tau
+and metric_value refuse it.
 
 Time is in days, rates in views/day, viewcount in views.
 """
@@ -301,6 +303,16 @@ def _rates(q: Quality, p: ModelParams, push: PushKind, metric: MetricKind):
     return p.lambda_ps(q), p.require_pool()
 
 
+def _rates_past_alpha(q: Quality, p: ModelParams, push: PushKind,
+                      metric: MetricKind):
+    """_rates for crossings, beta_tau and metric_value, which read the
+    metric past alpha: they also refuse linear Xdot*X."""
+    if push is PushKind.LINEAR and metric is MetricKind.TREND_TIMES_VIEWCOUNT:
+        raise DynamicsError("linear trend*viewcount stops at activation; "
+                            "its game is utility.reduce_scenario's")
+    return _rates(q, p, push, metric)
+
+
 def activation_count(alpha, q: Quality, p: ModelParams,
                      push: PushKind, metric: MetricKind):
     """Push-only viewcount at which the population metric reaches alpha
@@ -379,7 +391,7 @@ def metric_value(t: float, q: Quality, alpha, p: ModelParams,
     """
     if not 0.0 <= t <= p.tau:
         raise DynamicsError("metric_value is defined on [0, tau]")
-    lam, n = _rates(q, p, push, metric)
+    lam, n = _rates_past_alpha(q, p, push, metric)
     ta = activation_time(alpha, q, p, push, metric)
     return _float_or_array(_metric_at(t, ta, lam, p, push, n, metric))
 
@@ -520,7 +532,7 @@ def crossing_time(beta: float, q: Quality, alpha: float, p: ModelParams,
 
 def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
                       push: PushKind, metric: MetricKind):
-    """Crossing time without the lifetime cap (utility algebra needs it).
+    """Crossing time without the lifetime cap.
 
     beta and alpha may be arrays that broadcast together, one population
     threshold per element: the result is a float for two scalars and an
@@ -549,13 +561,14 @@ def crossings(beta, alpha, lam, p: ModelParams, push: PushKind,
     count, as for activation_time, so a beta equal to alpha lands on the
     activation time by construction. A threshold past alpha on the
     metric's way (beta > alpha for the rising metrics, beta < alpha for
-    the falling look-ahead value) is met after activation: closed forms
-    under linear push, the Lambert form for the saturating plain
-    viewcount (one lambert_w0_log pass over every row), and
-    _cross_product_sat, with its strict option, for saturating Xdot*X.
-    Without pull every crossing is the push-only passage.
+    the falling look-ahead value) is met after activation: under linear
+    push at (x_a lambda_pu/lam + x_b)/(lam + lambda_pu) for both metrics,
+    x_a and x_b the gate counts of alpha and beta; the Lambert form for
+    the saturating plain viewcount (one lambert_w0_log pass over every
+    row), and _cross_product_sat, with its strict option, for saturating
+    Xdot*X. Without pull every crossing is the push-only passage.
     """
-    _, n = _rates(Quality.GOOD, p, push, metric)  # rejects the unused pair
+    _, n = _rates_past_alpha(Quality.GOOD, p, push, metric)
     lpu = p.lambda_pu
     shape = beta.shape
     beta, alpha = beta.ravel(), alpha.ravel()
@@ -570,7 +583,7 @@ def crossings(beta, alpha, lam, p: ModelParams, push: PushKind,
     col = np.asarray(lam, dtype=float)[:, None] if sat else None
     if lpu == 0.0:
         pass
-    elif metric is MetricKind.TREND_TIMES_VIEWCOUNT and sat:
+    elif metric is MetricKind.TREND_TIMES_VIEWCOUNT:
         t = _cross_product_sat(np.array(t), beta, alpha, col, p,
                                strict).reshape(len(lam), -1)
     elif sat:
@@ -596,23 +609,13 @@ def crossings(beta, alpha, lam, p: ModelParams, push: PushKind,
             for tq, v in zip(t, tk):
                 tq[k] = v
     else:
-        # the linear closed forms, cheaper over every element than on the
-        # ones past alpha; alpha = inf makes the discarded values inf - inf
+        # cheaper over every element than on the ones past alpha; a gate
+        # never met (xa = INF) gives INF or NaN, and fmin keeps tq there
         with np.errstate(invalid="ignore"):
             for tq, xq, lq in zip(t, x, lam):
-                if falls:  # a gate never met leaves the push-only passage
-                    xa = _gate(alpha, lq, p, push, metric)
-                    after = np.where(xa < INF,
-                                     (xa * lpu / lq + xq) / (lq + lpu), tq)
-                elif metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-                    ta = alpha / lq / lq  # the passage of the gate alpha/lq
-                    big = lq + lpu
-                    xa = lq * ta
-                    after = np.where(beta <= big * xa, ta,  # inside the jump
-                                     ta + (beta / big - xa) / big)
-                else:
-                    after = alpha / lq + (beta - alpha) / (lq + lpu)
-                np.copyto(tq, after, where=past)
+                xa = _gate(alpha, lq, p, push, metric)
+                np.copyto(tq, np.fmin(tq, (xa * (lpu / lq) + xq) / (lq + lpu)),
+                          where=past)
     return [tq.reshape(shape) for tq in t]
 
 
@@ -621,13 +624,13 @@ def beta_tau(q: Quality, alpha, p: ModelParams,
     """Largest threshold quality q can meet within the lifetime.
 
     Plain viewcount peaks at tau, the look-ahead metric at 0, and
-    trend*viewcount at one of its breakpoints: the push-only peak, the
-    activation jump, the local maximum of the post-activation curve
-    (see _product_pieces) or tau.
+    saturating trend*viewcount at one of its breakpoints: the push-only
+    peak, the activation jump, the local maximum of the post-activation
+    curve (see _product_pieces) or tau.
 
     Elementwise in alpha: a float for a scalar, an array otherwise.
     """
-    lam, n = _rates(q, p, push, metric)
+    lam, n = _rates_past_alpha(q, p, push, metric)
     lpu, tau = p.lambda_pu, p.tau
     if metric is MetricKind.SIDE_INFORMATION:
         # decreasing from y(0): X(0) = 0 whatever the activation time
@@ -636,7 +639,7 @@ def beta_tau(q: Quality, alpha, p: ModelParams,
         return np.full(shape, y0) if shape else y0
     ta = activation_time(alpha, q, p, push, metric)
     y_tau = _metric_at(tau, ta, lam, p, push, n, metric)
-    if metric is MetricKind.PLAIN_VIEWCOUNT or push is PushKind.LINEAR:
+    if metric is MetricKind.PLAIN_VIEWCOUNT:
         return _float_or_array(y_tau)  # increasing
     # without pull the push-only curve is the whole path
     ta = ta if lpu > 0.0 else INF

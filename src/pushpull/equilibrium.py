@@ -41,7 +41,6 @@ class EquilibriumKind(enum.Enum):
     EMPTY = "Empty"
     FINITE_POINTS = "FinitePoints"
     INTERVAL = "Interval"
-    INTERVAL_UNION_POINTS = "IntervalUnionPoints"
 
 
 @dataclass(frozen=True)
@@ -298,9 +297,9 @@ def classify_side_info(belief: Belief,
     The bracket is kept even when it covers all of [0, cap] with both
     peaks outside; the grid oracle refutes that stretch of the printed
     form (the true set there is {0}), so oracle agreement is only
-    promised outside it. That is the band of beliefs between the pull
-    ratio (lam_G + lam_pu)/(lam_B + lam_pu) and the push ratio
-    lam_G/lam_B, the one band verify's draws (cli._draw_model) leave out.
+    promised outside it: the band (lam_G + lam_pu)/(lam_B + lam_pu) <=
+    pi_G/pi_B <= lam_G/lam_B, closed at the push ratio and at the pull
+    ratio in some families, that verify's draws (cli._draw_model) skip.
     """
     pig, pib = belief.pi_g, belief.pi_b
     cap = symmetric_cap(p, Scenario.SIDE_INFORMATION)

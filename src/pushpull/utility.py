@@ -131,15 +131,12 @@ def reduce_scenario(p: ModelParams,
 
     Under linear push and before pull, trend*viewcount is lam_q * X =
     lam_q^2 t, so TrendViewcountLinear is solved as the plain
-    viewcount of a LinearFixedHorizon game with squared rates. Both
-    models activate at alpha/lam_q^2, and the viewcount X(t) that
-    trajectory and simulate write sees the metric only through that
-    time, so those curves agree. After pull the reduction grows at
-    lam_q^2 + lam_pu^2, while the native metric of dynamics grows at
-    (lam_q + lam_pu)^2: crossings past alpha, beta_tau and metric_value
-    differ, and the strict xfail
-    test_trend_linear_reduction_matches_the_native_metric_after_pull
-    pins that gap. Every other scenario is solved as itself.
+    viewcount of a LinearFixedHorizon game with squared rates, whose
+    closed forms are the printed ones. It is the scenario's only game
+    model: dynamics reads linear trend*viewcount up to its activation
+    at alpha/lam_q^2 only, and the viewcount X(t) that trajectory and
+    simulate write sees the metric only through that time. Every other
+    scenario is solved as itself.
     """
     if s is Scenario.TREND_VIEWCOUNT_LINEAR:
         return (ModelParams(p.lambda_ps_g ** 2, p.lambda_ps_b ** 2,

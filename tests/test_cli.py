@@ -342,6 +342,51 @@ def test_saturating_pull_ratio_ties_are_the_whole_interval(scenario, tau):
     assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
 
 
+def _belief_at_ratio(rho):
+    # a belief whose pi_G/pi_B rounds to rho exactly: pi_B at 1/(1 + rho)
+    # or a few doubles below it, pi_G = rho pi_B or 1 - pi_B
+    pib = 1.0 / (1.0 + rho)
+    for _ in range(8):
+        for pig in (rho * pib, 1.0 - pib):
+            if pig / pib == rho:
+                return Belief(pig, pib)
+        pib = np.nextafter(pib, 0.0)
+    raise AssertionError(f"no belief at ratio {rho!r}")
+
+
+@pytest.mark.parametrize("scenario, edge, case", [
+    ("VariableHorizon", "push", "interval-full"),
+    ("VariableHorizon", "pull-cap", "interval-pull"),
+    ("ExponentialFixedHorizon", "pull-cap", "ii-b"),
+])
+def test_saturating_boundary_ratios_classify_as_printed(scenario, edge, case):
+    # the boundaries rho = lam_G/lam_B and rho = R(cap) on one family: at
+    # the window cap 512, R(cap) = (320 + 0.25*512)/(320 + 0.125*512) = 7/6;
+    # ExponentialFixedHorizon's cap 1024 (1 - e^-1) is not dyadic, and the
+    # interval [alpha_bar, cap] degenerates to the cap there
+    s = Scenario.from_tag(scenario)
+    gamma_th = 384.0 if s is Scenario.VARIABLE_HORIZON else None
+    p = ModelParams(0.25, 0.125, 320.0, 8.0, n_pool=1024.0, gamma_th=gamma_th)
+    cap = symmetric_cap(p, s)
+    rho = 2.0 if edge == "push" else pull_ratio(cap, p.n_pool, p)
+    b = _belief_at_ratio(rho)
+    assert b.pi_g / b.pi_b == rho
+    eq, _ = classify(s, b, p)
+    assert eq.case == case
+    if case == "interval-full":
+        assert rho == p.lambda_ps_g / p.lambda_ps_b
+        assert eq.intervals == ((0.0, 512.0),)
+    elif case == "interval-pull":
+        assert rho == 7.0 / 6.0
+        (lo, hi), = eq.intervals
+        assert hi == cap == 512.0
+        assert lo == pytest.approx(512.0, rel=1e-12)
+    else:
+        assert cap == pytest.approx(-1024.0 * np.expm1(-1.0), rel=1e-15)
+        assert eq.intervals == ((cap, cap),)
+    assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
+
+
 @pytest.mark.parametrize("shift, sound", [(1e-7, True), (1e-5, False)])
 def test_soundness_judges_at_its_own_tolerance(shift, sound):
     # the set is {0}; moved to `shift` its own payoff trails the row best

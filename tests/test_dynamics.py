@@ -48,6 +48,7 @@ from pushpull.g12 import g12_block
 INF = math.inf
 PLAIN = MetricKind.PLAIN_VIEWCOUNT
 SI = MetricKind.SIDE_INFORMATION
+TV = MetricKind.TREND_TIMES_VIEWCOUNT
 LIN = PushKind.LINEAR
 EXP = PushKind.EXPONENTIAL_SATURATING
 
@@ -115,15 +116,19 @@ def test_activation_count_is_reached_at_the_activation_time(s):
         gates = activation_count(alphas, q, p, s.push, s.metric)
         t = activation_time(alphas, q, p, s.push, s.metric)
         assert _t_ps_inverse(gates, lam, s.push, n).tolist() == t.tolist()
-        # the deviator playing alpha itself crosses at the activation
+        # the deviator playing alpha itself crosses at the activation;
+        # linear Xdot*X has no crossings (its game is the reduction's)
+        if (s.push, s.metric) == (LIN, TV):
+            with pytest.raises(DynamicsError, match="reduce_scenario"):
+                crossing_time_raw(alphas, q, alphas, p, s.push, s.metric)
+            continue
         assert crossing_time_raw(alphas, q, alphas, p, s.push,
                                  s.metric).tolist() == t.tolist()
 
 
 @pytest.mark.parametrize("push, metric", [
-    (LIN, PLAIN), (EXP, PLAIN), (LIN, MetricKind.TREND_TIMES_VIEWCOUNT),
-    (EXP, MetricKind.TREND_TIMES_VIEWCOUNT), (LIN, SI)],
-    ids=["lin-plain", "sat-plain", "lin-product", "sat-product", "lin-look"])
+    (LIN, PLAIN), (EXP, PLAIN), (EXP, MetricKind.TREND_TIMES_VIEWCOUNT),
+    (LIN, SI)], ids=["lin-plain", "sat-plain", "sat-product", "lin-look"])
 def test_crossings_without_pull_are_the_push_only_passages(push, metric):
     # at lambda_pu = 0 the population's activation adds no view, so every
     # threshold is met on the push-only path whatever alpha is, bit for bit
@@ -190,17 +195,56 @@ def test_plain_metric_is_the_viewcount():
 
 
 def test_trend_times_viewcount_below_activation():
-    p = ModelParams(0.1, 0.05, 1.0, 10.0)
-    got = metric_value(2.0, Quality.GOOD, INF, p, LIN,
-                       MetricKind.TREND_TIMES_VIEWCOUNT)
-    assert got == pytest.approx(0.02, rel=1e-12)
+    p = ModelParams(0.1, 0.05, 1.0, 10.0, n_pool=1000.0)
+    got = metric_value(2.0, Quality.GOOD, INF, p, EXP, TV)
+    e = math.exp(-0.2)
+    assert got == pytest.approx(100.0 * e * 1000.0 * (1.0 - e), rel=1e-12)
     # independent check: centered finite difference for xdot
     h = 1e-6
-    x_hi = viewcount(2.0 + h, Quality.GOOD, INF, p, LIN)
-    x_lo = viewcount(2.0 - h, Quality.GOOD, INF, p, LIN)
+    x_hi = viewcount(2.0 + h, Quality.GOOD, INF, p, EXP)
+    x_lo = viewcount(2.0 - h, Quality.GOOD, INF, p, EXP)
     xdot = (x_hi - x_lo) / (2.0 * h)
-    x = viewcount(2.0, Quality.GOOD, INF, p, LIN)
+    x = viewcount(2.0, Quality.GOOD, INF, p, EXP)
     assert got == pytest.approx(xdot * x, rel=1e-8)
+
+
+def test_linear_crossings_past_alpha_invert_the_metric():
+    # past alpha both linear metrics are read off X(t), which viewcount
+    # gives without crossings: the passage reaches beta, and never later
+    # than push alone would. A look-ahead alpha above y(0) never
+    # activates and leaves the push-only passage
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        lg = rng.uniform(0.05, 2.0)
+        p = ModelParams(lg, lg * rng.uniform(0.1, 1.0),
+                        rng.uniform(0.01, 5.0), rng.uniform(2.0, 30.0))
+        for q, metric in itertools.product(Quality, (PLAIN, SI)):
+            lam = p.lambda_ps(q)
+            y0 = 0.5 * (lam * p.tau) ** 2
+            if metric is PLAIN:
+                alpha = rng.uniform(0.0, lam * p.tau)
+                betas = alpha + np.linspace(0.0, 2.0 * lam * p.tau, 33)[1:]
+            else:
+                alpha = rng.uniform(0.0, 1.2 * y0)
+                betas = np.linspace(0.0, min(alpha, y0), 33)[:-1]
+            t = crossing_time_raw(betas, q, alpha, p, LIN, metric)
+            x = viewcount(t, q, alpha, p, LIN, metric)
+            y = x if metric is PLAIN else 0.5 * ((lam * p.tau) ** 2 - x * x)
+            assert y == pytest.approx(betas, rel=1e-10, abs=1e-10 * lam * p.tau)
+            push_only = crossing_time_raw(betas, q, INF, p, LIN, metric)
+            assert np.all(t <= push_only)
+            if alpha > y0 and metric is SI:
+                assert t.tolist() == push_only.tolist()
+    # a pull so slow that lpu/lam underflows to 0 and an alpha no gate
+    # meets: INF * 0 must not leak into the push-only passage
+    p = ModelParams(2.0, 1.0, 5e-324, 10.0)
+    for q in Quality:
+        lam = p.lambda_ps(q)
+        betas = np.linspace(0.0, 0.5 * (lam * p.tau) ** 2, 9)
+        for alpha in (INF, 1e9):
+            t = crossing_time_raw(betas, q, alpha, p, LIN, SI)
+            assert t == pytest.approx(
+                np.sqrt((lam * p.tau) ** 2 - 2.0 * betas) / lam, rel=1e-15)
 
 
 def test_crossing_time_at_zero_threshold():
@@ -624,8 +668,6 @@ def test_metric_value_requires_time_in_lifetime():
 
 # -- trend*viewcount under saturating push ------------------------------------
 
-TV = MetricKind.TREND_TIMES_VIEWCOUNT
-
 
 def _y_after(t, ta, lam, lpu, n):
     # Xdot * X once the population pulls from ta, written from X and Xdot
@@ -928,8 +970,12 @@ def _front_params(with_rejected=False):
 
 def _front_alphas(p, push, metric):
     # 0, interior levels, the push-only top of the metric, and for
-    # saturating push thresholds at and past the pool
-    top = beta_tau(Quality.GOOD, INF, p, push, metric)
+    # saturating push thresholds at and past the pool. Linear Xdot*X has
+    # no beta_tau; its push-only top is lam X(tau)
+    if (push, metric) == (LIN, TV):
+        top = p.lambda_ps_g * (p.lambda_ps_g * p.tau)
+    else:
+        top = beta_tau(Quality.GOOD, INF, p, push, metric)
     alphas = [0.0, 0.3 * top, 0.7 * top, top, 2.0 * top]
     if push is EXP:
         alphas += [p.n_pool, 1.5 * p.n_pool]
@@ -945,21 +991,20 @@ def test_front_on_arrays_equals_scalar_loops(metric, p, push):
     alphas = _front_alphas(p, push, metric)
     ts = np.linspace(0.0, p.tau, alphas.size)
     for q in Quality:
-        for fn, arr, one in (
-                (activation_time,
-                 activation_time(alphas, q, p, push, metric),
-                 [activation_time(float(a), q, p, push, metric)
-                  for a in alphas]),
-                (beta_tau,
-                 beta_tau(q, alphas, p, push, metric),
-                 [beta_tau(q, float(a), p, push, metric) for a in alphas]),
-                (viewcount,
-                 viewcount(ts, q, alphas, p, push, metric),
-                 [viewcount(float(t), q, float(a), p, push, metric)
-                  for t, a in zip(ts, alphas)])):
-            assert isinstance(arr, np.ndarray), fn.__name__
-            assert all(isinstance(v, float) for v in one), fn.__name__
-            assert _bits(arr) == _bits(one), fn.__name__
+        # each entry point as a function of (t, alpha); linear Xdot*X has
+        # no beta_tau (test_linear_trend_is_activation_only)
+        calls = {
+            "activation_time":
+                lambda t, a: activation_time(a, q, p, push, metric),
+            "viewcount": lambda t, a: viewcount(t, q, a, p, push, metric)}
+        if (push, metric) != (LIN, TV):
+            calls["beta_tau"] = lambda t, a: beta_tau(q, a, p, push, metric)
+        for name, f in calls.items():
+            arr = f(ts, alphas)
+            one = [f(float(t), float(a)) for t, a in zip(ts, alphas)]
+            assert isinstance(arr, np.ndarray), name
+            assert all(isinstance(v, float) for v in one), name
+            assert _bits(arr) == _bits(one), name
         # t and alpha broadcast against each other
         grid = viewcount(ts[:, None], q, alphas, p, push, metric)
         assert grid.shape == (ts.size, alphas.size)
@@ -985,6 +1030,29 @@ def test_look_ahead_metric_rejects_saturating_push():
                 call()
 
 
+def test_linear_trend_is_activation_only():
+    # TrendViewcountLinear's game is reduce_scenario's; dynamics keeps
+    # the pair's activation and the viewcount after it, and refuses
+    # every reading of the metric past alpha
+    p = FRONT_CASES[0][0]
+    for q in Quality:
+        assert activation_time(0.5, q, p, LIN, TV) == \
+            0.5 / p.lambda_ps(q) / p.lambda_ps(q)
+        assert activation_count(0.5, q, p, LIN, TV) == 0.5 / p.lambda_ps(q)
+        viewcount(1.0, q, 0.5, p, LIN, TV)
+        sample_trajectory(q, 0.5, p, LIN, TV, n_samples=11)
+        calls = (
+            lambda: crossings(np.ones(2), np.ones(2), [p.lambda_ps(q)], p,
+                              LIN, TV),
+            lambda: crossing_time_raw(1.0, q, 0.5, p, LIN, TV),
+            lambda: crossing_time(1.0, q, 0.5, p, LIN, TV),
+            lambda: beta_tau(q, 0.5, p, LIN, TV),
+            lambda: metric_value(1.0, q, 0.5, p, LIN, TV))
+        for call in calls:
+            with pytest.raises(DynamicsError, match="reduce_scenario"):
+                call()
+
+
 def test_front_rejects_negative_inputs_on_arrays():
     p = ModelParams(0.2, 0.1, 1.0, 10.0)
     for bad in (np.array([1.0, -1.0]), [1.0, -1.0]):
@@ -1003,26 +1071,34 @@ def test_front_rejects_negative_inputs_on_arrays():
 _SAT_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0)
 
 
-@pytest.mark.parametrize("call", [
+@pytest.mark.parametrize("call, past_alpha", [
     pytest.param(lambda x, s, p: activation_count(
-        x, Quality.GOOD, p, s.push, s.metric), id="activation_count"),
+        x, Quality.GOOD, p, s.push, s.metric), False, id="activation_count"),
     pytest.param(lambda x, s, p: activation_time(
-        x, Quality.GOOD, p, s.push, s.metric), id="activation_time"),
+        x, Quality.GOOD, p, s.push, s.metric), False, id="activation_time"),
     pytest.param(lambda x, s, p: viewcount(
-        x, Quality.BAD, 1.0, p, s.push, s.metric), id="viewcount-t"),
+        x, Quality.BAD, 1.0, p, s.push, s.metric), False, id="viewcount-t"),
     pytest.param(lambda x, s, p: viewcount(
-        3.0, Quality.GOOD, x, p, s.push, s.metric), id="viewcount-alpha"),
+        3.0, Quality.GOOD, x, p, s.push, s.metric), False,
+        id="viewcount-alpha"),
     pytest.param(lambda x, s, p: metric_value(
-        3.0, Quality.GOOD, x, p, s.push, s.metric), id="metric_value"),
+        3.0, Quality.GOOD, x, p, s.push, s.metric), True, id="metric_value"),
     pytest.param(lambda x, s, p: beta_tau(
-        Quality.BAD, x, p, s.push, s.metric), id="beta_tau"),
-    pytest.param(lambda x, s, p: strategy_cap(x, p, s), id="strategy_cap"),
+        Quality.BAD, x, p, s.push, s.metric), True, id="beta_tau"),
+    pytest.param(lambda x, s, p: strategy_cap(x, p, s), False,
+                 id="strategy_cap"),
 ])
-def test_list_input_equals_array_input(call):
+def test_list_input_equals_array_input(call, past_alpha):
     # elementwise entry points take any array-like, as crossing_time_raw
-    # and utility do
+    # and utility do; those reading the metric past alpha refuse linear
+    # Xdot*X on either
     for s in Scenario:
         p = (_SAT_P if s.push is EXP else ModelParams(0.2, 0.1, 1.0, 10.0))
+        if past_alpha and s is Scenario.TREND_VIEWCOUNT_LINEAR:
+            for x in ([1.0, 2.0], np.array([1.0, 2.0])):
+                with pytest.raises(DynamicsError, match="reduce_scenario"):
+                    call(x, s, p)
+            continue
         got = call([1.0, 2.0], s, p)
         ref = call(np.array([1.0, 2.0]), s, p)
         assert isinstance(got, np.ndarray)

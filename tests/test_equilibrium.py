@@ -298,18 +298,43 @@ def test_side_info_pull_sweep_flips_the_kind():
 
 
 def test_side_info_full_cap_bracket_is_the_documented_exception():
-    """Inside d_G/d_B < rho < lambda_G/lambda_B the printed form emits the
-    whole strategy space even though the grid only certifies zero."""
+    """Inside the band d_G/d_B <= rho <= lambda_G/lambda_B (d_q = lambda_q
+    + lambda_pu) the printed form can emit the whole strategy space even
+    though the grid only certifies zero. The band is closed at the push
+    ratio; at the pull ratio it depends on the family."""
+    s = Scenario.SIDE_INFORMATION
     b = Belief(2.0 / 3.0, 1.0 / 3.0)
     p = ModelParams(0.2, 0.05, 1.0, 10.0)
     assert (0.2 + 1.0) / (0.05 + 1.0) < 2.0 < 0.2 / 0.05
     es, _ = classify_side_info(b, p)
     cap = 0.5 * (0.05 * 10.0) ** 2
     assert es.intervals == ((0.0, cap),)
-    found = find_symmetric_equilibria(b, p, Scenario.SIDE_INFORMATION,
+    found = find_symmetric_equilibria(b, p, s,
                                       GridSpec(n_beta=401, n_alpha=161))
     assert len(found) > 0
     assert max(found) <= cap / 160 + 1e-12
+    # (rates, belief, ratio it sits on, printed set, oracle's refusal);
+    # every ratio is exact in binary
+    edges = [
+        ((0.5, 0.25, 1.0, 8.0), (2.0 / 3.0, 1.0 / 3.0), 2.0, ((0.0, 2.0),),
+         "classified point 0.5 is not a grid best response (gap 0.015)"),
+        ((0.375, 0.125, 2.0, 4.0), (0.75, 0.25), 3.0, ((0.0, 0.125),),
+         "classified point 0.03125 is not a grid best response "
+         "(gap 0.00126)"),
+        ((0.375, 0.125, 2.0, 4.0), (19.0 / 36.0, 17.0 / 36.0), 19.0 / 17.0,
+         ((0.0, 0.125),), "classified point 0.03125 is not a grid best "
+         "response (gap 0.0102)"),
+        # the pull edge of the first family prints {0}, which holds
+        ((0.5, 0.25, 1.0, 8.0), (6.0 / 11.0, 5.0 / 11.0), 1.2, (0.0,), None),
+    ]
+    for rates, belief, rho, printed, refusal in edges:
+        p, b = ModelParams(*rates), Belief(*belief)
+        lg, lb, lpu, _ = rates
+        assert b.pi_g / b.pi_b == rho
+        assert rho in (lg / lb, (lg + lpu) / (lb + lpu))
+        es, _ = classify_side_info(b, p)
+        assert (es.intervals or es.points) == printed
+        assert _check_equilibrium_set(es, b, p, s, GridSpec()) == refusal
 
 
 def test_side_info_mu_positive_with_unfavorable_belief():
