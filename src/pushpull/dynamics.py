@@ -16,9 +16,10 @@ Before pull starts every metric is a function of the push-only count,
 so a level is met when that count reaches the level's gate (_gate).
 crossings, the one crossing-time entry, takes every passage before
 activation from it, one row per push rate, and past alpha one passage
-for both linear-push metrics. Linear Xdot*X, whose game is
-utility.reduce_scenario's, stops at activation: crossings, beta_tau
-and metric_value refuse it.
+for both linear-push metrics; saturating Xdot*X meets a level inside
+its activation jump only when it comes back down. Linear Xdot*X, whose
+game is utility.reduce_scenario's, stops at activation: crossings,
+beta_tau and metric_value refuse it.
 
 Time is in days, rates in views/day, viewcount in views.
 """
@@ -440,7 +441,7 @@ def _product_pieces(ta, lam, p):
     return r, f
 
 
-def _cross_product_sat(t, beta, alpha, lam, p, strict: bool):
+def _cross_product_sat(t, beta, alpha, lam, p):
     """crossings past alpha for saturating Xdot*X, flattened: t holds
     the push-only passages, one row per rate of the column lam.
 
@@ -448,12 +449,10 @@ def _cross_product_sat(t, beta, alpha, lam, p, strict: bool):
     computed once per alpha and rate), which brackets it for one
     find_root_arr pass over every element.
 
-    strict=False gives the raw inf{t : y >= beta}: a beta inside the
-    activation jump (y(ta-), y(ta+)] lands on ta. With strict=True a
-    beta strictly inside the jump counts as met only if the
-    post-activation curve comes back down to it before tau (INF
-    otherwise); this is what makes the utility surface jump at the gap
-    edges.
+    A beta strictly inside the activation jump (y(ta-), y(ta+)) is met
+    when the post-activation curve first comes back down to it before
+    tau, else never (INF), so the utility surface jumps at the gap
+    edges; y(ta+) itself is met at ta.
     """
     lpu, n, tau = p.lambda_pu, p.require_pool(), p.tau
     sat = PushKind.EXPONENTIAL_SATURATING
@@ -470,9 +469,9 @@ def _cross_product_sat(t, beta, alpha, lam, p, strict: bool):
     # the jump runs from y(ta-) = alpha itself: recomputed from ta that
     # is off by an ulp either way, and the own threshold's payoff would
     # be decided by rounding
-    gap = (beta > alpha) & (beta < y_hi) if strict else np.zeros(t.shape, bool)
+    gap = (beta > alpha) & (beta < y_hi)
     post = ~gap & (beta > alpha)
-    t[post] = ta[post]  # inside the activation jump; up is past it
+    t[post] = ta[post]  # the jump top y(ta+); up is past it
     up = np.flatnonzero(post & (beta > y_hi))
     down = np.flatnonzero(gap)
     t[down] = INF
@@ -511,15 +510,14 @@ def _cross_product_sat(t, beta, alpha, lam, p, strict: bool):
 
 def crossing_time(beta: float, q: Quality, alpha: float, p: ModelParams,
                   push: PushKind, metric: MetricKind) -> float:
-    """t_beta, the earliest time the metric attains beta; INF beyond tau.
+    """t_beta as utility charges it (crossings' rule); INF beyond tau.
 
-    Increasing metrics use inf{t : metric >= beta} (jumps land on the
-    jump time). On the decreasing look-ahead metric t_beta is the first
-    passage down to beta, and a beta above the start value y(0) is
-    never met. Crossings later than the lifetime report INF.
+    Increasing metrics use inf{t : metric >= beta}, but a beta strictly
+    inside the activation jump of saturating Xdot*X is met only when the
+    curve comes back down to it before tau; the jump top at ta. The
+    decreasing look-ahead metric meets beta on its way down, never above
+    its start y(0).
     """
-    if beta < 0.0:
-        raise DynamicsError("beta must be nonnegative")
     t = crossing_time_raw(beta, q, alpha, p, push, metric)
     if t <= p.tau:
         return t
@@ -550,7 +548,7 @@ def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
 
 
 def crossings(beta, alpha, lam, p: ModelParams, push: PushKind,
-              metric: MetricKind, strict: bool = False):
+              metric: MetricKind):
     """Uncapped crossing times t_beta, one row per push rate in lam.
 
     beta and alpha are nonnegative float arrays of one shape, one
@@ -565,8 +563,9 @@ def crossings(beta, alpha, lam, p: ModelParams, push: PushKind,
     push at (x_a lambda_pu/lam + x_b)/(lam + lambda_pu) for both metrics,
     x_a and x_b the gate counts of alpha and beta; the Lambert form for
     the saturating plain viewcount (one lambert_w0_log pass over every
-    row), and _cross_product_sat, with its strict option, for saturating
-    Xdot*X. Without pull every crossing is the push-only passage.
+    row), and _cross_product_sat for saturating Xdot*X, which meets a
+    beta inside the activation jump only when y comes back down to it.
+    Without pull every crossing is the push-only passage.
     """
     _, n = _rates_past_alpha(Quality.GOOD, p, push, metric)
     lpu = p.lambda_pu
@@ -584,8 +583,8 @@ def crossings(beta, alpha, lam, p: ModelParams, push: PushKind,
     if lpu == 0.0:
         pass
     elif metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-        t = _cross_product_sat(np.array(t), beta, alpha, col, p,
-                               strict).reshape(len(lam), -1)
+        t = _cross_product_sat(np.array(t), beta, alpha, col,
+                               p).reshape(len(lam), -1)
     elif sat:
         # the Lambert form, robust for beta past n. A population at or
         # past the pool never activates, and a pull too slow to register

@@ -285,9 +285,9 @@ def classify_side_info(belief: Belief,
                                                 SideInfoDiagnostics]:
     """Fixed points under the look-ahead value metric.
 
-    Above the pull-rate singularity (and for a uniform belief) emits
-    the bracket between the two branch peaks intersected with [0, cap],
-    cap = symmetric_cap.
+    Above the pull-rate singularity lambda_pu_s, the pull-ratio edge of
+    the band below, (and for a uniform belief) emits the bracket between
+    the two branch peaks intersected with [0, cap], cap = symmetric_cap.
     When that bracket misses [0, cap] entirely, both peaks are spurious
     (the underlying branch derivatives never vanish inside the strategy
     space), so the set reduces to endpoint membership exactly as at or

@@ -132,7 +132,6 @@ class DynamicsResult:
     status: str
     rounds_run: int
     settled_median: float
-    change_scale: float
 
     def summary(self) -> dict:
         final = self.snapshots[-1]
@@ -233,5 +232,4 @@ def best_response_dynamics(belief: Belief, p: ModelParams, s: Scenario,
         status=status,
         rounds_run=rounds_run,
         settled_median=float(np.median(thresholds)),
-        change_scale=scale,
     )

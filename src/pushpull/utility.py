@@ -246,11 +246,11 @@ def _terms(alpha, beta, p: ModelParams, s: Scenario):
     alpha, beta = np.broadcast_arrays(alpha, beta)
     if s is Scenario.VARIABLE_HORIZON:
         return _variable_horizon_terms(alpha, beta, p)
-    # both qualities at once; the strict passage, so a threshold inside
-    # the activation jump of saturating Xdot*X is met only when the curve
-    # comes back down to it
+    # both qualities at once; a threshold inside the activation jump of
+    # saturating Xdot*X is met only when the curve comes back down to it,
+    # which is what makes the surface jump at the gap edges
     terms = crossings(beta, alpha, (p.lambda_ps_g, p.lambda_ps_b), p,
-                      s.push, s.metric, strict=True)
+                      s.push, s.metric)
     # (tau - t)+, in place: a new array of a long row costs page faults.
     # A crossing that never happens (t = inf) collects nothing
     for t in terms:
@@ -455,8 +455,9 @@ def side_info_peaks(belief: Belief, p: ModelParams) -> Tuple[float, float]:
 def side_info_lambda_pu_s(belief: Belief, p: ModelParams) -> float:
     """Pull rate at which the late-branch peak changes character.
 
-    Solves pi_G (lam_B + x) = pi_B (lam_G + x); undefined (reported as
-    -inf) for a uniform belief.
+    Solves pi_G (lam_B + x) = pi_B (lam_G + x), which is rho = (lam_G +
+    x)/(lam_B + x): the pull-ratio edge of classify_side_info's band.
+    Undefined (reported as -inf) for a uniform belief.
     """
     if belief.pi_g == belief.pi_b:
         return -INF

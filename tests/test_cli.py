@@ -816,7 +816,7 @@ def test_trajectory_csv_bytes_match_per_row_format(tmp_path):
 def test_snapshot_csv_bytes_match_per_row_format(tmp_path):
     snaps = (np.array(AWKWARD), np.array(AWKWARD[::-1]),
              np.linspace(0.0, 1e3, len(AWKWARD)))
-    res = DynamicsResult(snaps, "converged", 2, 1.0, 1.0)
+    res = DynamicsResult(snaps, "converged", 2, 1.0)
     res.write_snapshots(tmp_path / "snap.csv")
     ref = "round,agent_id,threshold\n" + "".join(
         f"{r},{i},{v:.12g}\n" for r, snap in enumerate(snaps)

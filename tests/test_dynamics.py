@@ -768,12 +768,11 @@ def test_product_passages_match_dense_reference():
             ref = _dense_passages(up, ta, lam, p, 4.0 * p.tau, down=False)
             assert np.all(np.abs(got - ref) <= tol)
             # down: levels inside the jump are met only when y comes back
-            # to them before tau
+            # to them before tau, by the public front as by the utility
             x_a = -n * math.expm1(-lam * ta)
             y_lo = lam * n * math.exp(-lam * ta) * x_a
             gap = np.linspace(y_lo, y_lo + lpu * x_a, 27)[1:-1]
-            got = crossings(gap, np.full(gap.shape, alpha), [lam],
-                            p, EXP, TV, True)[0]
+            got = crossing_time_raw(gap, q, alpha, p, EXP, TV)
             ref = _dense_passages(gap, ta, lam, p, p.tau, down=True)
             assert np.array_equal(np.isinf(got), np.isinf(ref))
             finite = np.isfinite(ref)
@@ -783,10 +782,10 @@ def test_product_passages_match_dense_reference():
         betas = np.linspace(0.0, 1.5 * beta_tau(Quality.GOOD, alpha, p, EXP, TV),
                             40)
         both = crossings(betas, np.full(betas.shape, alpha), lams,
-                         p, EXP, TV, True)
+                         p, EXP, TV)
         for row, lam in zip(both, lams):
             one = crossings(betas, np.full(betas.shape, alpha), [lam],
-                            p, EXP, TV, True)[0]
+                            p, EXP, TV)[0]
             assert np.array_equal(row, one)
     assert two_extrema >= 5 and finite_down >= 100
 
@@ -870,16 +869,15 @@ def _reference_pieces(ta, lam, p):
     return r, tau, shape
 
 
-def _reference_passage(beta, alpha, ta, lam, p, r, f, strict):
+def _reference_passage(beta, alpha, ta, lam, p, r, f):
     """First passage of y = Xdot*X through beta > alpha after ta, by
     brentq on _y_post - beta inside one monotone piece of y."""
     lpu, n, tau = p.lambda_pu, p.n_pool, p.tau
     y = lambda t: float(_y_post(t, ta, lam, lpu, n)) - beta
-    if y(ta) >= 0.0:
-        # inside the activation jump: met at ta, or with strict=True only
-        # if y comes back down to beta on its falling piece before tau
-        if not strict:
-            return ta
+    if y(ta) > 0.0:
+        # strictly inside the activation jump: met only if y comes back
+        # down to beta on its falling piece before tau (the top y(ta+)
+        # is met at ta, below)
         if r < tau and y(f) <= 0.0:
             return _brentq(y, r, f)
         return INF
@@ -893,8 +891,7 @@ def _reference_passage(beta, alpha, ta, lam, p, r, f, strict):
     return _brentq(y, ta, t_hi) if y(t_hi) >= 0.0 else INF
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["raw", "strict"])
-def test_product_crossings_match_brentq(strict):
+def test_product_crossings_match_brentq():
     # 30 surface families plus the TrendViewcountExponential surface smoke
     # case, and weak-pull cases for the other shapes of y: every
     # passage that find_root_arr solves, and every piece end, within the
@@ -918,12 +915,13 @@ def test_product_crossings_match_brentq(strict):
         cap = beta_tau(Quality.GOOD, alpha, p, EXP, TV)
         y_top = [float(_y_post(t, t, lam, p.lambda_pu, p.n_pool))
                  for t, lam in zip(ta, lams)]
-        # surface levels past alpha, and levels inside each jump
+        # surface levels past alpha, and levels inside each jump and at
+        # its top
         betas = np.concatenate([np.linspace(alpha, 1.5 * cap, 41)[1:]]
-                               + [np.linspace(alpha, top, 13)[1:-1]
+                               + [np.linspace(alpha, top, 13)[1:]
                                   for top in y_top])
         got = crossings(betas, np.full(betas.shape, alpha), lams,
-                        p, EXP, TV, strict)
+                        p, EXP, TV)
         for k, lam in enumerate(lams):
             r_ref, f_ref, shape = _reference_pieces(ta[k], lam, p)
             shapes.add(shape)
@@ -936,7 +934,7 @@ def test_product_crossings_match_brentq(strict):
                         or slope(end) <= tol)
             for beta, t in zip(betas, got[k]):
                 ref = _reference_passage(beta, alpha, ta[k], lam, p,
-                                         r_ref, f_ref, strict)
+                                         r_ref, f_ref)
                 if ref == INF:
                     assert t == INF
                 else:

@@ -24,6 +24,7 @@ from pushpull import (
     find_symmetric_equilibria,
     grid_best_response,
     make_report,
+    side_info_lambda_pu_s,
     strategy_cap,
     symmetric_cap,
     utility,
@@ -229,6 +230,31 @@ def test_variable_horizon_degenerate_bad_window_keeps_zero():
     assert dict(es.aux)["tau1_b"] < 0.0
 
 
+def test_variable_horizon_degenerate_window_boundary():
+    # tau1(B) = ln(lam_B n/(gamma - lam_pu))/lam_B = ln(128/128)/0.125 is
+    # 0.0 exactly at gamma 448: the bad window is empty from there up,
+    # and one unit below it opens (tau1(B) ~ 0.063)
+    s = Scenario.VARIABLE_HORIZON
+    beliefs = [Belief(0.75, 0.25), Belief(0.5, 0.5), Belief(0.25, 0.75)]
+    cases = {448.0: ["degenerate-window"] * 3,
+             449.0: ["degenerate-window"] * 3,
+             447.0: ["interval-full", "cap-only", "cap-only"]}
+    for gamma, want in cases.items():
+        p = ModelParams(0.25, 0.125, 320.0, 8.0, n_pool=1024.0,
+                        gamma_th=gamma)
+        cap = symmetric_cap(p, s)
+        for b, case in zip(beliefs, want):
+            es = classify_variable_horizon(b, p)
+            assert es.case == case
+            assert (es.intervals or es.points) == {
+                "degenerate-window": (0.0,), "cap-only": (cap,),
+                "interval-full": ((0.0, cap),)}[case]
+            assert _check_equilibrium_set(es, b, p, s, GridSpec()) is None
+        t1b = dict(es.aux)["tau1_b"]
+        assert np.sign(t1b) == np.sign(448.0 - gamma)
+        assert abs(t1b) < 0.07
+
+
 def test_variable_horizon_guard_order_and_messages():
     b = Belief(0.4, 0.6)
     with pytest.raises(EquilibriumError, match="gamma_th is required"):
@@ -333,6 +359,26 @@ def test_side_info_full_cap_bracket_is_the_documented_exception():
         assert b.pi_g / b.pi_b == rho
         assert rho in (lg / lb, (lg + lpu) / (lb + lpu))
         es, _ = classify_side_info(b, p)
+        assert (es.intervals or es.points) == printed
+        assert _check_equilibrium_set(es, b, p, s, GridSpec()) == refusal
+    # the pull-rate singularity lambda_pu_s is the band's pull edge,
+    # pi_G (lam_B + lam_pu) = pi_B (lam_G + lam_pu). At it and one ulp
+    # below the printed set is {0}, which holds; one ulp above, rho
+    # exceeds the pull ratio by one rounding and the bracket is [0, cap]
+    b = Belief(0.625, 0.375)
+    assert side_info_lambda_pu_s(b, ModelParams(0.375, 0.125, 0.25, 4.0)) \
+        == 0.25
+    assert b.pi_g / b.pi_b == (0.375 + 0.25) / (0.125 + 0.25)
+    pull_edge = [
+        (0.25, "endpoint-regime", (0.0,), None),
+        (math.nextafter(0.25, 0.0), "endpoint-regime", (0.0,), None),
+        (math.nextafter(0.25, 1.0), "interval-regime", ((0.0, 0.125),),
+         "classified point 0.03125 is not a grid best response (gap 0.046)"),
+    ]
+    for lpu, case, printed, refusal in pull_edge:
+        p = ModelParams(0.375, 0.125, lpu, 4.0)
+        es, _ = classify_side_info(b, p)
+        assert es.case == case
         assert (es.intervals or es.points) == printed
         assert _check_equilibrium_set(es, b, p, s, GridSpec()) == refusal
 

@@ -363,13 +363,18 @@ def test_variable_horizon_rewards_only_inside_windows():
     assert utility(alpha, beta_in, b, p, s) == pytest.approx(0.5, rel=1e-9)
 
 
-@pytest.mark.parametrize("s", [LIN_S, EXP_S, Scenario.SIDE_INFORMATION])
+@pytest.mark.parametrize("s", [LIN_S, EXP_S, Scenario.SIDE_INFORMATION,
+                               Scenario.TREND_VIEWCOUNT_EXPONENTIAL])
 def test_utility_is_built_from_the_dynamics_crossings(s):
     # gain and cost are (tau - t_beta(q))+ with the public uncapped
     # crossing time of each quality, bit for bit, over a grid of the
     # whole strategy space (U is their weighted difference, bit for bit:
-    # tests/test_oracle.py)
-    p = FIG_PARAMS if s is EXP_S else ModelParams(0.2, 0.1, 1.0, 10.0)
+    # tests/test_oracle.py). The weak-pull trend family puts grid levels
+    # inside activation jumps, some met on the way back down, some never
+    p = {EXP_S: FIG_PARAMS,
+         Scenario.TREND_VIEWCOUNT_EXPONENTIAL: ModelParams(
+             0.1, 0.05, 5.0, 40.0, n_pool=1000.0)}.get(
+        s, ModelParams(0.2, 0.1, 1.0, 10.0))
     for alpha in np.linspace(0.0, symmetric_cap(p, s), 7).tolist():
         betas = np.linspace(0.0, strategy_cap(alpha, p, s), 9)
         for q, got in zip((Quality.GOOD, Quality.BAD),
