@@ -44,6 +44,7 @@ from .equilibrium import (
 from .numerics import NumericsError
 from .oracle import (
     GridSpec,
+    check_equilibrium_set,
     decide_rows,
     deviation_sweep,
     find_symmetric_equilibria,
@@ -102,6 +103,7 @@ __all__ = [
     "best_response_linear",
     "best_response_side_info",
     "beta_tau",
+    "check_equilibrium_set",
     "classify",
     "classify_exponential",
     "classify_linear",

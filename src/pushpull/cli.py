@@ -5,8 +5,10 @@ rerunning with the same inputs reproduces the outputs byte for byte.
 Units are fixed globally: time in days, rates in views/day, viewcount
 in views.
 
-Exit codes: 0 success, 1 numeric or verification failure, 2 usage or
-config error.
+Exit codes: 0 success, 1 numeric or verification failure (a float
+overflow, 0/0 or division by zero among them), 2 usage or config error.
+classify --oracle_check and verify take their verdict from
+oracle.check_equilibrium_set.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,19 +39,12 @@ from .equilibrium import (
     make_report,
 )
 from .numerics import NumericsError
-from .oracle import (
-    GridSpec,
-    alpha_grid,
-    decide_rows,
-    deviation_sweep,
-    grid_best_response,
-)
+from .oracle import GridSpec, check_equilibrium_set, grid_best_response
 from .sim import SimConfig, best_response_dynamics, simulate_views
 from .utility import (
     Scenario,
     UtilityError,
     closed_form_best_response,
-    strategy_cap,
     symmetric_cap,
     utility,
     utility_surface,
@@ -278,63 +273,6 @@ def cmd_best_response(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _soundness_points(eq: EquilibriumSet) -> list:
-    pts = list(eq.points)
-    for lo, hi in eq.intervals:
-        pts.extend(np.linspace(lo, hi, 5).tolist())
-    return pts
-
-
-# the strict completeness re-test decides on rows this many times finer
-# than the grid's; 4 already reach the peaks the grid steps over on the
-# two VariableHorizon families the CLI tests pin, 2 miss one of them
-_STRICT_REFINE = 16
-
-
-def _check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
-                           s: Scenario, g: GridSpec) -> Optional[str]:
-    """None when the set is sound and complete, else a reason string."""
-    tol_sound = max(g.resolve_tol(p), 1e-6 * p.tau)
-    pts = np.array(_soundness_points(eq), dtype=float)
-    inside = (0.0 <= pts) & (
-        pts <= strategy_cap(pts, p, s) * (1.0 + 1e-9) + 1e-12)
-    # one row decision for the classified points and the candidates of
-    # find_symmetric_equilibria, at the grid's tol; a point admitted
-    # there is admitted at tol_sound >= tol too, so only the others are
-    # judged again
-    alphas = alpha_grid(p, s, g)
-    n_in = np.count_nonzero(inside)
-    admitted = decide_rows(np.concatenate([pts[inside], alphas]), belief, p,
-                           s, g)
-    ok = inside.copy()
-    ok[inside] = admitted[:n_in]
-    again = inside & ~ok
-    if again.any() and tol_sound > g.resolve_tol(p):
-        ok[again] = decide_rows(pts[again], belief, p, s,
-                                dataclasses.replace(g, tol=tol_sound))
-    if not ok.all():
-        i = int(np.argmin(ok))
-        a = pts.tolist()[i]
-        if not inside[i]:
-            return f"classified point {a:.6g} lies outside its strategy space"
-        (u_best,), (u_own,) = deviation_sweep(pts[i:i + 1], belief, p, s, g)
-        return (f"classified point {a:.6g} is not a grid best response "
-                f"(gap {u_best - u_own:.3g})")
-    cap_a = alphas[-1]
-    tol_edge = 1.5 * (cap_a / (g.n_alpha - 1)) + 1e-9 * max(cap_a, 1.0)
-    found = alphas[admitted[n_in:]]
-    missing = [float(a) for a in found if not eq.contains(float(a), tol=tol_edge)]
-    # near an interval edge the grid tolerance admits near-fixed points;
-    # only a strict re-test makes it a completeness failure, on finer rows,
-    # since the grid's can step over a smooth peak
-    strict = dataclasses.replace(g, n_beta=_STRICT_REFINE * (g.n_beta - 1) + 1,
-                                 tol=0.01 * tol_sound)
-    for a, fixed in zip(missing, decide_rows(missing, belief, p, s, strict)):
-        if fixed:
-            return f"oracle equilibrium {a:.6g} missing from the set"
-    return None
-
-
 def _report_sweep(s: Scenario, belief: Belief, sweep: list) -> list:
     rows = []
     for p in sweep:
@@ -367,8 +305,8 @@ def cmd_classify(cfg: dict) -> int:
     oracle_checked = cfg.get("oracle_check", False)
     eq, diags = classify(s, belief, p)
     if oracle_checked:
-        reason = _check_equilibrium_set(eq, belief, p, s,
-                                        cfg.get("grid", GridSpec()))
+        reason = check_equilibrium_set(eq, belief, p, s,
+                                       cfg.get("grid", GridSpec()))
         if reason is not None:
             print(f"oracle check failed: {reason}", file=sys.stderr)
             return EXIT_NUMERIC
@@ -443,7 +381,7 @@ def cmd_verify(cfg: dict) -> int:
         eq, _ = classify(s, belief, p)
         if corrupt:
             eq = _corrupt_set(eq, p, s)
-        reason = _check_equilibrium_set(eq, belief, p, s, g)
+        reason = check_equilibrium_set(eq, belief, p, s, g)
         if reason is None:
             lines.append(f"draw {k:03d}: PASS kind={eq.kind.value} "
                          f"case={eq.case}")
@@ -535,11 +473,15 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command].run(cfg)
+        # a float overflow, 0/0 or x/0 that no kernel expects is a wrong
+        # number, never written (the Python ** raises OverflowError itself)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command].run(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DynamicsError, UtilityError, EquilibriumError, NumericsError) as e:
+    except (DynamicsError, UtilityError, EquilibriumError, NumericsError,
+            FloatingPointError, OverflowError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

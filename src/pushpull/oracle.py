@@ -43,16 +43,19 @@ so the decision is the full grid's exactly. delta = 1e-12 tau
 when rounding in the crossing times lets a term step against its
 direction by less than that.
 
-Every verdict of the oracle is a decide_rows verdict. A stricter test
-is the same rule on a finer grid: the CLI's completeness re-test
-decides its missing alphas with n_beta = 16 (n_beta - 1) + 1, whose
-pass 1 lands on the ordinary grid's points (up to rounding) and whose
-pass 2 fills in 15 points per interval only where the bound leaves the
-interval open, so a smooth peak between two grid points cannot hide.
+Every verdict of the oracle is a decide_rows verdict, and
+check_equilibrium_set gives the one verdict on a classified set: sound
+(every classified point is a fixed point at the soundness tol) and
+complete (no grid equilibrium outside the set). A stricter test is the
+same rule on a finer grid: its completeness re-test decides the missing
+alphas with n_beta = 16 (n_beta - 1) + 1, whose pass 1 lands on the
+ordinary grid's points (up to rounding) and whose pass 2 fills in 15
+points per interval only where the bound leaves the interval open, so a
+smooth peak between two grid points cannot hide.
 
 deviation_sweep stays the reference rule that decide_rows reproduces.
-It returns the row maxima themselves: the CLI prints the gap of the
-first classified point that decide_rows rejects.
+It returns the row maxima themselves: check_equilibrium_set prints the
+gap of the first classified point that decide_rows rejects.
 
 The utilities come from utility.utility and utility.utility_terms, the
 same elementwise kernel the closed forms use, called with alpha per
@@ -63,7 +66,7 @@ its cap). The oracle searches; it adds no formula of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -76,6 +79,7 @@ from .dynamics import (
     horizon_window,
     viewcount,
 )
+from .equilibrium import EquilibriumSet
 from .utility import (
     Scenario,
     discontinuity_preimages,
@@ -203,8 +207,9 @@ def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
     one utility call.
 
     It is the rule decide_rows decides with fewer evaluations, not a
-    second one: a stricter test is decide_rows on a finer GridSpec. The
-    CLI uses it only to print the gap of a rejected point.
+    second one: a stricter test is decide_rows on a finer GridSpec.
+    check_equilibrium_set uses it only to print the gap of a rejected
+    point.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
@@ -286,3 +291,66 @@ def find_symmetric_equilibria(belief: Belief, p: ModelParams,
     the rows decide_rows admits, exactly those of the full-grid rule."""
     alphas = alpha_grid(p, s, g)
     return alphas[decide_rows(alphas, belief, p, s, g)]
+
+
+def _soundness_points(eq: EquilibriumSet) -> list:
+    pts = list(eq.points)
+    for lo, hi in eq.intervals:
+        pts.extend(np.linspace(lo, hi, 5).tolist())
+    return pts
+
+
+# the strict completeness re-test decides on rows this many times finer
+# than the grid's; 4 already reach the peaks the grid steps over on the
+# two pinned VariableHorizon families (tests/test_cli.py), 2 miss one
+_STRICT_REFINE = 16
+
+
+def check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
+                          s: Scenario, g: GridSpec) -> Optional[str]:
+    """None when the set is sound and complete, else a reason string.
+
+    Sound: every classified point (interval points sampled at 5 each)
+    lies in its strategy space and is a fixed point at tol_sound =
+    max(tol, 1e-6 tau). Complete: every alpha_grid fixed point outside
+    the set, beyond 1.5 alpha spacings of it, fails the strict re-test.
+    """
+    tol_sound = max(g.resolve_tol(p), 1e-6 * p.tau)
+    pts = np.array(_soundness_points(eq), dtype=float)
+    inside = (0.0 <= pts) & (
+        pts <= strategy_cap(pts, p, s) * (1.0 + 1e-9) + 1e-12)
+    # one row decision for the classified points and the candidates of
+    # find_symmetric_equilibria, at the grid's tol; a point admitted
+    # there is admitted at tol_sound >= tol too, so only the others are
+    # judged again
+    alphas = alpha_grid(p, s, g)
+    n_in = np.count_nonzero(inside)
+    admitted = decide_rows(np.concatenate([pts[inside], alphas]), belief, p,
+                           s, g)
+    ok = inside.copy()
+    ok[inside] = admitted[:n_in]
+    again = inside & ~ok
+    if again.any() and tol_sound > g.resolve_tol(p):
+        ok[again] = decide_rows(pts[again], belief, p, s,
+                                replace(g, tol=tol_sound))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        a = pts.tolist()[i]
+        if not inside[i]:
+            return f"classified point {a:.6g} lies outside its strategy space"
+        (u_best,), (u_own,) = deviation_sweep(pts[i:i + 1], belief, p, s, g)
+        return (f"classified point {a:.6g} is not a grid best response "
+                f"(gap {u_best - u_own:.3g})")
+    cap_a = alphas[-1]
+    tol_edge = 1.5 * (cap_a / (g.n_alpha - 1)) + 1e-9 * max(cap_a, 1.0)
+    found = alphas[admitted[n_in:]]
+    missing = [float(a) for a in found if not eq.contains(float(a), tol=tol_edge)]
+    # near an interval edge the grid tolerance admits near-fixed points;
+    # only a strict re-test makes it a completeness failure, on finer rows,
+    # since the grid's can step over a smooth peak
+    strict = replace(g, n_beta=_STRICT_REFINE * (g.n_beta - 1) + 1,
+                     tol=0.01 * tol_sound)
+    for a, fixed in zip(missing, decide_rows(missing, belief, p, s, strict)):
+        if fixed:
+            return f"oracle equilibrium {a:.6g} missing from the set"
+    return None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,14 +39,17 @@ from .utility import (
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Knobs for both simulators; only seed and n_push_pool are required."""
+    """Settings of both simulators; only seed and n_push_pool are required.
+
+    initial_thresholds is None (drawn uniformly on [0, symmetric cap])
+    or a sequence of n_agents finite numbers.
+    """
 
     seed: int
     n_push_pool: int
     n_agents: int = 50
     rounds: int = 120
-    update_fraction: float = 1.0
-    initial_thresholds: Optional[object] = None
+    initial_thresholds: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         least = {"seed": 0, "n_push_pool": 1, "n_agents": 1, "rounds": 1}
@@ -57,9 +60,6 @@ class SimConfig:
                 raise TypeError(f"{name} must be an integer")
             if v < lo:
                 raise ValueError(f"{name} must be at least {lo}")
-        if (isinstance(self.update_fraction, bool)
-                or not 0.0 < self.update_fraction <= 1.0):
-            raise ValueError("update_fraction must be a number in (0, 1]")
         if self.initial_thresholds is not None:
             # a malformed spec fails here, not mid-run
             _initial_thresholds(self, 1.0, self.generator())
@@ -169,15 +169,6 @@ def _initial_thresholds(c: SimConfig, scale: float,
     spec = c.initial_thresholds
     if spec is None:
         return rng.uniform(0.0, scale, c.n_agents)
-    if isinstance(spec, dict):
-        if "constant" in spec:
-            return np.full(c.n_agents, _threshold(spec["constant"]))
-        if "uniform" in spec:
-            lo, hi = (_threshold(v) for v in spec["uniform"])
-            return rng.uniform(lo, hi, c.n_agents)
-        raise ValueError(
-            "initial_thresholds spec must be a sequence, {'constant': x} "
-            "or {'uniform': [lo, hi]}")
     arr = np.array([_threshold(v)
                     for v in np.asarray(spec, dtype=object).ravel()])
     if arr.size != c.n_agents:
@@ -188,13 +179,13 @@ def _initial_thresholds(c: SimConfig, scale: float,
 
 def best_response_dynamics(belief: Belief, p: ModelParams, s: Scenario,
                            c: SimConfig) -> DynamicsResult:
-    """Asynchronous best response to the population median.
+    """Iterated best response to the population median.
 
-    Each round an update_fraction of agents (seeded shuffle) replaces
-    its threshold with the best-response set element nearest the current
-    median. Stops when the largest per-round movement falls below
-    1e-6 times the symmetric strategy cap; non-convergence within the
-    round budget is a status, not an error.
+    Each round every agent replaces its threshold with the best-response
+    set element nearest the current median, so the median is iterated.
+    Stops when the largest per-round movement falls below 1e-6 times the
+    symmetric strategy cap; non-convergence within the round budget is
+    a status, not an error.
     """
     rng = c.generator()
     scale = symmetric_cap(p, s)
@@ -203,8 +194,6 @@ def best_response_dynamics(belief: Belief, p: ModelParams, s: Scenario,
     status = "max-rounds"
     rounds_run = c.rounds
     stop = 1e-6 * scale
-    k = max(1, int(round(c.update_fraction * c.n_agents)))
-    pending: list = []
     for r in range(c.rounds):
         median = float(np.median(thresholds))
         br = closed_form_best_response(median, belief, p, s)
@@ -212,18 +201,10 @@ def best_response_dynamics(belief: Belief, p: ModelParams, s: Scenario,
             raise UtilityError(
                 f"no closed-form best response for scenario {s.value}")
         target = _project_onto_br(br, median)
-        # cycle through seeded permutations so every agent updates within
-        # ceil(1/update_fraction) rounds; otherwise an unlucky draw of
-        # already-settled agents would stop the run with stragglers left
-        while len(pending) < k:
-            pending.extend(rng.permutation(c.n_agents).tolist())
-        idx = np.asarray(pending[:k])
-        del pending[:k]
-        change = float(np.max(np.abs(thresholds[idx] - target)))
-        thresholds[idx] = target
+        change = float(np.max(np.abs(thresholds - target)))
+        thresholds[:] = target
         snapshots.append(thresholds.copy())
-        settled = float(np.max(np.abs(thresholds - target)))
-        if change <= stop and settled <= stop:
+        if change <= stop:
             status = "converged"
             rounds_run = r + 1
             break

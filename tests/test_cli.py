@@ -21,6 +21,7 @@ from pushpull import (
     SimConfig,
     Trajectory,
     best_response_linear,
+    check_equilibrium_set,
     classify,
     decide_rows,
     find_symmetric_equilibria,
@@ -34,16 +35,8 @@ from pushpull import (
     utility_surface,
 )
 from pushpull import dynamics
-from pushpull.equilibrium import pull_ratio
-from pushpull.cli import (
-    EXIT_CONFIG,
-    EXIT_NUMERIC,
-    EXIT_OK,
-    _STRICT_REFINE,
-    _check_equilibrium_set,
-    _draw_model,
-    main,
-)
+from pushpull.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _draw_model, main
+from pushpull.oracle import _STRICT_REFINE
 
 CLOSED_FORM = [s.value for s in Scenario
                if s is not Scenario.TREND_VIEWCOUNT_EXPONENTIAL]
@@ -266,27 +259,7 @@ def test_verify_variable_horizon_seed_1045(seed):
     strict = dataclasses.replace(g, n_beta=_STRICT_REFINE * (g.n_beta - 1) + 1,
                                  tol=0.01 * tol_sound)
     assert not decide_rows(outside, b, p, s, strict).any()
-    assert _check_equilibrium_set(eq, b, p, s, g) is None
-
-
-@pytest.mark.parametrize("rates, n_pool, lambda_pu, tau, belief, missing", [
-    ((0.2, 0.05), 1000.0, 220.0, 10.0, (0.8, 0.2), "7.86939"),
-    ((0.375, 0.125), 1024.0, 400.0, 4.0, (0.75, 0.25), "8.05825"),
-])
-def test_strict_retest_reports_the_exponential_tie_gap(
-        rates, n_pool, lambda_pu, tau, belief, missing):
-    # a known gap of the printed form, not a defect of the check: at
-    # rho = lam_G/lam_B the printed case iii-b set is {0, cap}, but the
-    # below-alpha branch of U is flat and the oracle finds interior fixed
-    # points; the strict completeness re-test on the finer rows must keep
-    # reporting them
-    s = Scenario.EXPONENTIAL_FIXED_HORIZON
-    p = ModelParams(*rates, lambda_pu, tau, n_pool=n_pool)
-    b = Belief(*belief)
-    eq, _ = classify(s, b, p)
-    assert eq.case == "iii-b" and eq.points[0] == 0.0 and len(eq.points) == 2
-    assert _check_equilibrium_set(eq, b, p, s, GridSpec()) == (
-        f"oracle equilibrium {missing} missing from the set")
+    assert check_equilibrium_set(eq, b, p, s, g) is None
 
 
 @pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-9, 0.0])
@@ -301,90 +274,7 @@ def test_variable_horizon_knife_edge_at_the_push_ratio(r):
         rho = (1.0 - r) * p.lambda_ps_g / p.lambda_ps_b
         b = Belief(rho / (1.0 + rho), 1.0 / (1.0 + rho))
         eq, _ = classify(s, b, p)
-        assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
-
-
-@pytest.mark.parametrize("scenario, rates, belief", [
-    # pi_G/lam_G = pi_B/lam_B, exact in binary: the lower branch is flat
-    ("LinearFixedHorizon", (0.375, 0.125, 0.0), (0.75, 0.25)),
-    ("LinearFixedHorizon", (0.375, 0.125, 0.5), (0.75, 0.25)),
-    ("LinearFixedHorizon", (0.375, 0.125, 1.0), (0.75, 0.25)),
-    ("LinearFixedHorizon", (0.875, 0.125, 0.125), (0.875, 0.125)),
-    ("TrendViewcountLinear", (0.5, 0.25, 1.0), (0.8, 0.2)),
-    # pi_G/(lam_G+lam_pu) = pi_B/(lam_B+lam_pu): the upper branch is flat
-    ("LinearFixedHorizon", (0.875, 0.125, 0.125), (0.8, 0.2)),
-])
-def test_linear_knife_edge_ties_are_the_whole_interval(scenario, rates, belief):
-    s = Scenario.from_tag(scenario)
-    p = ModelParams(*rates, 8.0)
-    b = Belief(*belief)
-    eq, _ = classify(s, b, p)
-    assert eq.case == "ii"
-    assert eq.intervals == ((0.0, symmetric_cap(p, s)),)
-    assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
-
-
-@pytest.mark.parametrize("scenario", ["ExponentialFixedHorizon",
-                                      "VariableHorizon"])
-@pytest.mark.parametrize("tau", [8.0, 2.0])
-def test_saturating_pull_ratio_ties_are_the_whole_interval(scenario, tau):
-    # rho = R(0) = (352 + 0.28125*1024)/(352 + 0.03125*1024) = 640/384,
-    # where 0.625/0.375 rounds to the same double: the boundary below
-    # which the set's lower end leaves 0, and where verify's draws can fall
-    s = Scenario.from_tag(scenario)
-    gamma_th = 368.0 if s is Scenario.VARIABLE_HORIZON else None
-    p = ModelParams(0.28125, 0.03125, 352.0, tau, n_pool=1024.0,
-                    gamma_th=gamma_th)
-    b = Belief(0.625, 0.375)
-    assert b.pi_g / b.pi_b == pull_ratio(0.0, p.n_pool, p)
-    eq, _ = classify(s, b, p)
-    assert eq.intervals == ((0.0, symmetric_cap(p, s)),)
-    assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
-
-
-def _belief_at_ratio(rho):
-    # a belief whose pi_G/pi_B rounds to rho exactly: pi_B at 1/(1 + rho)
-    # or a few doubles below it, pi_G = rho pi_B or 1 - pi_B
-    pib = 1.0 / (1.0 + rho)
-    for _ in range(8):
-        for pig in (rho * pib, 1.0 - pib):
-            if pig / pib == rho:
-                return Belief(pig, pib)
-        pib = np.nextafter(pib, 0.0)
-    raise AssertionError(f"no belief at ratio {rho!r}")
-
-
-@pytest.mark.parametrize("scenario, edge, case", [
-    ("VariableHorizon", "push", "interval-full"),
-    ("VariableHorizon", "pull-cap", "interval-pull"),
-    ("ExponentialFixedHorizon", "pull-cap", "ii-b"),
-])
-def test_saturating_boundary_ratios_classify_as_printed(scenario, edge, case):
-    # the boundaries rho = lam_G/lam_B and rho = R(cap) on one family: at
-    # the window cap 512, R(cap) = (320 + 0.25*512)/(320 + 0.125*512) = 7/6;
-    # ExponentialFixedHorizon's cap 1024 (1 - e^-1) is not dyadic, and the
-    # interval [alpha_bar, cap] degenerates to the cap there
-    s = Scenario.from_tag(scenario)
-    gamma_th = 384.0 if s is Scenario.VARIABLE_HORIZON else None
-    p = ModelParams(0.25, 0.125, 320.0, 8.0, n_pool=1024.0, gamma_th=gamma_th)
-    cap = symmetric_cap(p, s)
-    rho = 2.0 if edge == "push" else pull_ratio(cap, p.n_pool, p)
-    b = _belief_at_ratio(rho)
-    assert b.pi_g / b.pi_b == rho
-    eq, _ = classify(s, b, p)
-    assert eq.case == case
-    if case == "interval-full":
-        assert rho == p.lambda_ps_g / p.lambda_ps_b
-        assert eq.intervals == ((0.0, 512.0),)
-    elif case == "interval-pull":
-        assert rho == 7.0 / 6.0
-        (lo, hi), = eq.intervals
-        assert hi == cap == 512.0
-        assert lo == pytest.approx(512.0, rel=1e-12)
-    else:
-        assert cap == pytest.approx(-1024.0 * np.expm1(-1.0), rel=1e-15)
-        assert eq.intervals == ((cap, cap),)
-    assert _check_equilibrium_set(eq, b, p, s, GridSpec()) is None
+        assert check_equilibrium_set(eq, b, p, s, GridSpec()) is None
 
 
 @pytest.mark.parametrize("shift, sound", [(1e-7, True), (1e-5, False)])
@@ -396,7 +286,7 @@ def test_soundness_judges_at_its_own_tolerance(shift, sound):
     eq = classify(s, b, p)[0]
     assert eq.points == (0.0,)
     moved = dataclasses.replace(eq, points=(shift,))
-    reason = _check_equilibrium_set(moved, b, p, s, GridSpec(tol=1e-12))
+    reason = check_equilibrium_set(moved, b, p, s, GridSpec(tol=1e-12))
     if sound:
         assert reason is None
     else:
@@ -416,8 +306,8 @@ DYNAMICS = dict(mode="dynamics", scenario="LinearFixedHorizon", params=LIN,
 # A row is one call, `command --config <cfg> --out <dir>/out [flags]`: its
 # exit code, a regex its stderr matches from the start (empty: no stderr)
 # and checks of (stdout, {file name: bytes}, cfg). Any call writes its
-# stdout to --out too and prints none on exit 2; one that succeeds repeats
-# itself byte for byte. Rows that earlier tests checked run under those
+# stdout to --out too and prints none on exit 2; one that fails writes no
+# other file, and one that succeeds repeats itself byte for byte. Rows that earlier tests checked run under those
 # tests' names, which keeps their ids.
 
 Row = namedtuple("Row", "command cfg rc err checks flags")
@@ -445,6 +335,7 @@ def check_row(row, tmp_path, capsys):
         assert re.match(row.err, err, re.S) if row.err else err == "", err
         files = {f.name: f.read_bytes() for f in dest.glob("out*")}
         assert not out or files["out"] == out.encode()
+        assert rc == EXIT_OK or set(files) <= {"out"}
         assert out == "" or rc != EXIT_CONFIG
         runs.append((out, files))
     assert runs[0] == runs[-1]
@@ -533,6 +424,7 @@ BELIEF_75 = {"pi_g": 0.75, "pi_b": 0.25}
 INF, NAN = float("inf"), float("nan")
 DYNAMICS_FILES = {"out_snapshots.csv": "round,agent_id,threshold",
                   "out_summary.json": "{"}
+ALL = "classify surface best-response"
 
 
 def lin(**cfg):
@@ -569,8 +461,6 @@ CONTRACT = {
         ("classify-belief-bool", "classify",
          lin(belief=dict(pi_g=True, pi_b=False))),
         ("verify-grid-tol-bool", "verify", {"grid": {"tol": True}}),
-        ("simulate-update_fraction-bool", "simulate",
-         dyn(update_fraction=True)),
         ("classify-params", "classify", lin(params=dict(LIN, tau="x"))),
         ("classify-belief", "classify", lin(belief=dict(BELIEF, pi_g="x"))),
         ("classify-sweep-entry", "classify", lin(sweep_lambda_pu=["x"])),
@@ -582,14 +472,12 @@ CONTRACT = {
         ("simulate-n_push_pool-bool", "simulate", dyn(n_push_pool=True)),
         ("simulate-rounds-bool", "simulate", dyn(rounds=True)),
         ("simulate-initial_thresholds", "simulate",
-         dyn(initial_thresholds={"constant": "x"})),
-        # nor a threshold in any of the three spec forms
-        ("simulate-initial_thresholds-constant-bool", "simulate",
-         dyn(initial_thresholds={"constant": True})),
+         dyn(n_agents=3, initial_thresholds=[0.0, "x", 0.5])),
+        # the thresholds are a sequence of n_agents numbers, not booleans
+        ("simulate-thresholds-dict", "simulate",
+         dyn(initial_thresholds={"constant": 0.5})),
         ("simulate-initial_thresholds-sequence-bool", "simulate",
          dyn(n_agents=3, initial_thresholds=[True, False, True])),
-        ("simulate-initial_thresholds-uniform-bool", "simulate",
-         dyn(initial_thresholds={"uniform": [False, True]})),
         ("simulate-seed-flag", "simulate", dict(DYNAMICS, sim=5), "--seed", "3"),
         # JSON reads NaN and Infinity; neither is a rate or a threshold
         ("classify-params-nan", "classify",
@@ -598,10 +486,10 @@ CONTRACT = {
          lin(params=dict(LIN, lambda_pu=NAN), alpha=0.5)),
         ("best-response-params-inf", "best-response",
          lin(params=dict(LIN, tau=INF), alpha=0.5)),
-        ("simulate-initial_thresholds-constant-nan", "simulate",
-         dyn(initial_thresholds={"constant": NAN})),
-        ("simulate-initial_thresholds-uniform-inf", "simulate",
-         dyn(initial_thresholds={"uniform": [0.0, INF]})),
+        ("simulate-thresholds-nan", "simulate",
+         dyn(n_agents=3, initial_thresholds=[0.0, NAN, 0.5])),
+        ("simulate-thresholds-inf", "simulate",
+         dyn(n_agents=3, initial_thresholds=[0.0, 0.5, INF])),
     ]],
     # at an infinite slack every grid point ties; verify used to report a
     # missing oracle equilibrium (exit 1) instead. A grid is read where the
@@ -640,6 +528,9 @@ CONTRACT = {
                      dyn() | {"alpha": "abc"}),
         config_error("simulate-dynamics-quality-unused", "simulate",
                      dyn() | {"quality": "purple"}),
+        config_error("simulate-update_fraction", "simulate",
+                     dyn(update_fraction=1.0),
+                     err=r"unknown sim field\(s\): update_fraction"),
         # --seed is a flag of verify and simulate only
         *[call(f"{command}-seed-flag", command, {}, rc=EXIT_CONFIG,
                err="usage: pushpull .*error: unrecognized arguments: --seed 3",
@@ -659,6 +550,28 @@ CONTRACT = {
         call("simulate-n_push_pool-without-n_pool", "simulate",
              dict(VIEWS, params=dict(LIN, lambda_pu=110.0), sim=SIM),
              rc=EXIT_NUMERIC, err="numeric error: .* n_pool is None"),
+        # overflowing rates exit 1: the Python ** of lam_pu^2, (lam tau)^2 or
+        # (pi_G/lam_G)^2 raised OverflowError, and a cap past the largest
+        # double wrote inf and NaN rows (the grid best response IndexError)
+        *[call(f"{command}-overflow-{id}", command, dict(
+            scenario=s, params=params, belief={"pi_g": 0.6, "pi_b": 0.4},
+            **({"oracle_check": True} if command == "classify"
+               else {"alpha": 0.5})), rc=EXIT_NUMERIC,
+               err="numeric error: ")
+          for id, s, params, commands in [
+              ("trend-linear-pull", "TrendViewcountLinear",
+               dict(LIN, lambda_pu=1e155), ALL),
+              ("side-info-tau", SI, dict(LIN, tau=1e300), ALL),
+              ("side-info-rates", SI,
+               dict(LIN, lambda_ps_g=1e-300, lambda_ps_b=5e-301), "classify"),
+              *[(tag, s, dict(PARAMS[s], lambda_pu=1e300, tau=1e10, **extra),
+                 ALL) for tag, s, extra in [
+                  ("linear-cap", "LinearFixedHorizon", {}),
+                  ("exp-cap", "ExponentialFixedHorizon", {}),
+                  ("vh-cap", "VariableHorizon", {"gamma_th": 2e300})]],
+              ("trend-exp-cap", TVE, dict(EXP, lambda_pu=1e155, tau=10.0),
+               "surface best-response")]
+          for command in commands.split()],
         call("verify-rerun", "verify",
              dict(scenario="VariableHorizon", n_draws=4, seed=11)),
         # the ordinary grid steps over a smooth peak on these two families;

@@ -16,20 +16,21 @@ from pushpull import (
     ModelParams,
     Scenario,
     UtilityError,
+    check_equilibrium_set,
     classify,
     classify_exponential,
     classify_linear,
     classify_side_info,
     classify_variable_horizon,
     find_symmetric_equilibria,
-    grid_best_response,
     make_report,
     side_info_lambda_pu_s,
     strategy_cap,
     symmetric_cap,
     utility,
 )
-from pushpull.cli import _check_equilibrium_set
+from pushpull.equilibrium import pull_ratio
+from pushpull.utility import reduce_scenario
 
 INF = math.inf
 
@@ -78,18 +79,6 @@ def test_linear_last_case_is_the_cap():
     assert es.kind is EquilibriumKind.FINITE_POINTS
     assert es.points == (1.0,)
     assert_sound(es, b, p, Scenario.LINEAR_FIXED_HORIZON)
-
-
-def test_linear_ratio_tie_goes_to_the_first_case():
-    # at pi_g/lambda_g == pi_b/lambda_b the utility is flat in beta (here
-    # it is 0 for every beta), so every threshold up to the cap is a
-    # fixed point: the tie is case ii, not the strict case i
-    b, p = Belief(0.5, 0.5), ModelParams(0.1, 0.1, 0.5, 10.0)
-    s = Scenario.LINEAR_FIXED_HORIZON
-    es = classify_linear(b, p)
-    assert es.case == "ii"
-    assert es.intervals == ((0.0, symmetric_cap(p, s)),)
-    assert _check_equilibrium_set(es, b, p, s, GridSpec()) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -232,25 +221,10 @@ def test_variable_horizon_degenerate_bad_window_keeps_zero():
 
 def test_variable_horizon_degenerate_window_boundary():
     # tau1(B) = ln(lam_B n/(gamma - lam_pu))/lam_B = ln(128/128)/0.125 is
-    # 0.0 exactly at gamma 448: the bad window is empty from there up,
-    # and one unit below it opens (tau1(B) ~ 0.063)
-    s = Scenario.VARIABLE_HORIZON
-    beliefs = [Belief(0.75, 0.25), Belief(0.5, 0.5), Belief(0.25, 0.75)]
-    cases = {448.0: ["degenerate-window"] * 3,
-             449.0: ["degenerate-window"] * 3,
-             447.0: ["interval-full", "cap-only", "cap-only"]}
-    for gamma, want in cases.items():
-        p = ModelParams(0.25, 0.125, 320.0, 8.0, n_pool=1024.0,
-                        gamma_th=gamma)
-        cap = symmetric_cap(p, s)
-        for b, case in zip(beliefs, want):
-            es = classify_variable_horizon(b, p)
-            assert es.case == case
-            assert (es.intervals or es.points) == {
-                "degenerate-window": (0.0,), "cap-only": (cap,),
-                "interval-full": ((0.0, cap),)}[case]
-            assert _check_equilibrium_set(es, b, p, s, GridSpec()) is None
-        t1b = dict(es.aux)["tau1_b"]
+    # 0.0 exactly at gamma 448 and ~0.063 one unit below (FAMILIES)
+    for gamma in (447.0, 448.0, 449.0):
+        p = _sat(0.25, 0.125, 320.0, 8.0, 1024.0, gamma)
+        t1b = dict(classify_variable_horizon(Belief(0.5, 0.5), p).aux)["tau1_b"]
         assert np.sign(t1b) == np.sign(448.0 - gamma)
         assert abs(t1b) < 0.07
 
@@ -327,7 +301,7 @@ def test_side_info_full_cap_bracket_is_the_documented_exception():
     """Inside the band d_G/d_B <= rho <= lambda_G/lambda_B (d_q = lambda_q
     + lambda_pu) the printed form can emit the whole strategy space even
     though the grid only certifies zero. The band is closed at the push
-    ratio; at the pull ratio it depends on the family."""
+    ratio; at the pull ratio it depends on the family (FAMILIES)."""
     s = Scenario.SIDE_INFORMATION
     b = Belief(2.0 / 3.0, 1.0 / 3.0)
     p = ModelParams(0.2, 0.05, 1.0, 10.0)
@@ -339,48 +313,9 @@ def test_side_info_full_cap_bracket_is_the_documented_exception():
                                       GridSpec(n_beta=401, n_alpha=161))
     assert len(found) > 0
     assert max(found) <= cap / 160 + 1e-12
-    # (rates, belief, ratio it sits on, printed set, oracle's refusal);
-    # every ratio is exact in binary
-    edges = [
-        ((0.5, 0.25, 1.0, 8.0), (2.0 / 3.0, 1.0 / 3.0), 2.0, ((0.0, 2.0),),
-         "classified point 0.5 is not a grid best response (gap 0.015)"),
-        ((0.375, 0.125, 2.0, 4.0), (0.75, 0.25), 3.0, ((0.0, 0.125),),
-         "classified point 0.03125 is not a grid best response "
-         "(gap 0.00126)"),
-        ((0.375, 0.125, 2.0, 4.0), (19.0 / 36.0, 17.0 / 36.0), 19.0 / 17.0,
-         ((0.0, 0.125),), "classified point 0.03125 is not a grid best "
-         "response (gap 0.0102)"),
-        # the pull edge of the first family prints {0}, which holds
-        ((0.5, 0.25, 1.0, 8.0), (6.0 / 11.0, 5.0 / 11.0), 1.2, (0.0,), None),
-    ]
-    for rates, belief, rho, printed, refusal in edges:
-        p, b = ModelParams(*rates), Belief(*belief)
-        lg, lb, lpu, _ = rates
-        assert b.pi_g / b.pi_b == rho
-        assert rho in (lg / lb, (lg + lpu) / (lb + lpu))
-        es, _ = classify_side_info(b, p)
-        assert (es.intervals or es.points) == printed
-        assert _check_equilibrium_set(es, b, p, s, GridSpec()) == refusal
-    # the pull-rate singularity lambda_pu_s is the band's pull edge,
-    # pi_G (lam_B + lam_pu) = pi_B (lam_G + lam_pu). At it and one ulp
-    # below the printed set is {0}, which holds; one ulp above, rho
-    # exceeds the pull ratio by one rounding and the bracket is [0, cap]
-    b = Belief(0.625, 0.375)
-    assert side_info_lambda_pu_s(b, ModelParams(0.375, 0.125, 0.25, 4.0)) \
-        == 0.25
-    assert b.pi_g / b.pi_b == (0.375 + 0.25) / (0.125 + 0.25)
-    pull_edge = [
-        (0.25, "endpoint-regime", (0.0,), None),
-        (math.nextafter(0.25, 0.0), "endpoint-regime", (0.0,), None),
-        (math.nextafter(0.25, 1.0), "interval-regime", ((0.0, 0.125),),
-         "classified point 0.03125 is not a grid best response (gap 0.046)"),
-    ]
-    for lpu, case, printed, refusal in pull_edge:
-        p = ModelParams(0.375, 0.125, lpu, 4.0)
-        es, _ = classify_side_info(b, p)
-        assert es.case == case
-        assert (es.intervals or es.points) == printed
-        assert _check_equilibrium_set(es, b, p, s, GridSpec()) == refusal
+    # the singularity lambda_pu_s is the band's pull edge (FAMILIES)
+    assert side_info_lambda_pu_s(Belief(0.625, 0.375),
+                                 ModelParams(0.375, 0.125, 0.25, 4.0)) == 0.25
 
 
 def test_side_info_mu_positive_with_unfavorable_belief():
@@ -466,3 +401,137 @@ def test_report_is_json_ready_and_complete():
     assert rep_si["oracle_checked"] is False
     assert "gamma_th" not in rep_si["params"]
     json.dumps(rep_si)
+
+
+# -- boundary families against the oracle's verdict ---------------------------
+#
+# A row: scenario, params, belief, the ratio that pi_G/pi_B equals bit for
+# bit on the reduced params (a row without a belief is put on it), case,
+# printed set (eq.intervals or eq.points, "cap" for symmetric_cap), verdict.
+
+RATIOS = {
+    "push": lambda p, cap: p.lambda_ps_g / p.lambda_ps_b,
+    "pull": lambda p, cap: ((p.lambda_ps_g + p.lambda_pu)
+                            / (p.lambda_ps_b + p.lambda_pu)),
+    "R(0)": lambda p, cap: pull_ratio(0.0, p.n_pool, p),
+    "R(cap)": lambda p, cap: pull_ratio(cap, p.n_pool, p),
+}
+LFH, EFH = Scenario.LINEAR_FIXED_HORIZON, Scenario.EXPONENTIAL_FIXED_HORIZON
+VH, SI = Scenario.VARIABLE_HORIZON, Scenario.SIDE_INFORMATION
+TVL = Scenario.TREND_VIEWCOUNT_LINEAR
+P, FULL = ModelParams, ((0.0, "cap"),)
+
+
+def _sat(lg, lb, lpu, tau, n, gamma=None):
+    return P(lg, lb, lpu, tau, n_pool=n, gamma_th=gamma)
+
+
+def _gap(point, gap):
+    return f"classified point {point} is not a grid best response (gap {gap})"
+
+
+def _belief_at_ratio(rho):
+    # a belief whose pi_G/pi_B rounds to rho exactly: pi_B at 1/(1 + rho)
+    # or a few doubles below it, pi_G = rho pi_B or 1 - pi_B
+    pib = 1.0 / (1.0 + rho)
+    for _ in range(8):
+        for pig in (rho * pib, 1.0 - pib):
+            if pig / pib == rho:
+                return pig, pib
+        pib = np.nextafter(pib, 0.0)
+    raise AssertionError(f"no belief at ratio {rho!r}")
+
+
+# rho at the push ratio flattens the lower branch (to 0 in the first row):
+# case ii, the whole [0, cap]
+PUSH_TIES = [
+    ("lin-push-tie-equal-rates", LFH, (0.1, 0.1, 0.5, 10.0), (0.5, 0.5)),
+    *[(f"lin-push-tie-pull-{lpu:g}", LFH, (0.375, 0.125, lpu, 8.0),
+       (0.75, 0.25)) for lpu in (0.0, 0.5, 1.0)],
+    ("lin-push-tie-rho-7", LFH, (0.875, 0.125, 0.125, 8.0), (0.875, 0.125)),
+    ("trend-lin-push-tie", TVL, (0.5, 0.25, 1.0, 8.0), (0.8, 0.2)),
+]
+VH_384 = _sat(0.25, 0.125, 320.0, 8.0, 1024.0, 384.0)
+SI_3, LPU_S = (0.375, 0.125), 0.25  # lambda_pu_s at belief 0.625/0.375
+FAMILIES = [pytest.param(*r[1:], id=r[0]) for r in [
+    *[(id, s, P(*rates), b, "push", "ii", FULL, None)
+      for id, s, rates, b in PUSH_TIES],
+    # and at the pull ratio the upper one
+    ("lin-pull-tie", LFH, P(0.875, 0.125, 0.125, 8.0), (0.8, 0.2), "pull",
+     "ii", FULL, None),
+    # R(0) = 640/384, which 0.625/0.375 rounds to: the lower end leaves 0
+    *[(f"{tag}-R0-tie-tau-{tau:g}", s, _sat(0.28125, 0.03125, 352.0, tau,
+                                            1024.0, gamma),
+       (0.625, 0.375), "R(0)", case, FULL, None)
+      for tag, s, gamma, case in [("exp", EFH, None, "ii-a"),
+                                  ("vh", VH, 368.0, "interval-window")]
+      for tau in (8.0, 2.0)],
+    # R(cap) = 448/384 = 7/6 at the window cap 512; at the exponential cap
+    # 1024 (1 - e^-1), not dyadic, [alpha_bar, cap] degenerates to the cap
+    ("vh-push-ratio", VH, VH_384, _belief_at_ratio(2.0), "push",
+     "interval-full", ((0.0, 512.0),), None),
+    ("vh-R-cap", VH, VH_384, _belief_at_ratio(7.0 / 6.0), "R(cap)",
+     "interval-pull", ((pytest.approx(512.0, rel=1e-12), 512.0),), None),
+    ("exp-R-cap", EFH, _sat(0.25, 0.125, 320.0, 8.0, 1024.0), None,
+     "R(cap)", "ii-b", ((-1024.0 * np.expm1(-1.0),) * 2,), None),
+    # tau1(B) = 0 at gamma 448: the bad window is empty from there up
+    *[(f"vh-window-gamma-{gamma:g}-pi_g-{b[0]:g}", VH,
+       _sat(0.25, 0.125, 320.0, 8.0, 1024.0, gamma), b, None, case,
+       {"degenerate-window": (0.0,), "cap-only": ("cap",),
+        "interval-full": FULL}[case], None)
+      for gamma, cases in [(448.0, ["degenerate-window"] * 3),
+                           (449.0, ["degenerate-window"] * 3),
+                           (447.0, ["interval-full", "cap-only", "cap-only"])]
+      for b, case in zip([(0.75, 0.25), (0.5, 0.5), (0.25, 0.75)], cases)],
+    # a known gap: the below-alpha branch of case iii-b is flat, and the
+    # strict re-test finds interior fixed points that {0, cap} omits
+    ("exp-push-tie", EFH, _sat(0.2, 0.05, 220.0, 10.0, 1000.0), (0.8, 0.2),
+     "push", "iii-b", (0.0, "cap"),
+     "oracle equilibrium 7.86939 missing from the set"),
+    ("exp-push-tie-dyadic", EFH, _sat(0.375, 0.125, 400.0, 4.0, 1024.0),
+     (0.75, 0.25), "push", "iii-b", (0.0, "cap"),
+     "oracle equilibrium 8.05825 missing from the set"),
+    # SideInformation's band of pull ratio <= rho <= push ratio, where the
+    # printed bracket can be [0, cap] and the true set {0}; the pull edge
+    # is lambda_pu_s, and one ulp above it rho exceeds the pull ratio
+    ("si-push-edge", SI, P(0.5, 0.25, 1.0, 8.0), (2 / 3, 1 / 3), "push",
+     "interval-regime", ((0.0, 2.0),), _gap(0.5, 0.015)),
+    ("si-pull-edge", SI, P(0.5, 0.25, 1.0, 8.0), (6 / 11, 5 / 11), "pull",
+     "endpoint-regime", (0.0,), None),
+    ("si-push-edge-rho-3", SI, P(*SI_3, 2.0, 4.0), (0.75, 0.25), "push",
+     "interval-regime", ((0.0, 0.125),), _gap(0.03125, 0.00126)),
+    ("si-pull-edge-rho-3", SI, P(*SI_3, 2.0, 4.0), (19 / 36, 17 / 36),
+     "pull", "interval-regime", ((0.0, 0.125),), _gap(0.03125, 0.0102)),
+    ("si-lambda-pu-s", SI, P(*SI_3, LPU_S, 4.0), (0.625, 0.375), "pull",
+     "endpoint-regime", (0.0,), None),
+    ("si-lambda-pu-s-ulp-below", SI, P(*SI_3, math.nextafter(LPU_S, 0), 4.0),
+     (0.625, 0.375), None, "endpoint-regime", (0.0,), None),
+    ("si-lambda-pu-s-ulp-above", SI, P(*SI_3, math.nextafter(LPU_S, 1), 4.0),
+     (0.625, 0.375), None, "interval-regime", ((0.0, 0.125),),
+     _gap(0.03125, 0.046)),
+    # a saturated pool: both sets hold in exact arithmetic (dU/dbeta =
+    # (pi_B/lam_B - pi_G/lam_G)/(n - beta) > 0 below alpha = cap), but 1 -
+    # alpha/n keeps few digits: the cap is n - 9.4e-11 at tau 300, n at 380
+    ("exp-saturated-pool", EFH, _sat(0.2, 0.1, 240.0, 300.0, 1000.0),
+     (0.3, 0.7), None, "i", ("cap",), _gap(1000, 0.000666)),
+    ("exp-saturated-pool-cap-n", EFH, _sat(0.2, 0.1, 240.0, 380.0, 1000.0),
+     (0.6, 0.4), None, "ii-a", ((0.0, 1000.0),), _gap(1000, 96.7)),
+]]
+
+
+def _with_cap(printed, cap):
+    if isinstance(printed, tuple):
+        return tuple(_with_cap(v, cap) for v in printed)
+    return cap if isinstance(printed, str) else printed
+
+
+@pytest.mark.parametrize("s, p, b, ratio, case, printed, verdict", FAMILIES)
+def test_boundary_family_verdict(s, p, b, ratio, case, printed, verdict):
+    cap = symmetric_cap(p, s)
+    rho = ratio and RATIOS[ratio](reduce_scenario(p, s)[0], cap)
+    b = Belief(*(b or _belief_at_ratio(rho)))
+    assert ratio is None or b.pi_g / b.pi_b == rho
+    eq, _ = classify(s, b, p)
+    assert eq.case == case
+    assert (eq.intervals or eq.points) == _with_cap(printed, cap)
+    assert check_equilibrium_set(eq, b, p, s, GridSpec()) == verdict

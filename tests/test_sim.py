@@ -99,3 +99,18 @@ def test_best_response_dynamics_needs_a_closed_form():
     with pytest.raises(UtilityError, match="no closed-form best response"):
         best_response_dynamics(Belief(0.3, 0.7), p, Scenario.VARIABLE_HORIZON,
                                SimConfig(seed=0, n_push_pool=1000))
+
+
+
+@pytest.mark.parametrize("start, rounds, settled", [
+    ([0.07] * 3, 1, 0.07), ([0.02, 0.03, 0.04], 2, 0.03),
+    ([5.0] * 3, 1, 0.1)])  # clipped to the cap before round 1
+def test_best_response_dynamics_settles_where_it_started_near(
+        start, rounds, settled):
+    # all of [0, 0.1] is an equilibrium: the median stays where it starts
+    res = best_response_dynamics(
+        Belief(0.75, 0.25), ModelParams(0.1, 0.01, 150.0, 10.0),
+        Scenario.LINEAR_FIXED_HORIZON, SimConfig(
+            seed=0, n_push_pool=1, n_agents=3, initial_thresholds=start))
+    assert (res.status, res.rounds_run, res.snapshots[-1].tolist()) == (
+        "converged", rounds, [settled] * 3)
