@@ -22,10 +22,8 @@ from .dynamics import (
     Trajectory,
     activation_time,
     beta_tau,
-    crossing_time,
     crossing_time_raw,
     horizon_window,
-    metric_value,
     sample_trajectory,
     viewcount,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "classify_side_info",
     "classify_variable_horizon",
     "closed_form_best_response",
-    "crossing_time",
     "crossing_time_raw",
     "decide_rows",
     "deviation_sweep",
@@ -118,7 +115,6 @@ __all__ = [
     "grid_best_response",
     "horizon_window",
     "make_report",
-    "metric_value",
     "sample_trajectory",
     "side_info_lambda_pu_s",
     "side_info_peaks",

@@ -14,12 +14,17 @@ way down; it is defined for linear push only.
 
 Before pull starts every metric is a function of the push-only count,
 so a level is met when that count reaches the level's gate (_gate).
-crossings, the one crossing-time entry, takes every passage before
+crossings, the one crossing-time kernel, takes every passage before
 activation from it, one row per push rate, and past alpha one passage
 for both linear-push metrics; saturating Xdot*X meets a level inside
-its activation jump only when it comes back down. Linear Xdot*X, whose
-game is utility.reduce_scenario's, stops at activation: crossings,
-beta_tau and metric_value refuse it.
+its activation jump only when it comes back down. crossing_time_raw is
+its checked front for one quality. Linear Xdot*X, whose game is
+utility.reduce_scenario's, stops at activation: crossings and beta_tau
+refuse it.
+
+Every threshold and time that enters from outside passes one check,
+_nonnegative: a negative or NaN entry raises the caller's typed error,
+and INF, a level never met, passes.
 
 Time is in days, rates in views/day, viewcount in views.
 """
@@ -29,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -195,10 +200,6 @@ class Trajectory:
     x: np.ndarray
     xdot: np.ndarray
 
-    @property
-    def samples(self) -> Sequence[tuple]:
-        return list(zip(self.t.tolist(), self.x.tolist(), self.xdot.tolist()))
-
     def to_csv(self, path) -> None:
         """Write the samples as "t,x,xdot" rows, 12 significant digits
         each, through write_csv: blocks of _G12_MIN_ROWS rows or more go
@@ -215,6 +216,25 @@ class Trajectory:
 
 def _float_or_array(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _nonnegative(x, name: str, error: type = DynamicsError) -> np.ndarray:
+    """x as a float array, or error where an entry is negative or NaN
+    (x >= 0 is false for both); INF, a level never met, passes."""
+    x = np.asarray(x, dtype=float)
+    if np.count_nonzero(x >= 0.0) != x.size:
+        raise error(f"{name} must be nonnegative")
+    return x
+
+
+def _square(x, name: str, error: type = DynamicsError) -> float:
+    """x ** 2 for a real x, or error naming x where the square is past
+    the largest double (Python's ** raises a bare OverflowError there)."""
+    try:
+        return float(x) ** 2
+    except OverflowError:
+        raise error(f"the square of {name} = {x:.6g} overflows a double") \
+            from None
 
 
 def _x_ps(t, lam, push: PushKind, n: float):
@@ -281,7 +301,7 @@ def _gate(y, lam, p: ModelParams, push: PushKind, metric: MetricKind):
     if metric is MetricKind.PLAIN_VIEWCOUNT:
         return y
     if metric is MetricKind.SIDE_INFORMATION:
-        d = (lam * p.tau) ** 2 - 2.0 * y
+        d = _square(lam * p.tau, "lambda_ps*tau") - 2.0 * y
         return np.where(d < 0.0, INF, np.sqrt(np.maximum(d, 0.0)))
     if push is PushKind.LINEAR:
         return y / lam
@@ -306,8 +326,8 @@ def _rates(q: Quality, p: ModelParams, push: PushKind, metric: MetricKind):
 
 def _rates_past_alpha(q: Quality, p: ModelParams, push: PushKind,
                       metric: MetricKind):
-    """_rates for crossings, beta_tau and metric_value, which read the
-    metric past alpha: they also refuse linear Xdot*X."""
+    """_rates for crossings and beta_tau, which read the metric past
+    alpha: they also refuse linear Xdot*X."""
     if push is PushKind.LINEAR and metric is MetricKind.TREND_TIMES_VIEWCOUNT:
         raise DynamicsError("linear trend*viewcount stops at activation; "
                             "its game is utility.reduce_scenario's")
@@ -321,9 +341,7 @@ def activation_count(alpha, q: Quality, p: ModelParams,
 
     Elementwise in alpha: a float for a scalar, an array otherwise.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if np.count_nonzero(alpha < 0.0):
-        raise DynamicsError("alpha must be nonnegative")
+    alpha = _nonnegative(alpha, "alpha")
     # the plain viewcount needs no pool: a count above it is never reached
     lam = (p.lambda_ps(q) if metric is MetricKind.PLAIN_VIEWCOUNT
            else _rates(q, p, push, metric)[0])
@@ -358,13 +376,12 @@ def _xdot(t, ta, lam, lpu: float, push: PushKind, n: float):
 
 def _metric_at(t, ta, lam, p: ModelParams, push: PushKind, n: float,
                metric: MetricKind):
-    """The metric at t once the population pulls from ta, elementwise."""
+    """A rising metric, the plain viewcount or Xdot*X, at t once the
+    population pulls from ta, elementwise."""
     x = _x(t, ta, lam, p.lambda_pu, push, n)
     if metric is MetricKind.PLAIN_VIEWCOUNT:
         return x
-    if metric is MetricKind.TREND_TIMES_VIEWCOUNT:
-        return _xdot(t, ta, lam, p.lambda_pu, push, n) * x
-    return 0.5 * ((lam * p.tau) ** 2 - x * x)
+    return _xdot(t, ta, lam, p.lambda_pu, push, n) * x
 
 
 def viewcount(t, q: Quality, alpha, p: ModelParams, push: PushKind,
@@ -374,27 +391,10 @@ def viewcount(t, q: Quality, alpha, p: ModelParams, push: PushKind,
     Elementwise in t and alpha, which broadcast together: a float for
     scalars, an array otherwise.
     """
-    t = np.asarray(t, dtype=float)
-    if np.count_nonzero(t < 0.0):
-        raise DynamicsError("t must be nonnegative")
+    t = _nonnegative(t, "t")
     lam, n = _rates(q, p, push, metric)
     ta = activation_time(alpha, q, p, push, metric)
     return _float_or_array(_x(t, ta, lam, p.lambda_pu, push, n))
-
-
-def metric_value(t: float, q: Quality, alpha, p: ModelParams,
-                 push: PushKind, metric: MetricKind):
-    """The access metric observed at time t under population threshold
-    alpha; elementwise in alpha like viewcount.
-
-    The look-ahead value ((lam tau)^2 - X(t)^2)/2 drops below 0 once
-    pull views carry X past lam*tau.
-    """
-    if not 0.0 <= t <= p.tau:
-        raise DynamicsError("metric_value is defined on [0, tau]")
-    lam, n = _rates_past_alpha(q, p, push, metric)
-    ta = activation_time(alpha, q, p, push, metric)
-    return _float_or_array(_metric_at(t, ta, lam, p, push, n, metric))
 
 
 # -- crossing times ----------------------------------------------------------
@@ -508,41 +508,24 @@ def _cross_product_sat(t, beta, alpha, lam, p):
     return t
 
 
-def crossing_time(beta: float, q: Quality, alpha: float, p: ModelParams,
-                  push: PushKind, metric: MetricKind) -> float:
-    """t_beta as utility charges it (crossings' rule); INF beyond tau.
+def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
+                      push: PushKind, metric: MetricKind):
+    """t_beta of quality q under population threshold alpha, uncapped:
+    the one checked front of crossings, whose rule utility charges.
 
     Increasing metrics use inf{t : metric >= beta}, but a beta strictly
     inside the activation jump of saturating Xdot*X is met only when the
     curve comes back down to it before tau; the jump top at ta. The
     decreasing look-ahead metric meets beta on its way down, never above
-    its start y(0).
+    its start y(0). A passage past tau, INF among them, is one utility
+    charges nothing for: (tau - t)+ = 0.
+
+    beta and alpha may be array-likes that broadcast together, one
+    population threshold per element: the result is a float for two
+    scalars and an array otherwise.
     """
-    t = crossing_time_raw(beta, q, alpha, p, push, metric)
-    if t <= p.tau:
-        return t
-    # inverting the value attained exactly at tau can overshoot by a few
-    # ulps; snap those to the lifetime instead of reporting unreachable
-    if t <= p.tau * (1.0 + 1e-12):
-        return p.tau
-    return INF
-
-
-def crossing_time_raw(beta, q: Quality, alpha, p: ModelParams,
-                      push: PushKind, metric: MetricKind):
-    """Crossing time without the lifetime cap.
-
-    beta and alpha may be arrays that broadcast together, one population
-    threshold per element: the result is a float for two scalars and an
-    array otherwise. The checked front of crossings for one quality.
-    """
-    # np.less, not <: beta and alpha may also be lists
-    if np.count_nonzero(np.less(beta, 0.0)):
-        raise DynamicsError("beta must be nonnegative")
-    if np.count_nonzero(np.less(alpha, 0.0)):
-        raise DynamicsError("alpha must be nonnegative")
-    beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),
-                                      np.asarray(alpha, dtype=float))
+    beta, alpha = np.broadcast_arrays(_nonnegative(beta, "beta"),
+                                      _nonnegative(alpha, "alpha"))
     return _float_or_array(
         crossings(beta, alpha, [p.lambda_ps(q)], p, push, metric)[0])
 
@@ -633,8 +616,8 @@ def beta_tau(q: Quality, alpha, p: ModelParams,
     lpu, tau = p.lambda_pu, p.tau
     if metric is MetricKind.SIDE_INFORMATION:
         # decreasing from y(0): X(0) = 0 whatever the activation time
-        shape = np.shape(alpha)
-        y0 = 0.5 * (lam * tau) ** 2
+        shape = _nonnegative(alpha, "alpha").shape
+        y0 = 0.5 * _square(lam * tau, "lambda_ps*tau")
         return np.full(shape, y0) if shape else y0
     ta = activation_time(alpha, q, p, push, metric)
     y_tau = _metric_at(tau, ta, lam, p, push, n, metric)

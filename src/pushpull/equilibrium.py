@@ -53,13 +53,22 @@ class EquilibriumSet:
     extra computed quantities worth reporting.
     """
 
-    kind: EquilibriumKind
     points: Tuple[float, ...] = ()
     intervals: Tuple[Tuple[float, float], ...] = ()
     point_labels: Tuple[str, ...] = ()
     interval_labels: Tuple[Tuple[str, str], ...] = ()
     case: str = ""
     aux: Tuple[Tuple[str, float], ...] = ()
+
+    @property
+    def kind(self) -> EquilibriumKind:
+        """Interval if the set holds an interval, else FinitePoints, or
+        Empty when it holds no point either."""
+        if self.intervals:
+            return EquilibriumKind.INTERVAL
+        if self.points:
+            return EquilibriumKind.FINITE_POINTS
+        return EquilibriumKind.EMPTY
 
     def contains(self, alpha: float, tol: float) -> bool:
         for v in self.points:
@@ -134,19 +143,15 @@ def classify_linear(belief: Belief, p: ModelParams) -> EquilibriumSet:
     cap = symmetric_cap(p, Scenario.LINEAR_FIXED_HORIZON)
     pig, pib = belief.pi_g, belief.pi_b
     if pig / p.lambda_ps_g > pib / p.lambda_ps_b:
-        return EquilibriumSet(
-            EquilibriumKind.FINITE_POINTS, points=(0.0,), point_labels=("0",),
-            case="i", aux=(("beta_tau_b", cap),))
+        return EquilibriumSet(points=(0.0,), point_labels=("0",), case="i",
+                              aux=(("beta_tau_b", cap),))
     if (pig / (p.lambda_ps_g + p.lambda_pu)
             >= pib / (p.lambda_ps_b + p.lambda_pu)):
         return EquilibriumSet(
-            EquilibriumKind.INTERVAL, intervals=((0.0, cap),),
-            interval_labels=(("0", "beta_tau_b"),),
+            intervals=((0.0, cap),), interval_labels=(("0", "beta_tau_b"),),
             case="ii", aux=(("beta_tau_b", cap),))
-    return EquilibriumSet(
-        EquilibriumKind.FINITE_POINTS, points=(cap,),
-        point_labels=("beta_tau_b",), case="iii",
-        aux=(("beta_tau_b", cap),))
+    return EquilibriumSet(points=(cap,), point_labels=("beta_tau_b",),
+                          case="iii", aux=(("beta_tau_b", cap),))
 
 
 # -- saturating push, plain viewcount -----------------------------------------
@@ -190,27 +195,25 @@ def classify_exponential(belief: Belief, p: ModelParams) -> EquilibriumSet:
     rho = INF if pib == 0.0 else pig / pib
     rate_ratio = p.lambda_ps_g / p.lambda_ps_b
     if rho > rate_ratio:
-        return EquilibriumSet(
-            EquilibriumKind.FINITE_POINTS, points=(0.0,), point_labels=("0",),
-            case="iii-a", aux=aux)
+        return EquilibriumSet(points=(0.0,), point_labels=("0",),
+                              case="iii-a", aux=aux)
     if rho == rate_ratio:
         # tau*pi_B = pi_G*t_cap(G): both extremes are fixed points
-        return EquilibriumSet(
-            EquilibriumKind.FINITE_POINTS, points=(0.0, cap),
-            point_labels=("0", "beta_tau_b"), case="iii-b", aux=aux)
+        return EquilibriumSet(points=(0.0, cap),
+                              point_labels=("0", "beta_tau_b"), case="iii-b",
+                              aux=aux)
     if rho >= pull_ratio(0.0, n, p):
         return EquilibriumSet(
-            EquilibriumKind.INTERVAL, intervals=((0.0, cap),),
-            interval_labels=(("0", "beta_tau_b"),), case="ii-a", aux=aux)
+            intervals=((0.0, cap),), interval_labels=(("0", "beta_tau_b"),),
+            case="ii-a", aux=aux)
     if rho >= pull_ratio(cap, n, p):
         alpha_bar = min(max(_alpha_bar(belief, n, p), 0.0), cap)
         return EquilibriumSet(
-            EquilibriumKind.INTERVAL, intervals=((alpha_bar, cap),),
+            intervals=((alpha_bar, cap),),
             interval_labels=(("alpha_bar", "beta_tau_b"),), case="ii-b",
             aux=aux + (("alpha_bar", alpha_bar),))
-    return EquilibriumSet(
-        EquilibriumKind.FINITE_POINTS, points=(cap,),
-        point_labels=("beta_tau_b",), case="i", aux=aux)
+    return EquilibriumSet(points=(cap,), point_labels=("beta_tau_b",),
+                          case="i", aux=aux)
 
 
 # -- saturating push, trend-gated windows --------------------------------------
@@ -234,9 +237,9 @@ def classify_variable_horizon(belief: Belief, p: ModelParams) -> EquilibriumSet:
     if t1b_eff <= 0.0:
         # the bad content never trends: waiting costs nothing and pays
         # nothing, immediate access keeps the whole good window
-        return EquilibriumSet(
-            EquilibriumKind.FINITE_POINTS, points=(0.0,), point_labels=("0",),
-            case="degenerate-window", aux=(("tau1_b", t1b),))
+        return EquilibriumSet(points=(0.0,), point_labels=("0",),
+                              case="degenerate-window",
+                              aux=(("tau1_b", t1b),))
     cap = symmetric_cap(p, Scenario.VARIABLE_HORIZON)
     cap_tau = symmetric_cap(p, Scenario.EXPONENTIAL_FIXED_HORIZON)  # no gate
     aux = (("beta_tau1_b", cap), ("beta_tau_b", cap_tau),
@@ -256,26 +259,24 @@ def classify_variable_horizon(belief: Belief, p: ModelParams) -> EquilibriumSet:
 
     if rho >= p.lambda_ps_g / p.lambda_ps_b:
         return EquilibriumSet(
-            EquilibriumKind.INTERVAL, intervals=((0.0, cap),),
-            interval_labels=(("0", "beta_tau1_b"),), case="interval-full",
-            aux=aux)
+            intervals=((0.0, cap),), interval_labels=(("0", "beta_tau1_b"),),
+            case="interval-full", aux=aux)
     if rho >= pull_ratio(0.0, n, p):
         a0 = min(alpha_0(), cap)
         return EquilibriumSet(
-            EquilibriumKind.INTERVAL, intervals=((a0, cap),),
+            intervals=((a0, cap),),
             interval_labels=(("alpha_0", "beta_tau1_b"),),
             case="interval-window", aux=aux + (("alpha_0", a0),))
     if rho >= pull_ratio(cap, n, p):
         a0, alpha_bar = alpha_0(), _alpha_bar(belief, n, p)
         lo = min(max(alpha_bar, a0, 0.0), cap)
         return EquilibriumSet(
-            EquilibriumKind.INTERVAL, intervals=((lo, cap),),
+            intervals=((lo, cap),),
             interval_labels=(("alpha_bar", "beta_tau1_b"),),
             case="interval-pull",
             aux=aux + (("alpha_0", a0), ("alpha_bar", alpha_bar)))
-    return EquilibriumSet(
-        EquilibriumKind.FINITE_POINTS, points=(cap,),
-        point_labels=("beta_tau1_b",), case="cap-only", aux=aux)
+    return EquilibriumSet(points=(cap,), point_labels=("beta_tau1_b",),
+                          case="cap-only", aux=aux)
 
 
 # -- linear push, look-ahead metric --------------------------------------------
@@ -326,14 +327,12 @@ def classify_side_info(belief: Belief,
         hi_lab = _clamp_label(hi_raw, hi, cap,
                               "beta1" if hi_raw == beta1 else "beta2")
         if hi == lo:
-            eq = EquilibriumSet(
-                EquilibriumKind.FINITE_POINTS, points=(lo,),
-                point_labels=(lo_lab,), case="interval-regime", aux=aux)
+            eq = EquilibriumSet(points=(lo,), point_labels=(lo_lab,),
+                                case="interval-regime", aux=aux)
         else:
             eq = EquilibriumSet(
-                EquilibriumKind.INTERVAL, intervals=((lo, hi),),
-                interval_labels=((lo_lab, hi_lab),), case="interval-regime",
-                aux=aux)
+                intervals=((lo, hi),), interval_labels=((lo_lab, hi_lab),),
+                case="interval-regime", aux=aux)
         return eq, diags
     pts = []
     labels = []
@@ -343,14 +342,9 @@ def classify_side_info(belief: Belief,
         if any(abs(endpoint - v) <= tol for v in br.values):
             pts.append(endpoint)
             labels.append(lab)
-    if pts:
-        eq = EquilibriumSet(
-            EquilibriumKind.FINITE_POINTS, points=tuple(pts),
-            point_labels=tuple(labels), case="endpoint-regime", aux=aux)
-    else:
-        eq = EquilibriumSet(EquilibriumKind.EMPTY, case="endpoint-regime",
-                            aux=aux)
-    return eq, diags
+    # neither endpoint confirmed leaves the set Empty
+    return EquilibriumSet(points=tuple(pts), point_labels=tuple(labels),
+                          case="endpoint-regime", aux=aux), diags
 
 
 def _clamp_label(raw: float, clamped: float, cap: float, name: str) -> str:

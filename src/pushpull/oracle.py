@@ -317,8 +317,10 @@ def check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
     """
     tol_sound = max(g.resolve_tol(p), 1e-6 * p.tau)
     pts = np.array(_soundness_points(eq), dtype=float)
-    inside = (0.0 <= pts) & (
-        pts <= strategy_cap(pts, p, s) * (1.0 + 1e-9) + 1e-12)
+    # a negative or NaN point has no cap to be judged against
+    inside = pts >= 0.0
+    inside[inside] = pts[inside] <= strategy_cap(pts[inside], p, s) * (
+        1.0 + 1e-9) + 1e-12
     # one row decision for the classified points and the candidates of
     # find_symmetric_equilibria, at the grid's tol; a point admitted
     # there is admitted at tol_sound >= tol too, so only the others are

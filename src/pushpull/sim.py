@@ -14,6 +14,7 @@ identical configs give identical outputs, bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -42,7 +43,7 @@ class SimConfig:
     """Settings of both simulators; only seed and n_push_pool are required.
 
     initial_thresholds is None (drawn uniformly on [0, symmetric cap])
-    or a sequence of n_agents finite numbers.
+    or a flat list, tuple or 1-D array of n_agents finite real numbers.
     """
 
     seed: int
@@ -155,9 +156,10 @@ class DynamicsResult:
 
 
 def _threshold(v) -> float:
-    # a JSON true is an int to Python, and float() takes it; not here
-    if isinstance(v, (bool, np.bool_)):
-        raise TypeError("initial_thresholds must be numbers, not booleans")
+    # a JSON true is an int to Python, and float() takes it, as it takes
+    # the string "0.5"; neither is a number here
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"initial_thresholds must be numbers, not {v!r}")
     x = float(v)
     if not math.isfinite(x):
         raise ValueError(f"initial_thresholds must be finite, not {x}")
@@ -169,8 +171,11 @@ def _initial_thresholds(c: SimConfig, scale: float,
     spec = c.initial_thresholds
     if spec is None:
         return rng.uniform(0.0, scale, c.n_agents)
-    arr = np.array([_threshold(v)
-                    for v in np.asarray(spec, dtype=object).ravel()])
+    if not (isinstance(spec, (list, tuple))
+            or (isinstance(spec, np.ndarray) and spec.ndim == 1)):
+        raise TypeError("initial_thresholds must be a flat sequence of "
+                        f"numbers, not {spec!r}")
+    arr = np.array([_threshold(v) for v in spec])
     if arr.size != c.n_agents:
         raise ValueError(
             f"initial_thresholds has {arr.size} entries for {c.n_agents} agents")

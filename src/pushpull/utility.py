@@ -45,6 +45,8 @@ from .dynamics import (
     horizon_window,
     viewcount,
     _float_or_array,
+    _nonnegative,
+    _square,
     _y_post,
 )
 from .numerics import find_root_arr, lambert_w0_log
@@ -107,14 +109,23 @@ class BestResponse:
 
     values holds the distinct optimal thresholds (segment endpoints when
     a whole flat segment is optimal); intervals holds those flat
-    segments. ExtremalPair marks a tie between exactly two isolated
-    optima. utility is the attained maximum.
+    segments. utility is the attained maximum.
     """
 
-    kind: BestResponseKind
     values: Tuple[float, ...]
     intervals: Tuple[Tuple[float, float], ...]
     utility: float
+
+    @property
+    def kind(self) -> BestResponseKind:
+        """IntervalOfOptima for a flat segment or more than two values,
+        ExtremalPair for a tie between exactly two isolated optima, else
+        Point."""
+        if self.intervals or len(self.values) > 2:
+            return BestResponseKind.INTERVAL_OF_OPTIMA
+        if len(self.values) == 2:
+            return BestResponseKind.EXTREMAL_PAIR
+        return BestResponseKind.POINT
 
     def as_dict(self) -> dict:
         return {
@@ -139,9 +150,9 @@ def reduce_scenario(p: ModelParams,
     scenario is solved as itself.
     """
     if s is Scenario.TREND_VIEWCOUNT_LINEAR:
-        return (ModelParams(p.lambda_ps_g ** 2, p.lambda_ps_b ** 2,
-                            p.lambda_pu ** 2, p.tau),
-                Scenario.LINEAR_FIXED_HORIZON)
+        rates = (_square(getattr(p, k), k, UtilityError)
+                 for k in ("lambda_ps_g", "lambda_ps_b", "lambda_pu"))
+        return ModelParams(*rates, p.tau), Scenario.LINEAR_FIXED_HORIZON
     return p, s
 
 
@@ -213,9 +224,9 @@ def _variable_horizon_terms(alpha, beta, p):
     lams = (p.lambda_ps_g, p.lambda_ps_b)
     w0g, t1g, xth_g = horizon_window(Quality.GOOD, p, push)
     w0b, t1b, xth_b = horizon_window(Quality.BAD, p, push)
-    # t_alpha is the passage of alpha itself
     tb_g, tb_b = crossings(beta, alpha, lams, p, push, plain)
-    ta_g, ta_b = crossings(alpha, alpha, lams, p, push, plain)
+    ta_g, ta_b = (activation_time(alpha, q, p, push, plain)
+                  for q in (Quality.GOOD, Quality.BAD))
     above = beta > alpha
     # beta <= alpha: a window can reopen when the population pulls at
     # t_alpha. alpha > xth_g: both qualities reopen their window;
@@ -232,13 +243,8 @@ def _variable_horizon_terms(alpha, beta, p):
 
 
 def _thresholds(alpha, beta):
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if np.count_nonzero(alpha < 0.0):
-        raise UtilityError("alpha must be nonnegative")
-    if np.count_nonzero(beta < 0.0):
-        raise UtilityError("beta must be nonnegative")
-    return alpha, beta
+    return (_nonnegative(alpha, "alpha", UtilityError),
+            _nonnegative(beta, "beta", UtilityError))
 
 
 def _terms(alpha, beta, p: ModelParams, s: Scenario):
@@ -327,13 +333,7 @@ def _assemble(cands: List[float], us: List[float], tol: float,
             else:
                 segs.append((cands[i], cands[i + 1]))
     pts = _dedup([c for c, k in zip(cands, keep) if k], cap)
-    if segs or len(pts) > 2:
-        kind = BestResponseKind.INTERVAL_OF_OPTIMA
-    elif len(pts) == 2:
-        kind = BestResponseKind.EXTREMAL_PAIR
-    else:
-        kind = BestResponseKind.POINT
-    return BestResponse(kind, tuple(pts), tuple(segs), umax)
+    return BestResponse(tuple(pts), tuple(segs), umax)
 
 
 def _argmax(alpha: float, belief: Belief, p: ModelParams, s: Scenario,
@@ -431,8 +431,8 @@ def _branch_peak(belief: Belief, p: ModelParams, d_g: float,
     """
     x_g = p.lambda_ps_g * p.tau
     x_b = p.lambda_ps_b * p.tau
-    a = (belief.pi_g / d_g) ** 2
-    b = (belief.pi_b / d_b) ** 2
+    a = _square(belief.pi_g / d_g, "pi_G/d_G", UtilityError)
+    b = _square(belief.pi_b / d_b, "pi_B/d_B", UtilityError)
     num = x_b * x_b * a - x_g * x_g * b
     den = a - b
     if den == 0.0:
@@ -477,10 +477,12 @@ def side_info_branch_candidates(alpha: float, belief: Belief,
     """
     cap = strategy_cap(alpha, p, Scenario.SIDE_INFORMATION)
     knee = min(alpha, cap)
+    lams = (p.lambda_ps_g, p.lambda_ps_b)
+    pulls = [2.0 * alpha <= _square(lam * p.tau, "lambda_ps*tau", UtilityError)
+             for lam in lams]
     peaks = []
     for pull in (p.lambda_pu, 0.0):
-        d_g, d_b = (lam + pull * (2.0 * alpha <= (lam * p.tau) ** 2)
-                    for lam in (p.lambda_ps_g, p.lambda_ps_b))
+        d_g, d_b = (lam + pull * k for lam, k in zip(lams, pulls))
         peaks.append(_branch_peak(belief, p, d_g, d_b)
                      if belief.pi_g * d_b > belief.pi_b * d_g else -INF)
     return min(max(peaks[0], 0.0), knee), min(max(peaks[1], knee), cap)

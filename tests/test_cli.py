@@ -377,12 +377,13 @@ def same_rows(least=2, seed=None):
 
 
 def json_at(path, expect, name="out"):
-    """The JSON file holds expect at the dotted path: a value, a
-    pytest.approx bound, or a function of the cfg giving either."""
+    """The JSON file holds expect at the dotted path (a number indexes a
+    list): a value, a pytest.approx bound, or a function of the cfg
+    giving either."""
     def check(out, files, cfg):
         v = json.loads(files[name])
         for key in path.split("."):
-            v = v[key]
+            v = v[int(key)] if isinstance(v, list) else v[key]
         assert v == (expect(cfg) if callable(expect) else expect)
     return check
 
@@ -490,7 +491,14 @@ CONTRACT = {
          dyn(n_agents=3, initial_thresholds=[0.0, NAN, 0.5])),
         ("simulate-thresholds-inf", "simulate",
          dyn(n_agents=3, initial_thresholds=[0.0, 0.5, INF])),
-    ]],
+    ]] + [
+        # a flat list of real numbers only: each of these has as many
+        # entries as agents once flattened and read by float()
+        config_error(f"simulate-thresholds-{id}", "simulate",
+                     dyn(n_agents=n, initial_thresholds=v), err="bad sim: ")
+        for id, n, v in [("string", 1, "0.5"), ("number", 1, 0.3),
+                         ("nested", 1, [["0.1"]]),
+                         ("string-entry", 2, [0.1, "0.2"])]],
     # at an infinite slack every grid point ties; verify used to report a
     # missing oracle equilibrium (exit 1) instead. A grid is read where the
     # command has no use for it too
@@ -519,6 +527,32 @@ CONTRACT = {
         config_error("verify-trend-exponential", "verify",
                      dict(scenario=TVE, n_draws=1),
                      err="verify does not support TrendViewcountExponential"),
+        config_error("classify-trend-exponential", "classify",
+                     lin(scenario=TVE, params=EXP),
+                     err="classify does not support TrendViewcountExponential"),
+        config_error("unknown-scenario", "classify", lin(scenario="Linear"),
+                     err="unknown scenario 'Linear'; expected one of "
+                         "LinearFixedHorizon, "),
+        config_error("surface-negative-alpha", "surface", lin(alpha=-0.5),
+                     err="alpha must be finite and nonnegative"),
+        config_error("simulate-mode", "simulate", dyn() | {"mode": "walk"},
+                     err="mode must be 'views' or 'dynamics'"),
+        config_error("simulate-views-without-quality", "simulate",
+                     {k: v for k, v in dict(VIEWS, sim=SIM).items()
+                      if k != "quality"},
+                     err="views mode needs alpha and quality"),
+        config_error("simulate-dynamics-without-belief", "simulate",
+                     {k: v for k, v in dyn().items() if k != "belief"},
+                     err="dynamics mode needs a belief"),
+        # the last --config wins: a directory, and a file that is not JSON
+        config_error("config-unreadable", "classify", {},
+                     err="cannot read config: ", flags=("--config", ".")),
+        config_error("config-not-json", "classify", {},
+                     err="config is not valid JSON: ",
+                     flags=("--config", __file__)),
+        # the flag overrides the config's scenario
+        call("best-response-scenario-flag", "best-response", lin(alpha=0.5),
+             json_at("scenario", SI), flags=("--scenario", SI)),
         # every key is read, whether or not the command or its mode uses it
         config_error("classify-grid-n_beta-unused", "classify",
                      lin(grid={"n_beta": "x"})),
@@ -550,30 +584,53 @@ CONTRACT = {
         call("simulate-n_push_pool-without-n_pool", "simulate",
              dict(VIEWS, params=dict(LIN, lambda_pu=110.0), sim=SIM),
              rc=EXIT_NUMERIC, err="numeric error: .* n_pool is None"),
-        # overflowing rates exit 1: the Python ** of lam_pu^2, (lam tau)^2 or
-        # (pi_G/lam_G)^2 raised OverflowError, and a cap past the largest
-        # double wrote inf and NaN rows (the grid best response IndexError)
+        # overflowing rates exit 1: a square of lam_pu, lam tau or pi_G/d_G
+        # past the largest double names that quantity (Python's ** raised a
+        # bare OverflowError), and a cap past the largest double wrote inf
+        # and NaN rows (the grid best response IndexError)
         *[call(f"{command}-overflow-{id}", command, dict(
             scenario=s, params=params, belief={"pi_g": 0.6, "pi_b": 0.4},
             **({"oracle_check": True} if command == "classify"
                else {"alpha": 0.5})), rc=EXIT_NUMERIC,
-               err="numeric error: ")
-          for id, s, params, commands in [
+               err=re.escape(f"numeric error: {square}"))
+          for id, s, params, commands, square in [
               ("trend-linear-pull", "TrendViewcountLinear",
-               dict(LIN, lambda_pu=1e155), ALL),
-              ("side-info-tau", SI, dict(LIN, tau=1e300), ALL),
+               dict(LIN, lambda_pu=1e155), ALL,
+               "the square of lambda_pu = 1e+155 overflows a double\n"),
+              ("side-info-tau", SI, dict(LIN, tau=1e300), ALL,
+               "the square of lambda_ps*tau = 1e+299 overflows a double\n"),
               ("side-info-rates", SI,
-               dict(LIN, lambda_ps_g=1e-300, lambda_ps_b=5e-301), "classify"),
+               dict(LIN, lambda_ps_g=1e-300, lambda_ps_b=5e-301), "classify",
+               "the square of pi_G/d_G = 6e+299 overflows a double\n"),
               *[(tag, s, dict(PARAMS[s], lambda_pu=1e300, tau=1e10, **extra),
-                 ALL) for tag, s, extra in [
+                 ALL, "") for tag, s, extra in [
                   ("linear-cap", "LinearFixedHorizon", {}),
                   ("exp-cap", "ExponentialFixedHorizon", {}),
                   ("vh-cap", "VariableHorizon", {"gamma_th": 2e300})]],
               ("trend-exp-cap", TVE, dict(EXP, lambda_pu=1e155, tau=10.0),
-               "surface best-response")]
+               "surface best-response", "")]
           for command in commands.split()],
         call("verify-rerun", "verify",
              dict(scenario="VariableHorizon", n_draws=4, seed=11)),
+        # the saturated-pool gap of ExponentialFixedHorizon (ROADMAP): the
+        # oracle refuses the printed set, and no report is written
+        call("classify-oracle-check-fails", "classify", dict(
+            scenario="ExponentialFixedHorizon", params=dict(
+                EXP, lambda_ps_g=0.2, lambda_ps_b=0.1, lambda_pu=240.0,
+                tau=300.0), belief={"pi_g": 0.3, "pi_b": 0.7},
+            oracle_check=True), rc=EXIT_NUMERIC,
+             err=re.escape("oracle check failed: classified point 1000 is not "
+                           "a grid best response (gap 0.000666)\n")),
+        # the look-ahead game's rows carry its pull-rate singularity,
+        # pi_B (lam_G - lam_B)/(pi_G - pi_B) - lam_B, null for a uniform
+        # belief
+        *[call(f"classify-side-info-sweep-{id}", "classify", lin(
+            scenario=SI, belief=belief, sweep_lambda_pu=[0.5, 2.0]),
+               json_at("sweep.0.lambda_pu_s", want),
+               json_at("sweep.1.lambda_pu_s", want))
+          for id, belief, want in [
+              ("singular-rate", BELIEF, pytest.approx(-0.275, rel=1e-12)),
+              ("uniform-belief", {"pi_g": 0.5, "pi_b": 0.5}, None)]],
         # the ordinary grid steps over a smooth peak on these two families;
         # the strict completeness re-test decides them on finer rows
         *[call(f"classify-vh-grid-gap-{seed}", "classify", _vh_gap(seed),

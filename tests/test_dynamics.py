@@ -27,10 +27,8 @@ from pushpull import (
     Scenario,
     activation_time,
     beta_tau,
-    crossing_time,
     crossing_time_raw,
     horizon_window,
-    metric_value,
     sample_trajectory,
     strategy_cap,
     viewcount,
@@ -171,6 +169,12 @@ def _look_ahead_at_lifetime(q, alpha, p):
     return 0.5 * (x2 - (math.sqrt(x2) + pull) ** 2)
 
 
+def _look_ahead(t, q, alpha, p):
+    # the look-ahead value ((lam tau)^2 - X(t)^2)/2 of the viewcount X
+    x = viewcount(t, q, alpha, p, LIN, SI)
+    return 0.5 * ((p.lambda_ps(q) * p.tau) ** 2 - x * x)
+
+
 def test_side_information_metric_vanishes_at_lifetime():
     # pull views carry X(tau) past lam*tau and the metric below 0; it
     # vanishes at tau when the population never pulls
@@ -178,34 +182,42 @@ def test_side_information_metric_vanishes_at_lifetime():
     p_no_pull = ModelParams(0.2, 0.1, 0.0, 10.0)
     for q in Quality:
         y0 = 0.5 * (p.lambda_ps(q) * p.tau) ** 2
-        y = metric_value(p.tau, q, 0.5, p, LIN, SI)
+        y = _look_ahead(p.tau, q, 0.5, p)
         assert y < 0.0
         assert y == pytest.approx(_look_ahead_at_lifetime(q, 0.5, p),
                                   rel=1e-12)
         for pp, alpha in ((p_no_pull, 0.5), (p, 1.2 * y0)):
-            assert metric_value(pp.tau, q, alpha, pp, LIN, SI) == \
+            assert _look_ahead(pp.tau, q, alpha, pp) == \
                 pytest.approx(0.0, abs=1e-12)
 
 
 def test_plain_metric_is_the_viewcount():
+    # the passage of X(t) is t, and the largest level met is X(tau)
     p = ModelParams(0.2, 0.1, 1.0, 10.0)
     for t in (0.0, 1.5, 7.0, 10.0):
-        assert metric_value(t, Quality.GOOD, 0.7, p, LIN, PLAIN) == \
-            viewcount(t, Quality.GOOD, 0.7, p, LIN)
+        x = viewcount(t, Quality.GOOD, 0.7, p, LIN)
+        assert crossing_time_raw(x, Quality.GOOD, 0.7, p, LIN, PLAIN) == \
+            pytest.approx(t, rel=1e-12)
+    assert beta_tau(Quality.GOOD, 0.7, p, LIN, PLAIN) == \
+        viewcount(p.tau, Quality.GOOD, 0.7, p, LIN)
 
 
 def test_trend_times_viewcount_below_activation():
+    # before activation Xdot*X is the push-only lam n e^{-lam t} n (1 -
+    # e^{-lam t}), which rises until ln 2/lam: its level at t = 2 is met
+    # at 2
     p = ModelParams(0.1, 0.05, 1.0, 10.0, n_pool=1000.0)
-    got = metric_value(2.0, Quality.GOOD, INF, p, EXP, TV)
     e = math.exp(-0.2)
-    assert got == pytest.approx(100.0 * e * 1000.0 * (1.0 - e), rel=1e-12)
+    y = 100.0 * e * 1000.0 * (1.0 - e)
+    assert crossing_time_raw(y, Quality.GOOD, INF, p, EXP, TV) == \
+        pytest.approx(2.0, rel=1e-12)
     # independent check: centered finite difference for xdot
     h = 1e-6
     x_hi = viewcount(2.0 + h, Quality.GOOD, INF, p, EXP)
     x_lo = viewcount(2.0 - h, Quality.GOOD, INF, p, EXP)
     xdot = (x_hi - x_lo) / (2.0 * h)
     x = viewcount(2.0, Quality.GOOD, INF, p, EXP)
-    assert got == pytest.approx(xdot * x, rel=1e-8)
+    assert y == pytest.approx(xdot * x, rel=1e-8)
 
 
 def test_linear_crossings_past_alpha_invert_the_metric():
@@ -250,31 +262,35 @@ def test_linear_crossings_past_alpha_invert_the_metric():
 def test_crossing_time_at_zero_threshold():
     p = ModelParams(0.2, 0.1, 1.0, 10.0)
     for push, pp in ((LIN, p), (EXP, FIG_PARAMS)):
-        assert crossing_time(0.0, Quality.BAD, 3.0, pp, push, PLAIN) == 0.0
+        assert crossing_time_raw(0.0, Quality.BAD, 3.0, pp, push, PLAIN) \
+            == 0.0
 
 
 def test_linear_crossing_is_inverse_rate():
     p = ModelParams(0.2, 0.1, 1.0, 1000.0)
-    t = crossing_time(50.0, Quality.BAD, INF, p, LIN, PLAIN)
+    t = crossing_time_raw(50.0, Quality.BAD, INF, p, LIN, PLAIN)
     assert t == pytest.approx(500.0, rel=1e-12)
 
 
 def test_crossing_unreachable_is_infinite():
     p = ModelParams(0.2, 0.1, 0.0, 10.0)
     # lambda_ps(B) * tau = 1, so 50 views never happen in this lifetime
-    assert crossing_time(50.0, Quality.BAD, INF, p, LIN, PLAIN) == INF
+    assert crossing_time_raw(50.0, Quality.BAD, INF, p, LIN, PLAIN) > p.tau
+    # and push alone never fills more than its pool
+    assert crossing_time_raw(1500.0, Quality.BAD, INF, FIG_PARAMS, EXP,
+                             PLAIN) == INF
 
 
 def test_crossing_rejects_negative_threshold():
     p = ModelParams(0.2, 0.1, 0.0, 10.0)
     with pytest.raises(DynamicsError):
-        crossing_time(-1.0, Quality.BAD, INF, p, LIN, PLAIN)
+        crossing_time_raw(-1.0, Quality.BAD, INF, p, LIN, PLAIN)
 
 
 def test_saturating_crossing_matches_root_finding():
     # threshold above the activation level, so the Lambert branch is used
     p, alpha, beta = FIG_PARAMS, 400.0, 700.0
-    t = crossing_time(beta, Quality.GOOD, alpha, p, EXP, PLAIN)
+    t = crossing_time_raw(beta, Quality.GOOD, alpha, p, EXP, PLAIN)
     f = lambda s: viewcount(s, Quality.GOOD, alpha, p, EXP) - beta
     t_a = activation_time(alpha, Quality.GOOD, p, EXP, PLAIN)
     ref = scipy.optimize.brentq(f, t_a, p.tau, xtol=1e-13)
@@ -313,7 +329,7 @@ def test_beta_tau_round_trips_through_crossing():
     cap = beta_tau(Quality.BAD, 400.0, FIG_PARAMS, EXP, PLAIN)
     # bad content never reaches 400 views, so the cap is the push plateau
     assert cap == pytest.approx(1000.0 * (1.0 - math.exp(-0.1)), rel=1e-12)
-    t = crossing_time(cap, Quality.BAD, 400.0, FIG_PARAMS, EXP, PLAIN)
+    t = crossing_time_raw(cap, Quality.BAD, 400.0, FIG_PARAMS, EXP, PLAIN)
     assert t == pytest.approx(FIG_PARAMS.tau, rel=1e-9)
 
 
@@ -399,7 +415,7 @@ def test_crossing_monotone_in_threshold(draw, push):
     alpha = afrac * 1000.0
     cap = beta_tau(Quality.GOOD, alpha, p, push, PLAIN)
     betas = np.linspace(0.0, 1.2 * cap + 1.0, 41)
-    ts = [crossing_time(float(b), Quality.GOOD, alpha, p, push, PLAIN)
+    ts = [crossing_time_raw(float(b), Quality.GOOD, alpha, p, push, PLAIN)
           for b in betas]
     finite = [t for t in ts if math.isfinite(t)]
     assert np.all(np.diff(finite) >= -1e-9)
@@ -428,7 +444,7 @@ def test_pull_rate_invisible_before_activation(draw, push):
 def test_side_information_metric_decreases():
     p = ModelParams(0.2, 0.1, 1.0, 10.0)
     ts = np.linspace(0.0, p.tau, 50)
-    ys = [metric_value(float(t), Quality.GOOD, 0.6, p, LIN, SI) for t in ts]
+    ys = [_look_ahead(float(t), Quality.GOOD, 0.6, p) for t in ts]
     assert np.all(np.diff(ys) <= 1e-12)
     assert ys[0] == pytest.approx(2.0, rel=1e-12)
     assert ys[-1] == pytest.approx(
@@ -449,7 +465,7 @@ def test_closed_form_crossings_match_bisection():
         q = Quality.GOOD if rng.random() < 0.5 else Quality.BAD
         cap = beta_tau(q, alpha, p, push, PLAIN)
         beta = rng.uniform(0.0, cap)
-        t = crossing_time(beta, q, alpha, p, push, PLAIN)
+        t = crossing_time_raw(beta, q, alpha, p, push, PLAIN)
         f = lambda s: viewcount(s, q, alpha, p, push) - beta
         ref = scipy.optimize.brentq(f, 0.0, tau, xtol=1e-13)
         assert t == pytest.approx(ref, rel=1e-9, abs=1e-9)
@@ -460,9 +476,7 @@ def test_closed_form_crossings_match_bisection():
 def test_trajectory_shape_and_monotonicity():
     tr = sample_trajectory(Quality.GOOD, 400.0, FIG_PARAMS, EXP,
                            n_samples=2000)
-    t = np.array([s[0] for s in tr.samples])
-    x = np.array([s[1] for s in tr.samples])
-    xd = np.array([s[2] for s in tr.samples])
+    t, x, xd = tr.t, tr.x, tr.xdot
     assert np.all(np.diff(t) > 0)
     assert t[0] == 0.0 and x[0] == 0.0
     assert np.all(np.diff(x) >= -1e-9)
@@ -497,7 +511,7 @@ def test_trajectory_csv_format(tmp_path):
     text = out.read_text()
     lines = text.splitlines()
     assert lines[0] == "t,x,xdot"
-    assert len(lines) == 1 + len(tr.samples)
+    assert len(lines) == 1 + tr.t.size
     assert "\r" not in text
     row = lines[1].split(",")
     assert len(row) == 3
@@ -656,14 +670,6 @@ def test_params_reject_non_finite_values(field, bad):
     ModelParams(**ok)
     with pytest.raises(DynamicsError, match=field):
         ModelParams(**dict(ok, **{field: bad}))
-
-
-def test_metric_value_requires_time_in_lifetime():
-    p = ModelParams(0.2, 0.1, 1.0, 10.0)
-    with pytest.raises(DynamicsError):
-        metric_value(10.5, Quality.GOOD, 0.5, p, LIN, PLAIN)
-    with pytest.raises(DynamicsError):
-        metric_value(-0.5, Quality.GOOD, 0.5, p, LIN, PLAIN)
 
 
 # -- trend*viewcount under saturating push ------------------------------------
@@ -1018,10 +1024,8 @@ def test_look_ahead_metric_rejects_saturating_push():
         calls = (
             lambda: activation_time(1.0, q, p, EXP, SI),
             lambda: crossing_time_raw(1.0, q, 1.0, p, EXP, SI),
-            lambda: crossing_time(1.0, q, 1.0, p, EXP, SI),
             lambda: beta_tau(q, 1.0, p, EXP, SI),
             lambda: viewcount(1.0, q, 1.0, p, EXP, SI),
-            lambda: metric_value(1.0, q, 1.0, p, EXP, SI),
             lambda: sample_trajectory(q, 1.0, p, EXP, SI, n_samples=11))
         for call in calls:
             with pytest.raises(DynamicsError):
@@ -1043,9 +1047,7 @@ def test_linear_trend_is_activation_only():
             lambda: crossings(np.ones(2), np.ones(2), [p.lambda_ps(q)], p,
                               LIN, TV),
             lambda: crossing_time_raw(1.0, q, 0.5, p, LIN, TV),
-            lambda: crossing_time(1.0, q, 0.5, p, LIN, TV),
-            lambda: beta_tau(q, 0.5, p, LIN, TV),
-            lambda: metric_value(1.0, q, 0.5, p, LIN, TV))
+            lambda: beta_tau(q, 0.5, p, LIN, TV))
         for call in calls:
             with pytest.raises(DynamicsError, match="reduce_scenario"):
                 call()
@@ -1079,17 +1081,17 @@ _SAT_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0)
     pytest.param(lambda x, s, p: viewcount(
         3.0, Quality.GOOD, x, p, s.push, s.metric), False,
         id="viewcount-alpha"),
-    pytest.param(lambda x, s, p: metric_value(
-        3.0, Quality.GOOD, x, p, s.push, s.metric), True, id="metric_value"),
+    pytest.param(lambda x, s, p: crossing_time_raw(
+        x, Quality.GOOD, 1.0, p, s.push, s.metric), True,
+        id="crossing_time_raw"),
     pytest.param(lambda x, s, p: beta_tau(
         Quality.BAD, x, p, s.push, s.metric), True, id="beta_tau"),
     pytest.param(lambda x, s, p: strategy_cap(x, p, s), False,
                  id="strategy_cap"),
 ])
 def test_list_input_equals_array_input(call, past_alpha):
-    # elementwise entry points take any array-like, as crossing_time_raw
-    # and utility do; those reading the metric past alpha refuse linear
-    # Xdot*X on either
+    # elementwise entry points take any array-like, as utility does;
+    # those reading the metric past alpha refuse linear Xdot*X on either
     for s in Scenario:
         p = (_SAT_P if s.push is EXP else ModelParams(0.2, 0.1, 1.0, 10.0))
         if past_alpha and s is Scenario.TREND_VIEWCOUNT_LINEAR:

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from pushpull import (
     Belief,
+    BestResponse,
+    BestResponseKind,
     EquilibriumError,
     EquilibriumKind,
+    EquilibriumSet,
     GridSpec,
     InfiniteHorizonError,
     ModelParams,
@@ -29,6 +32,7 @@ from pushpull import (
     symmetric_cap,
     utility,
 )
+from pushpull.cli import _draw_model
 from pushpull.equilibrium import pull_ratio
 from pushpull.utility import reduce_scenario
 
@@ -377,6 +381,38 @@ def test_equilibrium_set_membership_and_dict():
     es2 = classify_exponential(Belief(0.4, 0.6), EXP_P)
     assert es2.contains(EXP_CAP, 1e-9)
     assert not es2.contains(0.0, 1e-9)
+
+
+@pytest.mark.parametrize("made, kind", [
+    pytest.param(*row[1:], id=row[0]) for row in [
+        ("empty", EquilibriumSet(case="endpoint-regime"),
+         EquilibriumKind.EMPTY),
+        ("points", EquilibriumSet(points=(0.0, 1.0)),
+         EquilibriumKind.FINITE_POINTS),
+        ("interval", EquilibriumSet(points=(0.0,), intervals=((0.5, 1.0),)),
+         EquilibriumKind.INTERVAL),
+        ("point", BestResponse((0.5,), (), 1.0), BestResponseKind.POINT),
+        ("pair", BestResponse((0.0, 1.0), (), 1.0),
+         BestResponseKind.EXTREMAL_PAIR),
+        ("three-values", BestResponse((0.0, 0.5, 1.0), (), 1.0),
+         BestResponseKind.INTERVAL_OF_OPTIMA),
+        ("segment", BestResponse((0.0, 1.0), ((0.0, 1.0),), 1.0),
+         BestResponseKind.INTERVAL_OF_OPTIMA)]])
+def test_a_set_kind_is_read_off_the_set(made, kind):
+    assert made.kind is kind
+    assert made.as_dict()["kind"] == kind.value
+
+
+@pytest.mark.parametrize("point", [-0.01, math.nan])
+@pytest.mark.parametrize("s", [s for s in Scenario
+                               if s is not Scenario.TREND_VIEWCOUNT_EXPONENTIAL])
+def test_verdict_fails_a_point_outside_the_strategy_space(s, point):
+    # a negative or NaN point has no cap: the verdict says so, where the
+    # cap it had evaluated first raised instead
+    b, p = _draw_model(s, np.random.default_rng(0))
+    eq = EquilibriumSet(points=(point,))
+    assert check_equilibrium_set(eq, b, p, s, GridSpec()) == \
+        f"classified point {point:.6g} lies outside its strategy space"
 
 
 def test_report_is_json_ready_and_complete():

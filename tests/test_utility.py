@@ -13,6 +13,7 @@ from pushpull.utility import (reduce_scenario, side_info_branch_candidates,
 from pushpull import (
     Belief,
     BestResponseKind,
+    DynamicsError,
     GridSpec,
     ModelParams,
     MetricKind,
@@ -24,7 +25,7 @@ from pushpull import (
     best_response_exponential,
     best_response_linear,
     best_response_side_info,
-    crossing_time,
+    beta_tau,
     crossing_time_raw,
     viewcount,
     grid_best_response,
@@ -76,10 +77,10 @@ def test_certain_good_belief_drops_the_cost_term():
         alpha = 0.4 * strategy_cap(INF, p, s)
         for frac in (0.0, 0.3, 0.9):
             beta = frac * strategy_cap(alpha, p, s)
-            t_g = crossing_time(beta, Quality.GOOD, alpha, p,
-                                PushKind.LINEAR if s is LIN_S else
-                                PushKind.EXPONENTIAL_SATURATING,
-                                MetricKind.PLAIN_VIEWCOUNT)
+            t_g = crossing_time_raw(beta, Quality.GOOD, alpha, p,
+                                    PushKind.LINEAR if s is LIN_S else
+                                    PushKind.EXPONENTIAL_SATURATING,
+                                    MetricKind.PLAIN_VIEWCOUNT)
             want = max(p.tau - t_g, 0.0)
             assert utility(alpha, beta, b, p, s) == pytest.approx(want, abs=1e-12)
 
@@ -105,6 +106,57 @@ def test_utility_rejects_out_of_range_thresholds():
         utility(0.5, -0.1, b, p, LIN_S)
 
 
+_LIN_P = ModelParams(0.2, 0.1, 1.0, 10.0)
+_SAT_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0)
+_B = Belief(0.6, 0.4)
+_Q = Quality.GOOD
+_LIN, _PLAIN = PushKind.LINEAR, MetricKind.PLAIN_VIEWCOUNT
+# every front that takes a threshold or a time x, with the error it raises
+_FRONTS = [
+    (UtilityError, lambda x: utility(x, 0.5, _B, _LIN_P, LIN_S), "utility"),
+    (UtilityError, lambda x: utility(0.5, x, _B, _LIN_P, LIN_S,
+                                     enforce_cap=False), "utility-beta"),
+    (UtilityError, lambda x: utility_terms(x, 0.5, _LIN_P, LIN_S),
+     "utility_terms"),
+    (UtilityError, lambda x: utility_terms(0.5, x, _LIN_P, LIN_S),
+     "utility_terms-beta"),
+    *[(DynamicsError,
+       lambda x, s=s: strategy_cap(
+           x, _SAT_P if s.push is PushKind.EXPONENTIAL_SATURATING else _LIN_P,
+           s), f"strategy_cap-{s.value}") for s in Scenario],
+    (DynamicsError, lambda x: activation_time(x, _Q, _LIN_P, _LIN, _PLAIN),
+     "activation_time"),
+    (DynamicsError, lambda x: viewcount(1.0, _Q, x, _LIN_P, _LIN),
+     "viewcount"),
+    (DynamicsError, lambda x: viewcount(x, _Q, 0.5, _LIN_P, _LIN),
+     "viewcount-t"),
+    (DynamicsError, lambda x: crossing_time_raw(0.5, _Q, x, _LIN_P, _LIN,
+                                                _PLAIN), "crossing_time_raw"),
+    (DynamicsError, lambda x: crossing_time_raw(x, _Q, 0.5, _LIN_P, _LIN,
+                                                _PLAIN),
+     "crossing_time_raw-beta"),
+    (DynamicsError, lambda x: beta_tau(_Q, x, _LIN_P, _LIN,
+                                       MetricKind.SIDE_INFORMATION),
+     "beta_tau-side-info"),
+]
+
+
+@pytest.mark.parametrize("error, call",
+                         [pytest.param(*f[:2], id=f[2]) for f in _FRONTS])
+def test_front_rejects_a_negative_or_nan_threshold(error, call):
+    # x >= 0 is false for both
+    for bad in (-1.0, math.nan, [0.5, math.nan]):
+        with pytest.raises(error, match="must be nonnegative"):
+            call(bad)
+
+
+@pytest.mark.parametrize("call", [pytest.param(f[1], id=f[2]) for f in _FRONTS
+                                  if not f[2].endswith(("-beta", "-t"))])
+def test_front_takes_an_infinite_population_threshold(call):
+    # alpha = INF is a level the population never meets: no pull
+    assert not np.isnan(call(INF)).any()
+
+
 def test_utility_at_cap_matches_boundary_form():
     # at beta = beta_tau(B) the bad term vanishes and only the good
     # quality still pays out
@@ -112,8 +164,8 @@ def test_utility_at_cap_matches_boundary_form():
     b = Belief(0.6, 0.4)
     alpha = 0.5
     cap = strategy_cap(alpha, p, LIN_S)
-    t_g = crossing_time(cap, Quality.GOOD, alpha, p, PushKind.LINEAR,
-                        MetricKind.PLAIN_VIEWCOUNT)
+    t_g = crossing_time_raw(cap, Quality.GOOD, alpha, p, PushKind.LINEAR,
+                            MetricKind.PLAIN_VIEWCOUNT)
     assert utility(alpha, cap, b, p, LIN_S) == \
         pytest.approx(b.pi_g * (p.tau - t_g), rel=1e-12)
 
@@ -144,6 +196,20 @@ def test_linear_best_response_last_case_is_cap():
     assert r.kind is BestResponseKind.POINT
     assert r.values == (strategy_cap(alpha, p, LIN_S),)
     assert r.values == (6.0,)
+
+
+@pytest.mark.parametrize("lpu, values, intervals", [
+    # pi_G/lam_G = pi_B/lam_B: U is flat below alpha and falls above it
+    (0.5, (0.0, 0.5), ((0.0, 0.5),)),
+    # without pull U is flat on the whole space: the flat pieces on
+    # either side of alpha join into one segment
+    (0.0, (0.0, 0.5, 1.0), ((0.0, 1.0),)),
+])
+def test_linear_tie_is_an_interval_of_optima(lpu, values, intervals):
+    p = ModelParams(0.375, 0.125, lpu, 8.0)
+    r = best_response_linear(0.5, Belief(0.75, 0.25), p)
+    assert r.kind is BestResponseKind.INTERVAL_OF_OPTIMA
+    assert (r.values, r.intervals, r.utility) == (values, intervals, 4.0)
 
 
 def test_linear_best_response_agrees_with_grid():
