@@ -184,6 +184,16 @@ _READERS = {
 }
 
 
+def _check_model(s: Scenario, p: ModelParams) -> None:
+    # the fields that are optional in ModelParams but not in s's model
+    needs = {"n_pool": s.push is PushKind.EXPONENTIAL_SATURATING,
+             "gamma_th": s is Scenario.VARIABLE_HORIZON}
+    missing = [k for k, v in needs.items() if v and getattr(p, k) is None]
+    if missing:
+        raise ConfigError(f"missing params field(s) for {s.value}: "
+                          + ", ".join(missing))
+
+
 def _load_config(args) -> dict:
     """The config with the flags applied, each key read by its _READERS
     entry, whether or not the command (or its mode) uses it."""
@@ -213,7 +223,10 @@ def _load_config(args) -> dict:
     _check_keys(cfg, required | set(cmd.optional.split()), required,
                 f"{args.command} config")
     # in _READERS order, so params are read before the sweep built on them
-    return {k: read(cfg) for k, read in _READERS.items() if k in cfg}
+    out = {k: read(cfg) for k, read in _READERS.items() if k in cfg}
+    if "params" in out:  # every command has a scenario
+        _check_model(out["scenario"], out["params"])
+    return out
 
 
 def _out_base(out: str) -> str:

@@ -638,16 +638,14 @@ def beta_tau(q: Quality, alpha, p: ModelParams,
     return _float_or_array(y)
 
 
-def horizon_window(q: Quality, p: ModelParams, push: PushKind) -> tuple:
-    """(tau0, tau1, x_th) for the trend-gated utility window.
+def horizon_window(q: Quality, p: ModelParams) -> tuple:
+    """(tau0, tau1, x_th) for the trend-gated window of saturating push.
 
     tau0 is when push-only growth alone would fall to gamma_th (clamped
     at 0), tau1 when growth including pull falls to it, and x_th the
-    viewcount at the gate. Requires saturating push and gamma_th > lambda_pu;
+    viewcount at the gate. Requires n_pool and gamma_th > lambda_pu;
     otherwise the window never closes.
     """
-    if push is not PushKind.EXPONENTIAL_SATURATING:
-        raise DynamicsError("horizon window applies to saturating push only")
     if p.gamma_th is None:
         raise DynamicsError("gamma_th is required for the horizon window")
     if p.gamma_th <= p.lambda_pu:
@@ -670,7 +668,7 @@ def sample_trajectory(q: Quality, alpha: float, p: ModelParams,
     pts = [np.linspace(0.0, p.tau, n_samples), list(ta.values())]
     if p.gamma_th is not None and push is PushKind.EXPONENTIAL_SATURATING \
             and p.gamma_th > p.lambda_pu:
-        pts.append(horizon_window(q, p, push)[:2])
+        pts.append(horizon_window(q, p)[:2])
     t = np.concatenate(pts)
     t = np.unique(t[(t >= 0.0) & (t <= p.tau)])
     return Trajectory(quality=q, alpha=alpha, t=t,

@@ -22,7 +22,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
-from .dynamics import Belief, ModelParams, PushKind, Quality, horizon_window
+from .dynamics import Belief, ModelParams, Quality, horizon_window
 from .utility import (
     Scenario,
     UtilityError,
@@ -229,9 +229,8 @@ def classify_variable_horizon(belief: Belief, p: ModelParams) -> EquilibriumSet:
     """
     if p.gamma_th is None:
         raise EquilibriumError("gamma_th is required for the variable horizon")
-    push = PushKind.EXPONENTIAL_SATURATING
-    _, t1g, _ = horizon_window(Quality.GOOD, p, push)
-    _, t1b, _ = horizon_window(Quality.BAD, p, push)
+    _, t1g, _ = horizon_window(Quality.GOOD, p)
+    _, t1b, _ = horizon_window(Quality.BAD, p)
     n = require_exp_hypotheses(p, EquilibriumError)
     t1b_eff = min(t1b, p.tau)
     if t1b_eff <= 0.0:

@@ -1,21 +1,23 @@
 """Brute-force grid oracle for best responses and symmetric equilibria.
 
 Everything here answers one question by exhaustive search: which grid
-thresholds come within a utility slack of the maximum. The closed-form
-layers are validated against these sweeps, never the other way around.
+thresholds come within a utility slack of the maximum: a fixed rule,
+_SLACK tau = 1e-6 tau, and 0.01 of it in the strict re-test below. The
+closed-form layers are validated against these sweeps, never the other
+way around.
 
 A sweep over many population thresholds alpha is one rectangular array
 of deviation rows (_rows) and one vectorized utility pass. Every alpha
 gets a row: n_beta evenly spaced thresholds on [0, cap(alpha)], or every
 stride-th of them and the cap, plus the row's own extra points (alpha
-itself, the VariableHorizon window kinks, and each discontinuity
-preimage with its +-eps neighbours). The caps and the extras are
-computed as columns, one elementwise call each over all alphas; where a
-row has no such point its column holds the own threshold min(alpha,
-cap), which the row has anyway. U(alpha_i, beta) is then evaluated over
-the array with alpha given per element; each row's maximum is a row
-maximum, which ignores repeated thresholds, and its own-threshold
-utility sits in one column.
+itself, the VariableHorizon window kinks of utility.window_kinks, and
+each discontinuity preimage with its +-eps neighbours). The caps and
+the extras are computed as columns, one elementwise call each over all
+alphas; where a row has no such point its column holds the own
+threshold min(alpha, cap), which the row has anyway. U(alpha_i, beta)
+is then evaluated over the array with alpha given per element; each
+row's maximum is a row maximum, which ignores repeated thresholds, and
+its own-threshold utility sits in one column.
 
 find_symmetric_equilibria decides the same rule without the full pass
 (decide_rows). Pass 1 evaluates, in one call of the kernel utility_terms,
@@ -45,17 +47,14 @@ direction by less than that.
 
 Every verdict of the oracle is a decide_rows verdict, and
 check_equilibrium_set gives the one verdict on a classified set: sound
-(every classified point is a fixed point at the soundness tol) and
-complete (no grid equilibrium outside the set). A stricter test is the
-same rule on a finer grid: its completeness re-test decides the missing
-alphas with n_beta = 16 (n_beta - 1) + 1, whose pass 1 lands on the
-ordinary grid's points (up to rounding) and whose pass 2 fills in 15
-points per interval only where the bound leaves the interval open, so a
-smooth peak between two grid points cannot hide.
-
-deviation_sweep stays the reference rule that decide_rows reproduces.
-It returns the row maxima themselves: check_equilibrium_set prints the
-gap of the first classified point that decide_rows rejects.
+(every classified point is a fixed point at the slack) and complete (no
+grid equilibrium outside the set). A stricter test is the same rule on
+a finer grid at a tighter slack: its completeness re-test decides the
+missing alphas at 0.01 of the slack with n_beta = 16 (n_beta - 1) + 1
+(_STRICT_REFINE), whose pass 1 lands on the ordinary grid's points (up
+to rounding) and whose pass 2 fills in 15 points per interval only
+where the bound leaves the interval open, so a smooth peak between two
+grid points cannot hide.
 
 The utilities come from utility.utility and utility.utility_terms, the
 same elementwise kernel the closed forms use, called with alpha per
@@ -65,20 +64,12 @@ its cap). The oracle searches; it adds no formula of its own.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .dynamics import (
-    Belief,
-    ModelParams,
-    PushKind,
-    Quality,
-    horizon_window,
-    viewcount,
-)
+from .dynamics import Belief, ModelParams
 from .equilibrium import EquilibriumSet
 from .utility import (
     Scenario,
@@ -87,22 +78,16 @@ from .utility import (
     symmetric_cap,
     utility,
     utility_terms,
+    window_kinks,
 )
-
-INF = math.inf
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution and slack for the exhaustive sweeps.
-
-    tol is in utility units (days of viewing); None means 1e-6 * tau,
-    resolved against the model the grid is used with.
-    """
+    """Resolution of the exhaustive sweeps; their slack is _SLACK."""
 
     n_beta: int = 201
     n_alpha: int = 101
-    tol: Optional[float] = None
 
     def __post_init__(self):
         if not all(isinstance(v, (int, np.integer))
@@ -112,30 +97,11 @@ class GridSpec:
             raise ValueError(f"n_beta={self.n_beta} must be at least 100")
         if self.n_alpha < 100:
             raise ValueError(f"n_alpha={self.n_alpha} must be at least 100")
-        if self.tol is not None and (isinstance(self.tol, bool)
-                                     or not 0.0 < self.tol < math.inf):
-            raise ValueError("tol must be a positive finite number")
-
-    def resolve_tol(self, p: ModelParams) -> float:
-        return self.tol if self.tol is not None else 1e-6 * p.tau
 
 
-def _window_kinks(alpha, p: ModelParams) -> list:
-    # levels where a trend window dies under the deviator's crossing
-    # dynamics: pure push for the tau0 terms, population-boosted for tau1.
-    # The deviation optimum sits exactly on these kinks, so a grid that
-    # skips them certifies false fixed points nearby. Elementwise in alpha.
-    push = PushKind.EXPONENTIAL_SATURATING
-    out = []
-    for q in (Quality.GOOD, Quality.BAD):
-        t0, t1, _ = horizon_window(q, p, push)
-        t0_eff = min(max(t0, 0.0), p.tau)
-        t1_eff = min(max(t1, 0.0), p.tau)
-        out.append(viewcount(t0_eff, q, INF, p, push))
-        out.append(viewcount(t1_eff, q, alpha, p, push))
-    return out
-
-
+# the slack of every fixed-point and best-response verdict, in utility
+# units (days of viewing) per unit of tau
+_SLACK = 1e-6
 # every _COARSE_STRIDE-th linspace point of a row is evaluated in pass 1
 # of decide_rows; the points between two of them are bounded first
 _COARSE_STRIDE = 16
@@ -151,7 +117,7 @@ def _row_extras(alphas, caps, p: ModelParams, s: Scenario) -> np.ndarray:
     eps = 1e-9 * np.maximum(caps, 1e-9)
     cols = [np.minimum(alphas, caps)]
     if s is Scenario.VARIABLE_HORIZON:
-        cols.extend(_window_kinks(alphas, p))
+        cols.extend(window_kinks(alphas, p))
     for d in discontinuity_preimages(alphas, p, s):
         cols.extend((d - eps, d, d + eps))
     return np.column_stack(np.broadcast_arrays(*cols))
@@ -191,10 +157,10 @@ def _rows(alphas, p: ModelParams, s: Scenario, n_beta: int,
 
 def grid_best_response(alpha: float, belief: Belief, p: ModelParams,
                        s: Scenario, g: GridSpec) -> np.ndarray:
-    """All grid thresholds within g.tol of the best achievable utility."""
+    """All grid thresholds within _SLACK tau of the best utility."""
     betas = np.unique(_rows([alpha], p, s, g.n_beta)[0])
     us = utility(alpha, betas, belief, p, s, enforce_cap=False)
-    return betas[us >= us.max() - g.resolve_tol(p)]
+    return betas[us >= us.max() - _SLACK * p.tau]
 
 
 def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
@@ -207,7 +173,7 @@ def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
     one utility call.
 
     It is the rule decide_rows decides with fewer evaluations, not a
-    second one: a stricter test is decide_rows on a finer GridSpec.
+    second one: a stricter test is decide_rows on finer rows.
     check_equilibrium_set uses it only to print the gap of a rejected
     point.
     """
@@ -221,8 +187,9 @@ def deviation_sweep(alphas, belief: Belief, p: ModelParams, s: Scenario,
 
 
 def decide_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,
-                g: GridSpec) -> np.ndarray:
-    """True where alphas[i] is a grid fixed point, own >= best - tol.
+                n_beta: int, tol: float) -> np.ndarray:
+    """True where alphas[i] is a fixed point on rows of n_beta linspace
+    points, own >= best - tol.
 
     The rule is deviation_sweep's, bit for bit: best is the largest
     U(alphas[i], beta) over the deviation row of _rows and own is
@@ -243,8 +210,7 @@ def decide_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
         return np.zeros(0, dtype=bool)
-    tol = g.resolve_tol(p)
-    pts, k = _rows(alphas, p, s, g.n_beta, _COARSE_STRIDE)
+    pts, k = _rows(alphas, p, s, n_beta, _COARSE_STRIDE)
     coarse, caps = pts[:, :k], pts[:, k - 1]
     gain, cost = (x.reshape(pts.shape) for x in utility_terms(
         np.repeat(alphas, pts.shape[1]), pts.ravel(), p, s))
@@ -266,11 +232,11 @@ def decide_rows(alphas, belief: Belief, p: ModelParams, s: Scenario,
     rows, m = np.nonzero(open_)
     # the linspace columns strictly inside each open interval
     cols = m[:, None] * _COARSE_STRIDE + np.arange(1, _COARSE_STRIDE)
-    inner = cols < g.n_beta - 1
+    inner = cols < n_beta - 1
     rows, cols = np.broadcast_to(rows[:, None], cols.shape)[inner], cols[inner]
     if rows.size:
         # the same product as _rows, so the same grid points
-        betas = cols * (caps / (g.n_beta - 1))[rows]
+        betas = cols * (caps / (n_beta - 1))[rows]
         gain, cost = utility_terms(alphas[rows], betas, p, s)
         np.maximum.at(best, rows, belief.pi_g * gain - belief.pi_b * cost)
     # pass 2 only raises best, so a row rejected in pass 1 stays rejected
@@ -287,10 +253,11 @@ def alpha_grid(p: ModelParams, s: Scenario, g: GridSpec) -> np.ndarray:
 
 def find_symmetric_equilibria(belief: Belief, p: ModelParams,
                               s: Scenario, g: GridSpec) -> np.ndarray:
-    """All grid alphas whose own threshold is within g.tol of optimal:
-    the rows decide_rows admits, exactly those of the full-grid rule."""
+    """The grid alphas whose own threshold is within _SLACK tau of
+    optimal: decide_rows' verdict, the full-grid rule's exactly."""
     alphas = alpha_grid(p, s, g)
-    return alphas[decide_rows(alphas, belief, p, s, g)]
+    return alphas[decide_rows(alphas, belief, p, s, g.n_beta,
+                              _SLACK * p.tau)]
 
 
 def _soundness_points(eq: EquilibriumSet) -> list:
@@ -311,30 +278,24 @@ def check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
     """None when the set is sound and complete, else a reason string.
 
     Sound: every classified point (interval points sampled at 5 each)
-    lies in its strategy space and is a fixed point at tol_sound =
-    max(tol, 1e-6 tau). Complete: every alpha_grid fixed point outside
-    the set, beyond 1.5 alpha spacings of it, fails the strict re-test.
+    lies in its strategy space and is a fixed point. Complete: every
+    alpha_grid fixed point outside the set, beyond 1.5 alpha spacings of
+    it, fails the strict re-test.
     """
-    tol_sound = max(g.resolve_tol(p), 1e-6 * p.tau)
+    tol = _SLACK * p.tau
     pts = np.array(_soundness_points(eq), dtype=float)
     # a negative or NaN point has no cap to be judged against
     inside = pts >= 0.0
     inside[inside] = pts[inside] <= strategy_cap(pts[inside], p, s) * (
         1.0 + 1e-9) + 1e-12
     # one row decision for the classified points and the candidates of
-    # find_symmetric_equilibria, at the grid's tol; a point admitted
-    # there is admitted at tol_sound >= tol too, so only the others are
-    # judged again
+    # find_symmetric_equilibria
     alphas = alpha_grid(p, s, g)
     n_in = np.count_nonzero(inside)
     admitted = decide_rows(np.concatenate([pts[inside], alphas]), belief, p,
-                           s, g)
+                           s, g.n_beta, tol)
     ok = inside.copy()
     ok[inside] = admitted[:n_in]
-    again = inside & ~ok
-    if again.any() and tol_sound > g.resolve_tol(p):
-        ok[again] = decide_rows(pts[again], belief, p, s,
-                                replace(g, tol=tol_sound))
     if not ok.all():
         i = int(np.argmin(ok))
         a = pts.tolist()[i]
@@ -347,12 +308,12 @@ def check_equilibrium_set(eq: EquilibriumSet, belief: Belief, p: ModelParams,
     tol_edge = 1.5 * (cap_a / (g.n_alpha - 1)) + 1e-9 * max(cap_a, 1.0)
     found = alphas[admitted[n_in:]]
     missing = [float(a) for a in found if not eq.contains(float(a), tol=tol_edge)]
-    # near an interval edge the grid tolerance admits near-fixed points;
-    # only a strict re-test makes it a completeness failure, on finer rows,
+    # near an interval edge the slack admits near-fixed points; only a
+    # strict re-test makes it a completeness failure, on finer rows,
     # since the grid's can step over a smooth peak
-    strict = replace(g, n_beta=_STRICT_REFINE * (g.n_beta - 1) + 1,
-                     tol=0.01 * tol_sound)
-    for a, fixed in zip(missing, decide_rows(missing, belief, p, s, strict)):
+    strict = decide_rows(missing, belief, p, s,
+                         _STRICT_REFINE * (g.n_beta - 1) + 1, 0.01 * tol)
+    for a, fixed in zip(missing, strict):
         if fixed:
             return f"oracle equilibrium {a:.6g} missing from the set"
     return None

@@ -196,10 +196,9 @@ def symmetric_cap(p: ModelParams, s: Scenario) -> float:
     Above these caps a candidate exceeds its own strategy space.
     """
     if s is Scenario.VARIABLE_HORIZON:
-        push = PushKind.EXPONENTIAL_SATURATING
-        _, t1b, _ = horizon_window(Quality.BAD, p, push)
-        t_end = min(max(t1b, 0.0), p.tau)
-        return viewcount(t_end, Quality.BAD, INF, p, push)
+        t_end = _window_end(horizon_window(Quality.BAD, p)[1], p)
+        return viewcount(t_end, Quality.BAD, INF, p,
+                         PushKind.EXPONENTIAL_SATURATING)
     return strategy_cap(INF, p, s)
 
 
@@ -218,12 +217,31 @@ def _window_term(w, t):
     return np.where(np.isfinite(t), w - t, 0.0)
 
 
+def _window_end(t1: float, p: ModelParams) -> float:
+    return min(max(t1, 0.0), p.tau)  # where [0, t1] leaves the lifetime
+
+
+def window_kinks(alpha, p: ModelParams) -> list:
+    """Levels where a VariableHorizon window term dies, per quality: the
+    push-only viewcount at tau0 (below alpha) and the population-boosted
+    one at the window end (above it). Elementwise in alpha; the
+    deviation optimum can sit exactly on one, so the oracle's rows hold
+    them."""
+    push = PushKind.EXPONENTIAL_SATURATING
+    out = []
+    for q in (Quality.GOOD, Quality.BAD):
+        t0, t1, _ = horizon_window(q, p)
+        out.append(viewcount(min(t0, p.tau), q, INF, p, push))
+        out.append(viewcount(_window_end(t1, p), q, alpha, p, push))
+    return out
+
+
 def _variable_horizon_terms(alpha, beta, p):
     push = PushKind.EXPONENTIAL_SATURATING
     plain = MetricKind.PLAIN_VIEWCOUNT
     lams = (p.lambda_ps_g, p.lambda_ps_b)
-    w0g, t1g, xth_g = horizon_window(Quality.GOOD, p, push)
-    w0b, t1b, xth_b = horizon_window(Quality.BAD, p, push)
+    w0g, t1g, xth_g = horizon_window(Quality.GOOD, p)
+    w0b, t1b, xth_b = horizon_window(Quality.BAD, p)
     tb_g, tb_b = crossings(beta, alpha, lams, p, push, plain)
     ta_g, ta_b = (activation_time(alpha, q, p, push, plain)
                   for q in (Quality.GOOD, Quality.BAD))
@@ -274,6 +292,16 @@ def utility_terms(alpha, beta, p: ModelParams, s: Scenario):
     discontinuity_preimages it is monotone in beta (the grid oracle
     bounds whole intervals with that). Elementwise like utility, with no
     strategy-cap check.
+
+    Curvature lemmas, on each piece free of alpha, the cap, the
+    window_kinks levels and the zero of a (.)+ term. There each term is
+    c - t_beta or a constant, t_beta inverts the metric y(t), and
+    t_beta'' = -y''/y'^3 at t = t_beta. Both terms are straight in
+    LinearFixedHorizon and TrendViewcountLinear (y grows at a constant
+    rate), concave in ExponentialFixedHorizon and VariableHorizon
+    (saturating y rises ever more slowly) and convex in SideInformation
+    (the look-ahead value ((lam_q tau)^2 - X^2)/2 falls ever faster).
+    TrendViewcountExponential has none: Xdot*X rises, then falls.
     """
     alpha, beta = _thresholds(alpha, beta)
     p, s = reduce_scenario(p, s)

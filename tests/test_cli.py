@@ -16,6 +16,7 @@ from pushpull import (
     DynamicsResult,
     GridSpec,
     ModelParams,
+    NumericsError,
     Quality,
     Scenario,
     SimConfig,
@@ -36,7 +37,7 @@ from pushpull import (
 )
 from pushpull import dynamics
 from pushpull.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _draw_model, main
-from pushpull.oracle import _STRICT_REFINE
+from pushpull.oracle import _SLACK, _STRICT_REFINE
 
 CLOSED_FORM = [s.value for s in Scenario
                if s is not Scenario.TREND_VIEWCOUNT_EXPONENTIAL]
@@ -255,10 +256,10 @@ def test_verify_variable_horizon_seed_1045(seed):
     outside = [a for a in find_symmetric_equilibria(b, p, s, g).tolist()
                if not eq.contains(a, tol=tol_edge)]
     assert len(outside) == 2
-    tol_sound = max(g.resolve_tol(p), 1e-6 * p.tau)
-    strict = dataclasses.replace(g, n_beta=_STRICT_REFINE * (g.n_beta - 1) + 1,
-                                 tol=0.01 * tol_sound)
-    assert not decide_rows(outside, b, p, s, strict).any()
+    # the strict re-test: 0.01 of the slack, on finer rows
+    assert not decide_rows(outside, b, p, s,
+                           _STRICT_REFINE * (g.n_beta - 1) + 1,
+                           0.01 * _SLACK * p.tau).any()
     assert check_equilibrium_set(eq, b, p, s, g) is None
 
 
@@ -277,16 +278,28 @@ def test_variable_horizon_knife_edge_at_the_push_ratio(r):
         assert check_equilibrium_set(eq, b, p, s, GridSpec()) is None
 
 
+def test_draws_give_up_inside_the_side_information_band():
+    # a generator that always lands in the band verify leaves out: rho =
+    # 1.5 lies between 0.95 of the pull ratio 1.06 and 1.05 of the push
+    # ratio 1.82, so every family is drawn again until the draws run out
+    class InTheBand:
+        def uniform(self, lo, hi):
+            return 0.6 if (lo, hi) == (0.05, 0.95) else 0.5 * (lo + hi)
+
+    with pytest.raises(NumericsError, match="could not draw"):
+        _draw_model(Scenario.SIDE_INFORMATION, InTheBand())
+
+
 @pytest.mark.parametrize("shift, sound", [(1e-7, True), (1e-5, False)])
 def test_soundness_judges_at_its_own_tolerance(shift, sound):
     # the set is {0}; moved to `shift` its own payoff trails the row best
-    # by 3.5 shift, between the grid tol 1e-12 and the soundness tol
-    # 1e-6 tau = 1e-5 for the smaller shift, above both for the larger
+    # by 3.5 shift, below the slack 1e-6 tau = 1e-5 for the smaller shift
+    # and above it for the larger
     s, p, b = Scenario.LINEAR_FIXED_HORIZON, ModelParams(**LIN), Belief(0.9, 0.1)
     eq = classify(s, b, p)[0]
     assert eq.points == (0.0,)
     moved = dataclasses.replace(eq, points=(shift,))
-    reason = check_equilibrium_set(moved, b, p, s, GridSpec(tol=1e-12))
+    reason = check_equilibrium_set(moved, b, p, s, GridSpec())
     if sound:
         assert reason is None
     else:
@@ -428,6 +441,14 @@ DYNAMICS_FILES = {"out_snapshots.csv": "round,agent_id,threshold",
 ALL = "classify surface best-response"
 
 
+UNKNOWN_TOL = "unknown grid field(s): tol\n"
+
+
+def missing_model(scenario, fields):
+    return (f"missing params field(s) for {scenario}: "
+            + ", ".join(fields.split("-")) + "\n")
+
+
 def lin(**cfg):
     return {"params": LIN, "belief": BELIEF, **cfg}
 
@@ -455,13 +476,12 @@ CONTRACT = {
         ("verify-grid-n_alpha", "verify", {"grid": {"n_alpha": 150.5}}),
         ("trajectory-n_samples", "trajectory",
          dict(params=LIN, alpha=0.5, n_samples="x")),
-        # nor is it a rate, a threshold, a belief or a slack
+        # nor is it a rate, a threshold or a belief
         ("best-response-alpha-lambda_pu-bool", "best-response",
          lin(params=dict(LIN, lambda_pu=True), alpha=True)),
         ("best-response-alpha-bool", "best-response", lin(alpha=True)),
         ("classify-belief-bool", "classify",
          lin(belief=dict(pi_g=True, pi_b=False))),
-        ("verify-grid-tol-bool", "verify", {"grid": {"tol": True}}),
         ("classify-params", "classify", lin(params=dict(LIN, tau="x"))),
         ("classify-belief", "classify", lin(belief=dict(BELIEF, pi_g="x"))),
         ("classify-sweep-entry", "classify", lin(sweep_lambda_pu=["x"])),
@@ -492,6 +512,10 @@ CONTRACT = {
         ("simulate-thresholds-inf", "simulate",
          dyn(n_agents=3, initial_thresholds=[0.0, 0.5, INF])),
     ]] + [
+        # nor a slack, which is no grid field
+        config_error("verify-grid-tol-bool", "verify", {"grid": {"tol": True}},
+                     err=re.escape(UNKNOWN_TOL)),
+    ] + [
         # a flat list of real numbers only: each of these has as many
         # entries as agents once flattened and read by float()
         config_error(f"simulate-thresholds-{id}", "simulate",
@@ -499,11 +523,11 @@ CONTRACT = {
         for id, n, v in [("string", 1, "0.5"), ("number", 1, 0.3),
                          ("nested", 1, [["0.1"]]),
                          ("string-entry", 2, [0.1, "0.2"])]],
-    # at an infinite slack every grid point ties; verify used to report a
-    # missing oracle equilibrium (exit 1) instead. A grid is read where the
-    # command has no use for it too
+    # the slack is the oracle's rule, not a grid field: at an infinite
+    # one every grid point tied. A grid is read where the command has no
+    # use for it too
     "infinite_tol": [config_error(id, command, dict(
-        cfg, grid=dict(extra, tol=INF)), err="bad grid: ")
+        cfg, grid=dict(extra, tol=INF)), err=re.escape(UNKNOWN_TOL))
         for id, command, cfg, *extra in [
             ("verify", "verify", {"n_draws": 1}),
             ("classify", "classify", lin(oracle_check=True)),
@@ -581,9 +605,43 @@ CONTRACT = {
              dict(VIEWS, sim=dict(SIM, n_push_pool=10)), rc=EXIT_NUMERIC,
              err="numeric error: saturating push draws n_push_pool=10 pool "
                  "viewers, but the model's n_pool is 1000.0"),
-        call("simulate-n_push_pool-without-n_pool", "simulate",
-             dict(VIEWS, params=dict(LIN, lambda_pu=110.0), sim=SIM),
-             rc=EXIT_NUMERIC, err="numeric error: .* n_pool is None"),
+        # the model's and the simulators' own refusals
+        config_error("classify-zero-push-rate", "classify",
+                     lin(params=dict(LIN, lambda_ps_b=0.0)),
+                     err="bad params: push rates must be positive"),
+        config_error("simulate-n_push_pool-zero", "simulate",
+                     dyn(n_push_pool=0),
+                     err="bad sim: n_push_pool must be at least 1"),
+        config_error("simulate-thresholds-count", "simulate",
+                     dyn(n_agents=3, initial_thresholds=[0.1, 0.2]),
+                     err="bad sim: initial_thresholds has 2 entries for 3 "
+                         "agents"),
+        # a model field the scenario needs is a config field: saturating
+        # push needs the pool, VariableHorizon the trend threshold too
+        config_error("simulate-n_push_pool-without-n_pool", "simulate",
+                     dict(VIEWS, params=dict(LIN, lambda_pu=110.0), sim=SIM),
+                     err=re.escape(missing_model("ExponentialFixedHorizon",
+                                                 "n_pool"))),
+        *[config_error(f"{command}-{s}-without-{fields}", command,
+                       dict(cfg, scenario=s, params={
+                           k: v for k, v in VH.items()
+                           if k not in fields.split("-")}),
+                       err=re.escape(missing_model(s, fields)))
+          for command, s, fields, cfg in [
+              ("trajectory", "ExponentialFixedHorizon", "n_pool",
+               {"alpha": 50.0}),
+              ("trajectory", "VariableHorizon", "gamma_th", {"alpha": 50.0}),
+              ("surface", TVE, "n_pool", lin(alpha=50.0)),
+              ("surface", "VariableHorizon", "gamma_th", lin(alpha=50.0)),
+              ("best-response", "ExponentialFixedHorizon", "n_pool",
+               lin(alpha=50.0)),
+              ("best-response", "VariableHorizon", "gamma_th",
+               lin(alpha=50.0)),
+              ("classify", "VariableHorizon", "n_pool-gamma_th", lin()),
+              ("classify", "ExponentialFixedHorizon", "n_pool",
+               lin(sweep_lambda_pu=[110.0])),
+              ("simulate", "ExponentialFixedHorizon", "n_pool", dyn()),
+          ]],
         # overflowing rates exit 1: a square of lam_pu, lam tau or pi_G/d_G
         # past the largest double names that quantity (Python's ** raised a
         # bare OverflowError), and a cap past the largest double wrote inf

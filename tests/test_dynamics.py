@@ -337,7 +337,7 @@ def test_beta_tau_round_trips_through_crossing():
 
 def test_window_opens_at_birth_when_threshold_is_initial_trend():
     p = ModelParams(0.1, 0.05, 50.0, 10.0, n_pool=1000.0, gamma_th=100.0)
-    tau0, tau1, x_th = horizon_window(Quality.GOOD, p, EXP)
+    tau0, tau1, x_th = horizon_window(Quality.GOOD, p)
     assert tau0 == pytest.approx(0.0, abs=1e-12)
     assert tau1 > tau0
     assert x_th == pytest.approx(p.n_pool - p.gamma_th / p.lambda_ps_g)
@@ -345,13 +345,13 @@ def test_window_opens_at_birth_when_threshold_is_initial_trend():
 
 def test_window_degenerates_without_pull():
     p = ModelParams(0.1, 0.05, 0.0, 10.0, n_pool=1000.0, gamma_th=60.0)
-    tau0, tau1, _ = horizon_window(Quality.GOOD, p, EXP)
+    tau0, tau1, _ = horizon_window(Quality.GOOD, p)
     assert tau0 == pytest.approx(tau1, rel=1e-12)
 
 
 def test_window_close_solves_trend_equation():
     p = ModelParams(0.1, 0.05, 150.0, 8.0, n_pool=1000.0, gamma_th=160.0)
-    tau0, tau1, _ = horizon_window(Quality.GOOD, p, EXP)
+    tau0, tau1, _ = horizon_window(Quality.GOOD, p)
     # the content is born hot: raw tau0 would be negative, clamped at 0
     assert tau0 == 0.0
     assert tau1 == pytest.approx(math.log(10.0) / 0.1, rel=1e-12)
@@ -363,18 +363,20 @@ def test_window_close_solves_trend_equation():
 
 
 def test_window_requires_saturating_push_and_threshold():
-    p = ModelParams(0.1, 0.05, 150.0, 8.0, n_pool=1000.0, gamma_th=400.0)
-    with pytest.raises(DynamicsError):
-        horizon_window(Quality.GOOD, p, LIN)
+    # the window is a saturating-push notion: it takes no push kind, and
+    # needs the trend threshold and the pool
     p_no = ModelParams(0.1, 0.05, 150.0, 8.0, n_pool=1000.0)
-    with pytest.raises(DynamicsError):
-        horizon_window(Quality.GOOD, p_no, EXP)
+    with pytest.raises(DynamicsError, match="gamma_th is required"):
+        horizon_window(Quality.GOOD, p_no)
+    p_no = ModelParams(0.1, 0.05, 150.0, 8.0, gamma_th=400.0)
+    with pytest.raises(DynamicsError, match="requires n_pool"):
+        horizon_window(Quality.GOOD, p_no)
 
 
 def test_window_never_closes_when_pull_sustains_trend():
     p = ModelParams(0.1, 0.05, 150.0, 8.0, n_pool=1000.0, gamma_th=150.0)
     with pytest.raises(InfiniteHorizonError):
-        horizon_window(Quality.GOOD, p, EXP)
+        horizon_window(Quality.GOOD, p)
 
 
 # -- invariants ---------------------------------------------------------------
@@ -497,7 +499,7 @@ def test_trajectory_grid_is_the_sorted_union_of_its_points():
             pts = set(np.linspace(0.0, p.tau, 301).tolist())
             pts.update(activation_time(alpha, qq, p, EXP, metric)
                        for qq in Quality)
-            pts.update(horizon_window(q, p, EXP)[:2])
+            pts.update(horizon_window(q, p)[:2])
             ref = np.array(sorted(t for t in pts if 0.0 <= t <= p.tau))
             assert tr.t.tobytes() == ref.tobytes()
             assert tr.t.size > 301

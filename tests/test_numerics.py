@@ -263,6 +263,14 @@ def test_find_root_matches_brentq_on_monotone_brackets(family):
         assert abs(x - ref) <= tol or abs(f(x)) <= tol
 
 
+def test_find_root_arr_stops_at_its_iteration_cap():
+    # a sign step has no zero, and at tol 1e-300 neither stop (|f| <= tol,
+    # a bracket at most tol wide) comes within 200 halvings of [-1, 1]
+    with pytest.raises(NumericsError, match="iteration cap reached"):
+        find_root_arr(lambda t: np.where(t < 0.0, -1.0, 1.0), [-1.0], [1.0],
+                      1e-300)
+
+
 def test_find_root_arr_rejects_what_find_root_rejects():
     with pytest.raises(NumericsError, match="sign change"):
         find_root_arr(lambda t: t * t + 1.0, [-1.0, 0.0], [1.0, 1.0], 1e-9)

@@ -1,5 +1,6 @@
 """Brute-force grid oracle: batched evaluation, best responses, fixed points."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from pushpull import (
     activation_time,
     classify_exponential,
     classify_linear,
+    decide_rows,
     deviation_sweep,
     find_symmetric_equilibria,
     grid_best_response,
@@ -24,11 +26,13 @@ from pushpull import (
 )
 from pushpull import oracle
 from pushpull.cli import _draw_model
-from pushpull.oracle import _COARSE_STRIDE, _rows, _window_kinks
-from pushpull.utility import discontinuity_preimages, utility_terms
+from pushpull.oracle import _COARSE_STRIDE, _SLACK, _rows, alpha_grid
+from pushpull.utility import (discontinuity_preimages, utility_terms,
+                              window_kinks)
 
 INF = math.inf
 ALL_SCENARIOS = list(Scenario)
+LIN_S = Scenario.LINEAR_FIXED_HORIZON
 EXP_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0)
 VH_P = ModelParams(0.1, 0.05, 110.0, 8.0, n_pool=1000.0, gamma_th=140.0)
 
@@ -120,15 +124,20 @@ def test_grid_best_response_reports_all_ties():
 
 
 def test_grid_best_response_respects_tolerance():
+    # the set is every row threshold within the fixed slack 1e-6 tau of
+    # the row maximum: U peaks at alpha, and of the +-eps extras around
+    # it the one above trails by 2.5e-9, the one below by 1.3e-5
     p = ModelParams(0.1, 0.01, 150.0, 10.0)
     b = Belief(0.75, 0.25)
     s = Scenario.LINEAR_FIXED_HORIZON
     alpha = 0.05
-    tight = grid_best_response(alpha, b, p, s, GridSpec(tol=1e-12))
-    loose = grid_best_response(alpha, b, p, s, GridSpec(tol=1e6))
-    # at +inf tol every grid point ties, including injected knee/limit points
-    assert len(loose) == len(_grid(alpha, p, s, GridSpec().n_beta))
-    assert set(np.round(tight, 12)).issubset(set(np.round(loose, 12)))
+    g = GridSpec()
+    row = _grid(alpha, p, s, g.n_beta)
+    us = utility(alpha, row, b, p, s, enforce_cap=False)
+    got = grid_best_response(alpha, b, p, s, g)
+    assert got.tobytes() == row[us >= us.max() - 1e-6 * p.tau].tobytes()
+    eps = 1e-9 * strategy_cap(alpha, p, s)
+    assert got.tolist() == [alpha, pytest.approx(alpha + eps, rel=1e-15)]
 
 
 def test_gridspec_validates_resolution():
@@ -136,16 +145,25 @@ def test_gridspec_validates_resolution():
         GridSpec(n_beta=99)
     with pytest.raises(ValueError, match="n_alpha"):
         GridSpec(n_alpha=99)
-    p = ModelParams(0.1, 0.05, 1.0, 10.0)
-    assert GridSpec().resolve_tol(p) == pytest.approx(1e-5)
-    assert GridSpec(tol=0.5).resolve_tol(p) == 0.5
+    # the slack is the module's rule, not a field
+    assert [f.name for f in dataclasses.fields(GridSpec)] == ["n_beta",
+                                                             "n_alpha"]
+    assert _SLACK == 1e-6
 
 
 @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1.0, True])
 def test_gridspec_rejects_a_tol_that_is_not_positive_and_finite(tol):
-    # an infinite slack would make every grid point tie
-    with pytest.raises(ValueError, match="tol"):
+    # no slack is taken from a GridSpec, whatever its value: an infinite
+    # one made every grid point tie, and a smaller one was floored
+    with pytest.raises(TypeError, match="tol"):
         GridSpec(tol=tol)
+
+
+def test_sweeps_of_no_thresholds_are_empty():
+    p, b, g = params_for(LIN_S), Belief(0.6, 0.4), GridSpec()
+    best, own = deviation_sweep([], b, p, LIN_S, g)
+    assert best.shape == own.shape == (0,)
+    assert decide_rows([], b, p, LIN_S, g.n_beta, 1e-6).shape == (0,)
 
 
 def test_oracle_finds_the_full_linear_interval():
@@ -159,11 +177,18 @@ def test_oracle_finds_the_full_linear_interval():
     assert found[-1] == pytest.approx(0.1, rel=1e-12)
 
 
-def _full_grid_equilibria(belief, p, s, g):
-    # the decision rule without its two passes: every alpha gets its full row
-    alphas = np.linspace(0.0, symmetric_cap(p, s), g.n_alpha)
+def _full_grid_equilibria(belief, p, s, g, tol=None):
+    # the decision rule without its two passes: every alpha gets its full
+    # row; tol defaults to the slack of find_symmetric_equilibria
+    alphas = alpha_grid(p, s, g)
     best, own = deviation_sweep(alphas, belief, p, s, g)
-    return alphas[own >= best - g.resolve_tol(p)]
+    return alphas[own >= best - (_SLACK * p.tau if tol is None else tol)]
+
+
+def _decided(belief, p, s, g, tol):
+    # find_symmetric_equilibria at another slack
+    alphas = alpha_grid(p, s, g)
+    return alphas[decide_rows(alphas, belief, p, s, g.n_beta, tol)]
 
 
 def _families(s, n, seed):
@@ -190,10 +215,10 @@ SCREEN_GRIDS = (100, 201, 317)
 def test_screened_sweep_equals_the_full_grid_rule(s, tol):
     for n_beta in SCREEN_GRIDS:
         assert (n_beta - 1) % _COARSE_STRIDE != 0
-        g = GridSpec(n_beta=n_beta, tol=tol)
+        g = GridSpec(n_beta=n_beta)
         for belief, p in _families(s, 3, seed=1 + ALL_SCENARIOS.index(s)):
-            found = find_symmetric_equilibria(belief, p, s, g)
-            ref = _full_grid_equilibria(belief, p, s, g)
+            found = _decided(belief, p, s, g, tol)
+            ref = _full_grid_equilibria(belief, p, s, g, tol)
             assert found.tobytes() == ref.tobytes()
 
 
@@ -340,8 +365,8 @@ def test_certificate_needs_each_of_its_rules(rule, monkeypatch):
     # the slack below own + tol) admits rows the full grid rejects; the
     # rows at alpha 0 pay 0 against a hump or a rise inside [0, cap]
     s = Scenario.LINEAR_FIXED_HORIZON
-    p, b = params_for(s), Belief(0.75, 0.25)
-    g = GridSpec(tol=1e-12 if rule == "slack" else 1e-3)
+    p, b, g = params_for(s), Belief(0.75, 0.25), GridSpec()
+    tol = 1e-12 if rule == "slack" else 1e-3
     assert 1e-12 < 5e-12 < oracle._CERTIFY_SLACK * p.tau
 
     def terms(alpha, beta, p, s):
@@ -359,8 +384,8 @@ def test_certificate_needs_each_of_its_rules(rule, monkeypatch):
         monkeypatch.setattr(oracle, "discontinuity_preimages",
                             lambda a, p, s: (40 * (strategy_cap(a, p, s)
                                                    / (g.n_beta - 1)))[None])
-    found = find_symmetric_equilibria(b, p, s, g)
-    ref = _full_grid_equilibria(b, p, s, g)
+    found = _decided(b, p, s, g, tol)
+    ref = _full_grid_equilibria(b, p, s, g, tol)
     assert found.tobytes() == ref.tobytes()
     assert 0.0 not in ref
 
@@ -414,11 +439,11 @@ def test_oracle_is_deterministic():
 def test_oracle_confirms_upper_subinterval_band():
     # classified [knee, cap] band: grid fixed points stay inside it and
     # reach both ends at grid resolution.  The deviation gain vanishes
-    # quadratically at the knee, so the default utility slack would admit
-    # points a couple of grid steps below it; pin tol down instead.
+    # quadratically at the knee, so the fixed slack would admit points a
+    # couple of grid steps below it; decide the rows at 1e-9 instead.
     b = Belief(0.56, 0.44)
-    g = GridSpec(n_beta=401, n_alpha=201, tol=1e-9)
-    found = find_symmetric_equilibria(b, EXP_P, Scenario.EXPONENTIAL_FIXED_HORIZON, g)
+    g = GridSpec(n_beta=401, n_alpha=201)
+    found = _decided(b, EXP_P, Scenario.EXPONENTIAL_FIXED_HORIZON, g, 1e-9)
     (lo, hi), = classify_exponential(b, EXP_P).intervals
     spacing = symmetric_cap(EXP_P, Scenario.EXPONENTIAL_FIXED_HORIZON) / (g.n_alpha - 1)
     assert len(found) > 10
@@ -428,7 +453,7 @@ def test_oracle_confirms_upper_subinterval_band():
 
 def test_variable_horizon_beta_grid_contains_window_kinks():
     alpha = 150.0
-    kinks = _window_kinks(alpha, VH_P)
+    kinks = window_kinks(alpha, VH_P)
     betas = _grid(alpha, VH_P, Scenario.VARIABLE_HORIZON, 120)
     cap = strategy_cap(alpha, VH_P, Scenario.VARIABLE_HORIZON)
     for k in kinks:
@@ -456,7 +481,7 @@ def _scalar_row(alpha, p, s, n_beta):
     eps = 1e-9 * max(cap, 1e-9)
     extra = [min(alpha, cap)]
     if s is Scenario.VARIABLE_HORIZON:
-        extra.extend(_window_kinks(alpha, p))
+        extra.extend(window_kinks(alpha, p))
     for d in discontinuity_preimages(alpha, p, s).tolist():
         if not math.isnan(d):
             extra.extend((d - eps, d, d + eps))

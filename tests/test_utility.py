@@ -9,7 +9,7 @@ import scipy.special
 
 from pushpull.cli import _draw_model
 from pushpull.utility import (reduce_scenario, side_info_branch_candidates,
-                              utility_terms)
+                              utility_terms, window_kinks)
 from pushpull import (
     Belief,
     BestResponseKind,
@@ -414,8 +414,7 @@ def test_variable_horizon_rewards_only_inside_windows():
     p = ModelParams(0.1, 0.05, 60.0, 8.0, n_pool=1000.0, gamma_th=140.0)
     b = Belief(1.0, 0.0)
     alpha = 150.0
-    t0g, t1g, _ = horizon_window(Quality.GOOD, p,
-                                 PushKind.EXPONENTIAL_SATURATING)
+    t0g, t1g, _ = horizon_window(Quality.GOOD, p)
     assert t0g == 0.0 and t1g < p.tau
     # a threshold first met after the good window closes earns nothing
     beta_late = viewcount(t1g + 0.5, Quality.GOOD, alpha, p,
@@ -461,7 +460,7 @@ def test_variable_horizon_four_case_agreement_above_alpha():
         want = 0.0
         for q, sign, pi in ((Quality.GOOD, 1.0, b.pi_g),
                             (Quality.BAD, -1.0, b.pi_b)):
-            _, t1, _ = horizon_window(q, VH_PARAMS, push)
+            _, t1, _ = horizon_window(q, VH_PARAMS)
             tb = crossing_time_raw(beta, q, alpha, VH_PARAMS, push,
                                    MetricKind.PLAIN_VIEWCOUNT)
             want += sign * pi * max(t1 - tb, 0.0)
@@ -478,7 +477,7 @@ def test_symmetric_cap_matches_strategy_cap_on_fixed_horizons():
 
 def test_symmetric_cap_trimmed_by_early_window_close():
     p = ModelParams(0.1, 0.05, 100.0, 8.0, n_pool=1000.0, gamma_th=140.0)
-    _, t1b, _ = horizon_window(Quality.BAD, p, PushKind.EXPONENTIAL_SATURATING)
+    _, t1b, _ = horizon_window(Quality.BAD, p)
     assert t1b < p.tau
     got = symmetric_cap(p, Scenario.VARIABLE_HORIZON)
     assert got == pytest.approx(1000.0 * (1.0 - math.exp(-0.05 * t1b)), rel=1e-12)
@@ -486,8 +485,7 @@ def test_symmetric_cap_trimmed_by_early_window_close():
 
 
 def test_symmetric_cap_full_when_window_outlives_lifetime():
-    _, t1b, _ = horizon_window(Quality.BAD, VH_PARAMS,
-                               PushKind.EXPONENTIAL_SATURATING)
+    _, t1b, _ = horizon_window(Quality.BAD, VH_PARAMS)
     assert t1b > VH_PARAMS.tau
     assert symmetric_cap(VH_PARAMS, Scenario.VARIABLE_HORIZON) == \
         pytest.approx(strategy_cap(INF, VH_PARAMS, Scenario.VARIABLE_HORIZON),
@@ -573,7 +571,65 @@ def test_side_info_pull_premium_sign():
     assert side_info_lambda_pu_s(Belief(0.9, 0.1), p) <= 0.0
 
 
+# -- curvature lemmas ----------------------------------------------------------
+#
+# The sign of the second derivative in beta that each lemma of the
+# utility_terms docstring gives both terms on a piece: -1 concave, +1
+# convex, 0 straight. TrendViewcountExponential has none: both signs occur.
+CURVATURE = {LIN_S: 0, Scenario.TREND_VIEWCOUNT_LINEAR: 0, EXP_S: -1,
+             Scenario.VARIABLE_HORIZON: -1, Scenario.SIDE_INFORMATION: 1}
+# a second difference may take the wrong sign by this much times tau, the
+# rounding of three terms of size tau
+CURVATURE_SLACK = 1e-12
+
+
+def _second_differences(alpha, p, s, n):
+    """Second differences of gain and cost over n points of [0, cap],
+    each on a stencil that lies inside one piece of its term."""
+    cap = strategy_cap(alpha, p, s)
+    beta = np.linspace(0.0, cap, n)
+    ends = [alpha, cap]
+    if s is Scenario.VARIABLE_HORIZON:
+        ends += window_kinks(alpha, p)
+    lo, hi = beta[:-2], beta[2:]
+    inside = np.ones(n - 2, dtype=bool)
+    for d in ends:
+        inside &= ~((lo < d) & (d < hi))
+    out = []
+    for x in utility_terms(alpha, beta, p, s):
+        # a (.)+ term is zero past its zero: no stencil holds both sides
+        zero = x == 0.0
+        one_side = (zero[:-2] == zero[1:-1]) & (zero[1:-1] == zero[2:])
+        out.append((x[:-2] - 2.0 * x[1:-1] + x[2:])[inside & one_side])
+    return out
+
+
+@pytest.mark.parametrize("s", list(CURVATURE), ids=lambda s: s.value)
+def test_utility_terms_keep_the_curvature_of_their_lemma(s):
+    # 20 verify families, 3 alphas each, 2001 points a row; the largest
+    # wrong-sign second difference is printed so the slack can be tightened
+    sign, worst, kept = CURVATURE[s], 0.0, 0
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        _, p = _draw_model(s, rng)
+        for alpha in (np.array([0.2, 0.5, 0.8]) * symmetric_cap(p, s)).tolist():
+            for d2 in _second_differences(alpha, p, s, 2001):
+                wrong = np.abs(d2) if sign == 0 else -sign * d2
+                worst = max(worst, wrong.max(initial=0.0) / p.tau)
+                kept += d2.size
+    print(f"{s.value}: largest wrong-sign second difference {worst:.3g} tau")
+    assert worst <= CURVATURE_SLACK
+    # the pieces leave out a few stencils per row, not the row
+    assert kept >= 0.95 * 20 * 3 * 2 * 1999
+
+
 # -- surfaces ------------------------------------------------------------------
+
+def test_surface_needs_two_points():
+    with pytest.raises(UtilityError, match="n_grid must be at least 2"):
+        utility_surface(0.5, Belief(0.6, 0.4), ModelParams(0.2, 0.1, 1.0, 10.0),
+                        LIN_S, 1)
+
 
 def test_surface_two_point_grid_keeps_endpoints():
     p = ModelParams(0.2, 0.1, 1.0, 10.0)
